@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import BadHyperparams, BadSpec, DimMismatch, EmptyDataset
+from .errors import BadHyperparams, BadSpec, DimMismatch, Divergence, EmptyDataset
 
 SOFTMAX = "softmax"
 LINEAR_SVM = "linear_svm"
@@ -202,7 +202,8 @@ def _sgd(X, y, C, hp, step_fn):
     before the update. The trace records the mean batch objective per
     epoch, so full-batch mode traces the true objective at the start of
     every epoch. Full batches skip the shuffle: sample order cannot change
-    a whole-set gradient.
+    a whole-set gradient. Raises Divergence at the first non-finite epoch
+    loss, or when the final weights are not finite.
     """
     n, d = X.shape
     rng = np.random.default_rng(hp.seed)
@@ -213,26 +214,30 @@ def _sgd(X, y, C, hp, step_fn):
     batch = min(hp.batch_size, n)
     full = batch >= n
     trace = []
-    for _ in range(hp.epochs):
+    for epoch in range(hp.epochs):
         if full:
             loss, gW, gb = step_fn(W, b, X, y)
             vW = hp.momentum * vW - hp.learning_rate * gW
             vb = hp.momentum * vb - hp.learning_rate * gb
             W = W + vW
             b = b + vb
-            trace.append(loss)
-            continue
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch):
-            sel = perm[start : start + batch]
-            loss, gW, gb = step_fn(W, b, X[sel], y[sel])
-            losses.append(loss)
-            vW = hp.momentum * vW - hp.learning_rate * gW
-            vb = hp.momentum * vb - hp.learning_rate * gb
-            W = W + vW
-            b = b + vb
-        trace.append(float(np.mean(losses)))
+        else:
+            perm = rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch):
+                sel = perm[start : start + batch]
+                loss, gW, gb = step_fn(W, b, X[sel], y[sel])
+                losses.append(loss)
+                vW = hp.momentum * vW - hp.learning_rate * gW
+                vb = hp.momentum * vb - hp.learning_rate * gb
+                W = W + vW
+                b = b + vb
+            loss = float(np.mean(losses))
+        if not np.isfinite(loss):
+            raise Divergence(epoch, loss)
+        trace.append(loss)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise Divergence(hp.epochs - 1, trace[-1])
     return _LinearState(weights=W, bias=b, loss_trace=trace)
 
 
@@ -286,82 +291,136 @@ def _scores_linear(clf, X):
 
 # random forest ----------------------------------------------------------
 
+# A tree is a dict of equal-length arrays with one entry per node in DFS
+# preorder, node 0 being the root. Leaves have feature = left = right = -1
+# and their class in leaf; inner nodes have leaf = -1 and send a row with
+# x[feature] <= threshold left.
+_TREE_ARRAYS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "leaf": np.int64,
+}
+
+
+def _as_tree(columns) -> dict:
+    return {name: np.asarray(columns[name], dtype=dt) for name, dt in _TREE_ARRAYS.items()}
+
+
 @dataclass
 class _ForestState:
-    trees: list  # nested dicts: {"leaf": id} or {"feature", "threshold", "left", "right"}
+    trees: list[dict]  # see _TREE_ARRAYS
 
 
-def _gini_split(Xcol, y, C):
-    """Best threshold on one feature by weighted Gini; None when unsplittable."""
-    order = np.argsort(Xcol, kind="stable")
-    xs = Xcol[order]
+def _best_split(Xs, y, counts, eye):
+    """Best (row of Xs, threshold) by weighted Gini, or None when no row
+    holds two distinct values.
+
+    Xs is (n_sub, n): one row per drawn feature, over the node's samples
+    with labels y and class counts counts; eye is the (C, C) integer
+    identity that one-hot encodes the labels. Ties go to the first cut within
+    a row, then to the first row. Class counts are exact integers, so the
+    costs match a one-feature-at-a-time search bit for bit; the order of
+    equal values within a row cannot change the counts at a cut between
+    distinct values, so the sort need not be stable.
+    """
+    k, n = Xs.shape
+    order = Xs.argsort(axis=1)
+    ks = np.arange(k)[:, None]
+    xs = Xs[ks, order]
     ys = y[order]
-    n = len(ys)
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), ys] = 1.0
-    left = np.cumsum(onehot, axis=0)  # counts after taking i+1 smallest
-    total = left[-1]
-    cut = np.flatnonzero(xs[:-1] < xs[1:])  # split between distinct values
-    if cut.size == 0:
-        return None
-    nl = (cut + 1).astype(np.float64)
+    left = eye.take(ys, axis=0).cumsum(axis=1)
+    left = left[:, :-1]  # (k, n-1, C) counts after taking i+1 smallest
+    sq_left = np.einsum("knc,knc->kn", left, left)
+    # sum of (counts - left)**2 over classes, expanded
+    sq_right = counts @ counts - 2 * counts[ys[:, :-1]].cumsum(axis=1) + sq_left
+    nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
-    gl = 1.0 - np.sum(left[cut] ** 2, axis=1) / nl**2
-    gr = 1.0 - np.sum((total - left[cut]) ** 2, axis=1) / nr**2
+    gl = 1.0 - sq_left / nl**2
+    gr = 1.0 - sq_right / nr**2
     cost = (nl * gl + nr * gr) / n
-    best = int(np.argmin(cost))
-    thr = (xs[cut[best]] + xs[cut[best] + 1]) / 2.0
-    return float(cost[best]), float(thr)
+    cost[xs[:, :-1] == xs[:, 1:]] = np.inf
+    cut = cost.argmin(axis=1)
+    best = cost[ks[:, 0], cut]
+    f = int(best.argmin())
+    if best[f] == np.inf:
+        return None
+    c = cut[f]
+    return f, float((xs[f, c] + xs[f, c + 1]) / 2.0)
 
 
-def _grow_tree(X, y, C, rng, max_depth, n_sub, depth=0):
-    counts = np.bincount(y, minlength=C)
-    majority = int(np.argmax(counts))  # ties fall to the lower id
-    if counts[majority] == len(y) or (max_depth is not None and depth >= max_depth):
-        return {"leaf": majority}
-    feats = rng.permutation(X.shape[1])[:n_sub]
-    best = None
-    for f in feats:
-        found = _gini_split(X[:, f], y, C)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], int(f), found[1])
-    if best is None:
-        return {"leaf": majority}
-    _, f, thr = best
-    go_left = X[:, f] <= thr
-    return {
-        "feature": f,
-        "threshold": thr,
-        "left": _grow_tree(X[go_left], y[go_left], C, rng, max_depth, n_sub, depth + 1),
-        "right": _grow_tree(X[~go_left], y[~go_left], C, rng, max_depth, n_sub, depth + 1),
-    }
+def _grow_tree(Xt, y, bag, C, rng, max_depth, n_sub):
+    """Grow one tree on rows bag of Xt.T with an explicit stack.
+
+    Nodes are numbered in DFS preorder, left subtree first, which is also
+    the order in which splitting nodes draw their feature subsets.
+    """
+    feature, threshold, left, right, leaf = [], [], [], [], []
+    eye = np.eye(C, dtype=np.int64)
+    stack = [(bag, 0, -1, left)]  # rows, depth, parent, parent's child list
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            side[parent] = node
+        counts = np.bincount(y[rows], minlength=C)
+        majority = int(counts.argmax())  # ties fall to the lower id
+        found = None
+        if counts[majority] < len(rows) and (max_depth is None or depth < max_depth):
+            feats = rng.permutation(Xt.shape[0])[:n_sub]
+            found = _best_split(Xt[feats[:, None], rows], y[rows], counts, eye)
+        if found is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            leaf.append(majority)
+        else:
+            f, thr = feats[found[0]], found[1]
+            feature.append(int(f))
+            threshold.append(thr)
+            leaf.append(-1)
+            go_left = Xt[f, rows] <= thr
+            stack.append((rows[~go_left], depth + 1, node, right))
+            stack.append((rows[go_left], depth + 1, node, left))
+        left.append(-1)
+        right.append(-1)
+    return _as_tree(
+        {"feature": feature, "threshold": threshold, "left": left, "right": right, "leaf": leaf}
+    )
 
 
 def _fit_forest(hp: ForestParams, X, y, C):
     n, d = X.shape
     n_sub = hp.feature_subsample if hp.feature_subsample is not None else int(np.ceil(np.sqrt(d)))
     n_sub = min(n_sub, d)
+    Xt = np.ascontiguousarray(X.T)
     trees = []
     for t in range(hp.tree_count):
         rng = np.random.default_rng(np.random.SeedSequence([hp.seed, t]))
         bag = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[bag], y[bag], C, rng, hp.max_depth, n_sub))
+        trees.append(_grow_tree(Xt, y, bag, C, rng, hp.max_depth, n_sub))
     return _ForestState(trees=trees)
 
 
-def _tree_predict(tree, x):
-    node = tree
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["leaf"]
+def _tree_leaves(tree: dict, X) -> np.ndarray:
+    """Leaf class for every row: all rows descend one level per step."""
+    node = np.zeros(len(X), dtype=np.int64)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        f = tree["feature"][at]
+        inner = f >= 0
+        rows, at, f = rows[inner], at[inner], f[inner]
+        go_left = X[rows, f] <= tree["threshold"][at]
+        node[rows] = np.where(go_left, tree["left"][at], tree["right"][at])
+    return tree["leaf"][node]
 
 
 def _forest_votes(clf, X):
-    C = len(clf.classes_seen)
-    votes = np.zeros((len(X), C))
+    votes = np.zeros((len(X), len(clf.classes_seen)))
+    rows = np.arange(len(X))
     for tree in clf.state.trees:
-        for i, x in enumerate(X):
-            votes[i, _tree_predict(tree, x)] += 1.0
+        votes[rows, _tree_leaves(tree, X)] += 1.0
     return votes
 
 
@@ -458,7 +517,9 @@ def _params_to_json(clf: TrainedClassifier) -> dict:
             "loss_trace": clf.state.loss_trace,
         }
     if clf.spec.kind == RANDOM_FOREST:
-        return {"trees": clf.state.trees}
+        return {
+            "trees": [{name: a.tolist() for name, a in t.items()} for t in clf.state.trees]
+        }
     return {
         "features": clf.state.features.tolist(),
         "labels": clf.state.labels.tolist(),
@@ -488,7 +549,7 @@ def classifier_from_json(obj: dict) -> TrainedClassifier:
             loss_trace=list(params["loss_trace"]),
         )
     elif kind == RANDOM_FOREST:
-        state = _ForestState(trees=params["trees"])
+        state = _ForestState(trees=[_as_tree(t) for t in params["trees"]])
     else:
         state = _KnnState(
             features=np.asarray(params["features"], dtype=np.float64),

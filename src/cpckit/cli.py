@@ -225,7 +225,9 @@ def _cmd_extract(args) -> int:
 
 def _cmd_baseline(args) -> int:
     train_ds = load_dataset(args.train, has_header=args.has_header)
-    test_ds = load_dataset(args.test, has_header=args.has_header)
+    test_ds = load_dataset(
+        args.test, has_header=args.has_header, label_map=train_ds.label_map
+    )
     spec = _clf_spec(args)
     clf = clf_mod.fit(spec, train_ds)
     preds = clf.predict_many(test_ds.features)
@@ -243,7 +245,9 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_cpc(args) -> int:
     train_ds = load_dataset(args.train, has_header=args.has_header)
-    test_ds = load_dataset(args.test, has_header=args.has_header)
+    test_ds = load_dataset(
+        args.test, has_header=args.has_header, label_map=train_ds.label_map
+    )
     spec = _clf_spec(args)
     cfg = _cpc_config(args, spec)
     model = train_cpc(train_ds, cfg)
@@ -264,7 +268,9 @@ def _cmd_cpc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     train_ds = load_dataset(args.train, has_header=args.has_header)
-    val_ds = load_dataset(args.val, has_header=args.has_header)
+    val_ds = load_dataset(
+        args.val, has_header=args.has_header, label_map=train_ds.label_map
+    )
     spec = _clf_spec(args)
     cfg = _cpc_config(args, spec)
     grid = _parse_grid(args.grid)

@@ -15,7 +15,6 @@ solved together as stacked fits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -281,13 +280,6 @@ def fit_cpc(
         seed=seed,
         degenerate=degenerate,
     )
-
-
-def _query_seed(model_seed: int, x: np.ndarray) -> int:
-    """Seed from the model seed and a digest of the query bytes. Routing
-    draws no randomness, since its discriminators are full-batch fits."""
-    digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
-    return _derive_seed(model_seed, int.from_bytes(digest, "big"))
 
 
 def _as_queries(model: CpcModel, X) -> np.ndarray:

@@ -17,7 +17,9 @@ from .errors import (
     BadK,
     BadSpec,
     EmptyDataset,
+    LabelOutOfRange,
     LengthMismatch,
+    NonFinite,
     NonNumeric,
     RaggedRow,
 )
@@ -32,8 +34,9 @@ class LabeledDataset:
 
     regime_tags is only populated by the synthetic generator; label_map
     records the original-to-dense label mapping applied by the CSV loader.
-    Instances are treated as immutable after construction. Loaders reject
-    empty input; index subsets (splits, folds, subspaces) may be empty.
+    Instances are treated as immutable after construction. Features must
+    be finite. Loaders reject empty input; index subsets (splits, folds,
+    subspaces) may be empty.
     """
 
     features: np.ndarray
@@ -49,6 +52,9 @@ class LabeledDataset:
             raise EmptyDataset("features must be a 2-D matrix")
         if feats.shape[1] < 1:
             raise EmptyDataset("feature dimension must be at least 1")
+        if not np.isfinite(feats).all():
+            row, col = np.argwhere(~np.isfinite(feats))[0]
+            raise NonFinite(f"row {row}, column {col} is {float(feats[row, col])}")
         if labs.shape[0] != feats.shape[0]:
             raise LengthMismatch(
                 f"{feats.shape[0]} rows but {labs.shape[0]} labels"
@@ -88,8 +94,14 @@ def take(ds: LabeledDataset, indices) -> LabeledDataset:
 
 # CSV wire format: one sample per row, "f0,f1,...,f{d-1},label" ---------
 
-def load_dataset(path, has_header: bool = False) -> LabeledDataset:
-    """Read a dataset CSV. Labels are densified to 0..C-1, mapping recorded."""
+def load_dataset(
+    path, has_header: bool = False, label_map: dict[int, int] | None = None
+) -> LabeledDataset:
+    """Read a dataset CSV. Labels are densified to 0..C-1, mapping recorded.
+
+    Pass the training set's label_map when loading its test or validation
+    file: labels then map through it, and a label it lacks is an error.
+    """
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -128,13 +140,16 @@ def load_dataset(path, has_header: bool = False) -> LabeledDataset:
                 f"line {lineno}, label column: {cells[-1]!r}"
             ) from None
 
-    originals = np.unique(raw_labels)
-    label_map = {int(orig): dense for dense, orig in enumerate(originals)}
-    dense = np.searchsorted(originals, raw_labels)
+    if label_map is None:
+        label_map = {int(orig): dense for dense, orig in enumerate(np.unique(raw_labels))}
+    unseen = sorted(set(raw_labels.tolist()) - label_map.keys())
+    if unseen:
+        raise LabelOutOfRange(f"{path}: labels {unseen} are not in the training labels")
+    dense = np.array([label_map[int(v)] for v in raw_labels], dtype=np.int64)
     return LabeledDataset(
         features=feats,
         labels=dense,
-        class_count=len(originals),
+        class_count=len(label_map),
         label_map=label_map,
     )
 

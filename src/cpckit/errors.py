@@ -32,6 +32,10 @@ class NonNumeric(DataError):
     """A CSV cell could not be parsed as a number."""
 
 
+class NonFinite(DataError):
+    """A feature value is NaN or infinite."""
+
+
 class BadFractions(ConfigError):
     pass
 

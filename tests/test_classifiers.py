@@ -19,7 +19,7 @@ from cpckit.classifiers import (
     with_seed,
 )
 from cpckit.dataset import LabeledDataset
-from cpckit.errors import BadHyperparams, BadSpec, DimMismatch, EmptyDataset
+from cpckit.errors import BadHyperparams, BadSpec, DimMismatch, Divergence, EmptyDataset
 
 
 def blobs(n=150, d=2, C=3, seed=0, margin=6.0):
@@ -168,6 +168,16 @@ class TestSgd:
         b = fit(softmax_spec(batch_size=16, epochs=5, seed=1), ds)
         assert not np.array_equal(a.state.weights, b.state.weights)
 
+    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    @pytest.mark.parametrize("batch_size", [16, 4096], ids=["minibatch", "fullbatch"])
+    def test_divergence_raises(self, make, batch_size):
+        ds = blobs(60, 2, 3, seed=4, margin=20.0)
+        spec = make(learning_rate=1e6, momentum=0.9, l2=1.0, batch_size=batch_size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Divergence) as err:
+                fit(spec, ds)
+        assert 0 <= err.value.epoch < spec.hyperparams.epochs
+
     def test_l2_shrinks_weights(self):
         ds = blobs(100, 2, 2, seed=3)
         w_free = fit(softmax_spec(l2=0.0, seed=0), ds).state.weights
@@ -185,9 +195,7 @@ class TestForest:
         ds = blobs(60, 2, 2, seed=7)
         clf = fit(forest_spec(max_depth=1, seed=0), ds)
         for tree in clf.state.trees:
-            if "leaf" in tree:
-                continue
-            assert "leaf" in tree["left"] and "leaf" in tree["right"]
+            assert tree_depth(tree) <= 1
 
     def test_single_tree_no_subsample_is_deterministic(self):
         ds = blobs(60, 4, 3, seed=8)
@@ -197,18 +205,165 @@ class TestForest:
         assert np.array_equal(a, b)
 
     def test_duplicate_points_with_conflicting_labels_terminate(self):
-        X = np.array([[1.0, 1.0]] * 6 + [[2.0, 2.0]] * 2)
-        y = np.array([0, 1, 0, 1, 0, 0, 1, 1])
-        ds = LabeledDataset(X, y, class_count=2)
+        ds = conflicting_duplicates()
         clf = fit(forest_spec(tree_count=5, seed=0), ds)
-        preds = clf.predict_many(X)
+        preds = clf.predict_many(ds.features)
         assert preds.shape == (8,)
+
+    def test_query_at_threshold_goes_left(self):
+        ds = LabeledDataset(np.repeat([[0.0], [1.0]], 10, axis=0),
+                            np.repeat([0, 1], 10), class_count=2)
+        clf = fit(forest_spec(tree_count=1, max_depth=1, seed=0), ds)
+        assert clf.state.trees[0]["threshold"][0] == 0.5
+        assert clf.predict_many(np.array([[0.5], [0.5000001]])).tolist() == [0, 1]
 
     def test_vote_counts_sum_to_tree_count(self):
         ds = blobs(40, 2, 2, seed=9)
         clf = fit(forest_spec(tree_count=31, seed=0), ds)
         votes = clf.decision_scores(ds.features[:10])
         assert np.all(votes.sum(axis=1) == 31)
+
+
+# The recursive dict-node forest the flat-array forest replaced, kept only
+# as a reference: the new trees must match it node for node.
+
+def _ref_gini_split(Xcol, y, C):
+    order = np.argsort(Xcol, kind="stable")
+    xs = Xcol[order]
+    ys = y[order]
+    n = len(ys)
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), ys] = 1.0
+    left = np.cumsum(onehot, axis=0)
+    total = left[-1]
+    cut = np.flatnonzero(xs[:-1] < xs[1:])
+    if cut.size == 0:
+        return None
+    nl = (cut + 1).astype(np.float64)
+    nr = n - nl
+    gl = 1.0 - np.sum(left[cut] ** 2, axis=1) / nl**2
+    gr = 1.0 - np.sum((total - left[cut]) ** 2, axis=1) / nr**2
+    cost = (nl * gl + nr * gr) / n
+    best = int(np.argmin(cost))
+    thr = (xs[cut[best]] + xs[cut[best] + 1]) / 2.0
+    return float(cost[best]), float(thr)
+
+
+def _ref_grow_tree(X, y, C, rng, max_depth, n_sub, depth=0):
+    counts = np.bincount(y, minlength=C)
+    majority = int(np.argmax(counts))
+    if counts[majority] == len(y) or (max_depth is not None and depth >= max_depth):
+        return {"leaf": majority}
+    feats = rng.permutation(X.shape[1])[:n_sub]
+    best = None
+    for f in feats:
+        found = _ref_gini_split(X[:, f], y, C)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], int(f), found[1])
+    if best is None:
+        return {"leaf": majority}
+    _, f, thr = best
+    go_left = X[:, f] <= thr
+    return {
+        "feature": f,
+        "threshold": thr,
+        "left": _ref_grow_tree(X[go_left], y[go_left], C, rng, max_depth, n_sub, depth + 1),
+        "right": _ref_grow_tree(X[~go_left], y[~go_left], C, rng, max_depth, n_sub, depth + 1),
+    }
+
+
+def _ref_forest(ds, hp):
+    """Reference trees flattened to (feature, threshold, left, right, leaf)
+    lists in DFS preorder, plus the reference votes on the training rows."""
+    classes = np.unique(ds.labels)
+    y = np.searchsorted(classes, ds.labels)
+    n, d = ds.features.shape
+    n_sub = min(hp.feature_subsample or int(np.ceil(np.sqrt(d))), d)
+    trees = []
+    votes = np.zeros((n, len(classes)))
+    for t in range(hp.tree_count):
+        rng = np.random.default_rng(np.random.SeedSequence([hp.seed, t]))
+        bag = rng.integers(0, n, size=n)
+        root = _ref_grow_tree(ds.features[bag], y[bag], len(classes), rng,
+                              hp.max_depth, n_sub)
+        for i, x in enumerate(ds.features):
+            node = root
+            while "leaf" not in node:
+                node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+            votes[i, node["leaf"]] += 1.0
+        flat = {"feature": [], "threshold": [], "left": [], "right": [], "leaf": []}
+
+        def visit(node):
+            i = len(flat["feature"])
+            for key in flat:
+                flat[key].append(-1)
+            if "leaf" in node:
+                flat["threshold"][i] = 0.0
+                flat["leaf"][i] = node["leaf"]
+                return i
+            flat["feature"][i] = node["feature"]
+            flat["threshold"][i] = node["threshold"]
+            flat["left"][i] = visit(node["left"])
+            flat["right"][i] = visit(node["right"])
+            return i
+
+        visit(root)
+        trees.append(flat)
+    return trees, votes
+
+
+def assert_matches_reference(ds, spec):
+    clf = fit(spec, ds)
+    want_trees, want_votes = _ref_forest(ds, spec.hyperparams)
+    got = classifier_to_json(clf)["params"]["trees"]
+    assert len(got) == len(want_trees)
+    for g, w in zip(got, want_trees):
+        assert g == w
+    assert np.array_equal(clf.decision_scores(ds.features), want_votes)
+
+
+def tree_depth(tree):
+    depth = {0: 0}
+    for i, f in enumerate(tree["feature"]):  # preorder: parents come first
+        if f >= 0:
+            depth[tree["left"][i]] = depth[tree["right"][i]] = depth[i] + 1
+    return max(depth.values())
+
+
+def conflicting_duplicates():
+    X = np.array([[1.0, 1.0]] * 6 + [[2.0, 2.0]] * 2)
+    y = np.array([0, 1, 0, 1, 0, 0, 1, 1])
+    return LabeledDataset(X, y, class_count=2)
+
+
+class TestForestMatchesReference:
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"max_depth": 1}, {"max_depth": 3}, {"feature_subsample": 4}],
+        ids=["full", "depth1", "depth3", "all_features"],
+    )
+    def test_blobs(self, kw):
+        assert_matches_reference(blobs(120, 4, 3, seed=13), forest_spec(tree_count=8, seed=2, **kw))
+
+    def test_conflicting_duplicates(self):
+        assert_matches_reference(conflicting_duplicates(), forest_spec(tree_count=5, seed=0))
+
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        C=st.integers(1, 4),
+        max_depth=st.sampled_from([None, 1, 2, 3]),
+        subsample=st.sampled_from([None, 1, 2, 4]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_features_with_ties(self, n, d, C, max_depth, subsample, seed):
+        rng = np.random.default_rng(seed)
+        ds = LabeledDataset(rng.integers(-2, 3, size=(n, d)).astype(np.float64),
+                            rng.integers(0, C, size=n), class_count=C)
+        spec = forest_spec(tree_count=3, max_depth=max_depth,
+                           feature_subsample=subsample, seed=seed)
+        assert_matches_reference(ds, spec)
 
 
 class TestKnn:

@@ -190,6 +190,67 @@ class TestBaselineCommand:
         assert code == 0
         assert json.loads(report.read_text())["config"]["trees"] == 11
 
+    def test_nan_training_cell_is_data_error(self, data_files):
+        tmp, train, test = data_files
+        lines = train.read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        train.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["baseline", "--train", str(train), "--test", str(test),
+             "--clf", "forest", "--trees", "5", "--report", str(tmp / "r.json")]
+        )
+        assert code == 2
+
+    def test_sgd_divergence_is_numerical_error(self, data_files):
+        tmp, train, test = data_files
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["baseline", "--train", str(train), "--test", str(test),
+                 "--lr", "1e6", "--report", str(tmp / "r.json")]
+            )
+        assert code == 3
+        assert not (tmp / "r.json").exists()
+
+
+def without_class_zero(tmp_path):
+    """A test file holding only classes 1 and 2 of the three-class data."""
+    ds = blobs(21, seed=1)
+    keep = ds.labels != 0
+    path = tmp_path / "test_no0.csv"
+    write_dataset(LabeledDataset(ds.features[keep], ds.labels[keep], 3), path)
+    return path
+
+
+def with_unseen_label(tmp_path):
+    path = tmp_path / "test_unseen.csv"
+    path.write_text("0.0,0.0,1\n1.0,1.0,9\n")
+    return path
+
+
+class TestTestLabelsFollowTraining:
+    @pytest.mark.parametrize("cmd", ["baseline", "cpc"])
+    def test_missing_class_keeps_training_labels(self, data_files, cmd):
+        tmp, train, _ = data_files
+        report = tmp / "r.json"
+        argv = [cmd, "--train", str(train), "--test", str(without_class_zero(tmp)),
+                "--epochs", "30", "--report", str(report)]
+        if cmd == "cpc":
+            argv += ["--theta", "0.5", "--disc-k", "5"]
+        assert main(argv) == 0
+        obj = json.loads(report.read_text())
+        assert obj["accuracy"] >= 0.9
+        assert len(obj["confusion"]) == 3
+
+    @pytest.mark.parametrize("cmd", ["baseline", "cpc", "sweep"])
+    def test_unseen_label_is_data_error(self, data_files, cmd):
+        tmp, train, _ = data_files
+        other = "--val" if cmd == "sweep" else "--test"
+        argv = [cmd, "--train", str(train), other, str(with_unseen_label(tmp)),
+                "--epochs", "5", "--report", str(tmp / "r.json")]
+        if cmd == "cpc":
+            argv += ["--theta", "0.5"]
+        assert main(argv) == 2
+
 
 class TestCpcCommand:
     def test_report_includes_routes(self, data_files):

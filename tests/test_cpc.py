@@ -355,14 +355,6 @@ class TestDiscriminate:
         q = np.array([7.3, 0.0])
         assert discriminate(model, q) == discriminate(model, q)
 
-    def test_query_bytes_drive_the_local_seed(self):
-        from cpckit.cpc import _query_seed
-
-        a = _query_seed(0, np.array([1.0, 2.0]))
-        b = _query_seed(0, np.array([1.0, 2.000001]))
-        assert a != b
-        assert _query_seed(0, np.array([1.0, 2.0])) == a
-
     def test_degenerate_model_refuses(self):
         ds = small_ds(n=10)
         part = SubspacePartition(ds, 0.0, np.arange(10), np.arange(0))

@@ -24,7 +24,9 @@ from cpckit.errors import (
     BadK,
     BadSpec,
     EmptyDataset,
+    LabelOutOfRange,
     LengthMismatch,
+    NonFinite,
     NonNumeric,
     RaggedRow,
 )
@@ -55,6 +57,13 @@ class TestLabeledDataset:
     def test_rejects_zero_width(self):
         with pytest.raises(EmptyDataset):
             LabeledDataset(np.zeros((3, 0)), np.zeros(3, dtype=int), class_count=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = bad
+        with pytest.raises(NonFinite, match="row 1, column 0"):
+            LabeledDataset(feats, np.zeros(3, dtype=int), class_count=1)
 
     def test_take_preserves_tags(self):
         ds = generate_two_regime(6, 6, 2, 2, 4.0, 1.0, seed=0)
@@ -88,6 +97,31 @@ class TestLoadDataset:
         assert ds.class_count == 2
         assert ds.label_map == {3: 0, 7: 1}
         assert ds.labels.tolist() == [1, 0, 1]
+
+    def test_nan_cell_is_refused(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\nnan,2.0,1\n")
+        with pytest.raises(NonFinite):
+            load_dataset(path)
+
+    def test_training_label_map_is_reused(self, tmp_path):
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        train.write_text("1.0,0\n2.0,1\n3.0,2\n")
+        test.write_text("2.5,2\n2.0,1\n")  # class 0 absent
+        tr = load_dataset(train)
+        te = load_dataset(test, label_map=tr.label_map)
+        assert te.labels.tolist() == [2, 1]
+        assert te.class_count == 3
+        assert te.label_map == tr.label_map
+        # on its own the test file would be densified to [1, 0]
+        assert load_dataset(test).labels.tolist() == [1, 0]
+
+    def test_label_missing_from_training_map_is_refused(self, tmp_path):
+        path = tmp_path / "test.csv"
+        path.write_text("1.0,0\n2.0,5\n")
+        with pytest.raises(LabelOutOfRange, match=r"\[5\]"):
+            load_dataset(path, label_map={0: 0, 1: 1})
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
