@@ -65,7 +65,6 @@ from .mlp import (
     BlockSpec,
     MlpModel,
     TrainConfig,
-    backward,
     build_mlp,
     extract_features,
     forward,

@@ -1,9 +1,11 @@
 """Self-contained classifier families behind a single train/predict contract.
 
 Four kinds: multinomial softmax regression, one-vs-rest linear SVM, a random
-forest, and k-nearest-neighbors. The linear models share a mini-batch SGD
-optimizer with classical momentum. Everything is deterministic for a fixed
-spec and seed; fits never mutate their input dataset.
+forest, and k-nearest-neighbors. The linear models train with
+_momentum_sgd, the package's one mini-batch SGD loop with classical
+momentum, which the MLP extractor and the routing discriminators share.
+Everything is deterministic for a fixed spec and seed; fits never mutate
+their input dataset.
 """
 
 from __future__ import annotations
@@ -19,17 +21,6 @@ SOFTMAX = "softmax"
 LINEAR_SVM = "linear_svm"
 RANDOM_FOREST = "random_forest"
 KNN = "knn"
-
-# Incremented on every fit() call so orchestration tests can confirm how
-# often training actually ran (e.g. ensemble reuse across a theta sweep).
-_fit_calls: dict[str, int] = {}
-
-
-def fit_call_count(kind: str | None = None) -> int:
-    if kind is None:
-        return sum(_fit_calls.values())
-    return _fit_calls.get(kind, 0)
-
 
 @dataclass(frozen=True)
 class SoftmaxParams:
@@ -174,7 +165,6 @@ class TrainedClassifier:
 
 def fit(spec: ClassifierSpec, ds: LabeledDataset) -> TrainedClassifier:
     """Train a classifier of the given kind on ds."""
-    _fit_calls[spec.kind] = _fit_calls.get(spec.kind, 0) + 1
     _validate(spec)
     if ds.n == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -188,6 +178,47 @@ def fit(spec: ClassifierSpec, ds: LabeledDataset) -> TrainedClassifier:
 
 # shared SGD machinery ---------------------------------------------------
 
+def _momentum_sgd(params, grad, n, epochs, batch_size, learning_rate, momentum,
+                  rng=None, lr_decay=1.0):
+    """Mini-batch SGD with classical momentum, v = mu v - lr g; p += v,
+    updating the arrays in params in place. Returns the loss trace.
+
+    grad(rows) returns (loss, grads) for the samples picked by rows,
+    evaluated before the update; the grads are scratch arrays the loop may
+    overwrite. Batches of min(batch_size, n) samples run in order, or in a
+    fresh permutation drawn from rng each epoch when one is given. The
+    trace holds the mean batch loss per epoch unless grad reports None for
+    the loss. lr is multiplied by lr_decay after every epoch. Raises
+    Divergence at the first non-finite epoch loss, or when the final params
+    are not finite.
+    """
+    vel = [np.zeros_like(p) for p in params]
+    batch = min(batch_size, n)
+    lr = learning_rate
+    trace = []
+    for epoch in range(epochs):
+        order = None if rng is None else rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            rows = slice(start, start + batch) if order is None else order[start : start + batch]
+            loss, grads = grad(rows)
+            losses.append(loss)
+            for p, v, g in zip(params, vel, grads):
+                v *= momentum
+                g *= lr
+                v -= g
+                p += v
+        if losses[0] is not None:
+            loss = float(np.mean(losses))
+            if not np.isfinite(loss):
+                raise Divergence(epoch, loss)
+            trace.append(loss)
+        lr *= lr_decay
+    if not all(np.isfinite(p).all() for p in params):
+        raise Divergence(epochs - 1)
+    return trace
+
+
 @dataclass
 class _LinearState:
     weights: np.ndarray  # (C', d)
@@ -195,49 +226,22 @@ class _LinearState:
     loss_trace: list[float]
 
 
-def _sgd(X, y, C, hp, step_fn):
-    """Mini-batch SGD with classical momentum: v = mu v - lr g; w += v.
-
-    step_fn returns (objective, grad_W, grad_b) for one batch, evaluated
-    before the update. The trace records the mean batch objective per
-    epoch, so full-batch mode traces the true objective at the start of
-    every epoch. Full batches skip the shuffle: sample order cannot change
-    a whole-set gradient. Raises Divergence at the first non-finite epoch
-    loss, or when the final weights are not finite.
-    """
+def _fit_linear(hp, X, y, C, step_fn):
+    """Momentum SGD from zero weights; step_fn(W, b, Xb, yb) returns
+    (objective, grad_W, grad_b) for one batch. Full batches skip the
+    shuffle: sample order cannot change a whole-set gradient."""
     n, d = X.shape
-    rng = np.random.default_rng(hp.seed)
     W = np.zeros((C, d))
     b = np.zeros(C)
-    vW = np.zeros_like(W)
-    vb = np.zeros_like(b)
-    batch = min(hp.batch_size, n)
-    full = batch >= n
-    trace = []
-    for epoch in range(hp.epochs):
-        if full:
-            loss, gW, gb = step_fn(W, b, X, y)
-            vW = hp.momentum * vW - hp.learning_rate * gW
-            vb = hp.momentum * vb - hp.learning_rate * gb
-            W = W + vW
-            b = b + vb
-        else:
-            perm = rng.permutation(n)
-            losses = []
-            for start in range(0, n, batch):
-                sel = perm[start : start + batch]
-                loss, gW, gb = step_fn(W, b, X[sel], y[sel])
-                losses.append(loss)
-                vW = hp.momentum * vW - hp.learning_rate * gW
-                vb = hp.momentum * vb - hp.learning_rate * gb
-                W = W + vW
-                b = b + vb
-            loss = float(np.mean(losses))
-        if not np.isfinite(loss):
-            raise Divergence(epoch, loss)
-        trace.append(loss)
-    if not (np.isfinite(W).all() and np.isfinite(b).all()):
-        raise Divergence(hp.epochs - 1, trace[-1])
+    rng = np.random.default_rng(hp.seed) if hp.batch_size < n else None
+
+    def grad(rows):
+        loss, gW, gb = step_fn(W, b, X[rows], y[rows])
+        return loss, (gW, gb)
+
+    trace = _momentum_sgd(
+        [W, b], grad, n, hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum, rng
+    )
     return _LinearState(weights=W, bias=b, loss_trace=trace)
 
 
@@ -258,7 +262,7 @@ def _fit_softmax(hp: SoftmaxParams, X, y, C):
         gb = delta.mean(axis=0)
         return loss, gW, gb
 
-    return _sgd(X, y, C, hp, step)
+    return _fit_linear(hp, X, y, C, step)
 
 
 def _fit_svm(hp: SvmParams, X, y, C):
@@ -275,7 +279,7 @@ def _fit_svm(hp: SvmParams, X, y, C):
         gb = coef.mean(axis=0)
         return loss, gW, gb
 
-    return _sgd(X, y, C, hp, step)
+    return _fit_linear(hp, X, y, C, step)
 
 
 def _predict_linear(clf, X):

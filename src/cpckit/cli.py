@@ -52,7 +52,6 @@ from .preprocess import (
     load_transform,
     normalize_samples,
     save_transform,
-    standardize_columns,
 )
 from . import classifiers as clf_mod
 
@@ -171,8 +170,6 @@ def _cmd_preprocess(args) -> int:
     ds = load_dataset(args.input, has_header=args.has_header)
     if args.normalize:
         ds = normalize_samples(ds, args.eps_norm)
-    if args.per_feature:
-        ds = standardize_columns(ds, args.eps_norm)
     if args.transform_in:
         t = load_transform(args.transform_in)
         ds = apply_whitening(t, ds)
@@ -348,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--per-feature", action="store_true")
     p.add_argument("--eps-norm", type=float, default=1e-8)
     p.add_argument("--zca", action="store_true")
     p.add_argument("--epsilon", type=float, default=1e-6)

@@ -8,14 +8,15 @@ subspaces, fit one expert per subspace, and route each query at prediction
 time with a per-query discriminator: if the query's k nearest training
 points all landed in one subspace the route is immediate, otherwise a tiny
 binary softmax trained on just those k points decides. Discriminators are
-full-batch fits from zero weights, so identical queries route identically;
-the discriminators of all mixed-neighbourhood queries of one call are
-solved together as stacked fits.
+full-batch fits from zero weights, so identical queries route identically.
+From zero weights a binary softmax is a logistic regression on the
+difference of its two weight columns, and it is fitted in that form; the
+discriminators of all mixed-neighbourhood queries of one call are solved
+together as stacked fits by the shared momentum-SGD loop of classifiers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,40 +294,43 @@ def _as_queries(model: CpcModel, X) -> np.ndarray:
 
 def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
                            hp: SoftmaxParams) -> np.ndarray:
-    """Fit one binary softmax per query on its own neighbours, all at once.
+    """Fit one discriminator per query on its own neighbours, all at once.
 
     P holds each query's k neighbour features (Q, k, d), y their 0/1
-    subspace labels (Q, k), X the queries (Q, d). Every discriminator runs
-    the full-batch momentum-SGD steps of the softmax in classifiers, from
-    zero weights, so stacking only reorders float operations. The bias
-    rides as a last weight row on a constant-one feature, exempt from l2.
-    Returns each query's margin s1 - s0 toward the easy side.
+    subspace labels (Q, k), X the queries (Q, d). Each discriminator is the
+    binary softmax of classifiers, fitted full-batch from zero weights by
+    the shared momentum-SGD loop. From zero its two weight columns stay
+    opposite, so only their difference u = w1 - w0 is fitted: logistic
+    regression with gradient 2 (sigma(u.x) - y) x / k + l2 u, where
+    2 sigma(m) - 1 = tanh(m / 2). The bias rides as a last weight on a
+    constant-one feature, exempt from l2. Returns each query's margin
+    u.x = s1 - s0 toward the easy side; raises Divergence when the weights
+    leave the finite range.
     """
     Q, k, d = P.shape
     P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, d+1)
     P1T = np.ascontiguousarray(P1.transpose(0, 2, 1))
-    target = np.stack([1.0 - y, y], axis=2)  # one-hot rows, (Q, k, 2)
+    half = 0.5 * P1  # exact: half margins come out bit for bit
+    shift = (1.0 - 2.0 * y)[:, :, None]  # 2 sigma(m) - 2y = tanh(m/2) + shift
     l2 = np.append(np.full(d, hp.l2), 0.0)[:, None]
-    W = np.zeros((Q, d + 1, 2))  # per query: weights transposed, bias last
-    v = np.zeros_like(W)
-    g = np.empty_like(W)
-    delta = np.empty((Q, k, 2))
-    for _ in range(hp.epochs):
-        np.matmul(P1, W, out=delta)  # logits
-        delta -= np.maximum(delta[:, :, :1], delta[:, :, 1:])
-        np.exp(delta, out=delta)
-        delta /= delta.sum(axis=2, keepdims=True)
-        delta -= target  # softmax probabilities minus one-hot targets
-        np.matmul(P1T, delta, out=g)
-        g /= k
-        g += l2 * W
-        v *= hp.momentum
-        g *= hp.learning_rate
-        v -= g
-        W += v
+    u = np.zeros((Q, d + 1, 1))  # per query: weight difference, bias last
+    r = np.empty((Q, k, 1))
+    g = np.empty_like(u)
+
+    def grad(rows):
+        np.matmul(half, u, out=r)
+        np.tanh(r, out=r)
+        np.add(r, shift, out=r)
+        np.matmul(P1T, r, out=g)
+        np.divide(g, k, out=g)
+        np.add(g, l2 * u, out=g)
+        return None, (g,)
+
+    clf_mod._momentum_sgd(
+        [u], grad, k, hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum
+    )
     X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)
-    scores = (X1[:, None, :] @ W)[:, 0, :]
-    return scores[:, 1] - scores[:, 0]
+    return (X1[:, None, :] @ u)[:, 0, 0]
 
 
 def _route_margins(model: CpcModel, X: np.ndarray) -> np.ndarray:
@@ -355,9 +359,10 @@ def discriminate(model: CpcModel, x) -> tuple[str, float]:
     """Route one query: (route, signed margin toward the easy side).
 
     Unanimous neighborhoods short-circuit with an infinite margin; mixed
-    neighborhoods fit a binary softmax on just those k points, full-batch
-    from zero weights, so identical queries always route identically. The
-    query goes easy when the margin is positive.
+    neighborhoods fit a binary softmax, in its logistic form, on just those
+    k points, full-batch from zero weights, so identical queries always
+    route identically. The query goes easy when the margin is positive.
+    Raises Divergence when the fit leaves the finite range.
     """
     if model.degenerate != DEGENERATE_NONE:
         raise DegenerateModel("single-subspace model; route degenerately")
@@ -480,14 +485,3 @@ def cpc_model_from_json(obj: dict) -> CpcModel:
         seed=int(obj["seed"]),
         degenerate=obj["degenerate"],
     )
-
-
-def save_cpc_model(model: CpcModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cpc_model_to_json(model), fh)
-        fh.write("\n")
-
-
-def load_cpc_model(path) -> CpcModel:
-    with open(path) as fh:
-        return cpc_model_from_json(json.load(fh))

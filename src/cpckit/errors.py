@@ -71,10 +71,14 @@ class BadArch(ConfigError):
 
 
 class Divergence(NumericalError):
-    """Training loss became non-finite. Carries the offending epoch."""
+    """Training left the finite range. Carries the offending epoch, and the
+    non-finite loss, or None when only the parameters were caught."""
 
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
+    def __init__(self, epoch: int, loss: float | None = None):
+        if loss is None:
+            super().__init__(f"non-finite parameters after epoch {epoch}")
+        else:
+            super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
         self.epoch = epoch
         self.loss = loss
 

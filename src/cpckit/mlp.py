@@ -7,8 +7,9 @@ Blocks come in three kinds. With H(x) = act(W x + b):
     residual_concat  x -> [H(x), x]       (widths add)
 
 A linear head produces class scores; training minimizes mean cross-entropy
-with mini-batch SGD, classical momentum, per-epoch learning-rate decay, and
-inverted dropout applied to H(x) before the skip connection merges back in.
+with the momentum-SGD loop of the linear classifiers, per-epoch
+learning-rate decay, and inverted dropout applied to H(x) before the skip
+connection merges back in.
 Backward passes are exact analytic gradients, checked against central
 finite differences in the test suite.
 """
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import _momentum_sgd
 from .dataset import LabeledDataset
-from .errors import BadArch, DimMismatch, Divergence
+from .errors import BadArch, DimMismatch
 
 PLAIN = "plain"
 RESIDUAL_ADD = "residual_add"
@@ -292,12 +294,6 @@ def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
     return loss, grads
 
 
-def backward(m: MlpModel, X, y) -> Gradients:
-    """Exact analytic gradients of the mean cross-entropy over a batch."""
-    _, grads = loss_and_gradients(m, X, y)
-    return grads
-
-
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """SGD with momentum and per-epoch lr decay. Returns a new model and the
     per-epoch mean batch loss; raises Divergence if the loss leaves the
@@ -308,40 +304,29 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
         raise DimMismatch("dataset labels exceed the model head width")
     model = copy.deepcopy(m)
     rng = np.random.default_rng(cfg.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    vel_hw = np.zeros_like(model.head_w)
-    vel_hb = np.zeros_like(model.head_b)
-    lr = cfg.learning_rate
-    batch = min(cfg.batch_size, ds.n)
-    trace = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(ds.n)
-        losses = []
-        for start in range(0, ds.n, batch):
-            sel = perm[start : start + batch]
-            loss, g = loss_and_gradients(
-                model,
-                ds.features[sel],
-                ds.labels[sel],
-                train_mode=True,
-                dropout=cfg.dropout,
-                rng=rng,
-            )
-            if not np.isfinite(loss):
-                raise Divergence(epoch, loss)
-            losses.append(loss)
-            for i in range(len(model.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - lr * g.weights[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - lr * g.biases[i]
-                model.weights[i] = model.weights[i] + vel_w[i]
-                model.biases[i] = model.biases[i] + vel_b[i]
-            vel_hw = cfg.momentum * vel_hw - lr * g.head_w
-            vel_hb = cfg.momentum * vel_hb - lr * g.head_b
-            model.head_w = model.head_w + vel_hw
-            model.head_b = model.head_b + vel_hb
-        trace.append(float(np.mean(losses)))
-        lr *= cfg.lr_decay_per_epoch
+
+    def grad(rows):
+        loss, g = loss_and_gradients(
+            model,
+            ds.features[rows],
+            ds.labels[rows],
+            train_mode=True,
+            dropout=cfg.dropout,
+            rng=rng,
+        )
+        return loss, g.weights + g.biases + [g.head_w, g.head_b]
+
+    trace = _momentum_sgd(
+        model.weights + model.biases + [model.head_w, model.head_b],
+        grad,
+        ds.n,
+        cfg.epochs,
+        cfg.batch_size,
+        cfg.learning_rate,
+        cfg.momentum,
+        rng=rng,
+        lr_decay=cfg.lr_decay_per_epoch,
+    )
     return model, trace
 
 

@@ -34,20 +34,6 @@ def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledData
     )
 
 
-def standardize_columns(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledDataset:
-    """Per-feature alternative: center and scale each column of this dataset."""
-    mu = ds.features.mean(axis=0, keepdims=True)
-    sd = ds.features.std(axis=0, keepdims=True)
-    out = (ds.features - mu) / np.maximum(sd, eps_norm)
-    return LabeledDataset(
-        features=out,
-        labels=ds.labels,
-        class_count=ds.class_count,
-        regime_tags=ds.regime_tags,
-        label_map=ds.label_map,
-    )
-
-
 @dataclass(frozen=True)
 class WhiteningTransform:
     """Column mean plus a symmetric rotation W = U (L + eps I)^(-1/2) U^T."""

@@ -185,6 +185,92 @@ class TestSgd:
         assert np.linalg.norm(w_reg) < np.linalg.norm(w_free)
 
 
+# The linear models' own momentum-SGD loop and batch steps, before they
+# moved onto the shared loop, kept only as a reference: fits must match them
+# bit for bit.
+
+def _ref_sgd(X, y, C, hp, step_fn):
+    n, d = X.shape
+    rng = np.random.default_rng(hp.seed)
+    W = np.zeros((C, d))
+    b = np.zeros(C)
+    vW = np.zeros_like(W)
+    vb = np.zeros_like(b)
+    batch = min(hp.batch_size, n)
+    full = batch >= n
+    trace = []
+    for epoch in range(hp.epochs):
+        if full:
+            loss, gW, gb = step_fn(W, b, X, y)
+            vW = hp.momentum * vW - hp.learning_rate * gW
+            vb = hp.momentum * vb - hp.learning_rate * gb
+            W = W + vW
+            b = b + vb
+        else:
+            perm = rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch):
+                sel = perm[start : start + batch]
+                loss, gW, gb = step_fn(W, b, X[sel], y[sel])
+                losses.append(loss)
+                vW = hp.momentum * vW - hp.learning_rate * gW
+                vb = hp.momentum * vb - hp.learning_rate * gb
+                W = W + vW
+                b = b + vb
+            loss = float(np.mean(losses))
+        trace.append(loss)
+    return W, b, trace
+
+
+def _ref_softmax_step(hp, C):
+    eye = np.eye(C)
+
+    def step(W, b, Xb, yb):
+        nb = len(yb)
+        logits = Xb @ W.T + b
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        z = expl.sum(axis=1)
+        ce = float(np.mean(np.log(z) - logits[np.arange(nb), yb]))
+        loss = ce + 0.5 * hp.l2 * float(np.sum(W * W))
+        delta = expl / z[:, None] - eye[yb]
+        return loss, delta.T @ Xb / nb + hp.l2 * W, delta.mean(axis=0)
+
+    return step
+
+
+def _ref_svm_step(hp, C):
+    def step(W, b, Xb, yb):
+        nb = len(yb)
+        T = -np.ones((nb, C))
+        T[np.arange(nb), yb] = 1.0
+        margins = hp.hinge_margin - T * (Xb @ W.T + b)
+        loss = float(np.maximum(margins, 0.0).mean(axis=0).sum())
+        loss += 0.5 * hp.l2 * float(np.sum(W * W))
+        coef = -((margins > 0) * T)
+        return loss, coef.T @ Xb / nb + hp.l2 * W, coef.mean(axis=0)
+
+    return step
+
+
+class TestLinearMatchesReference:
+    @pytest.mark.parametrize(
+        "make, ref_step",
+        [(softmax_spec, _ref_softmax_step), (svm_spec, _ref_svm_step)],
+        ids=["softmax", "svm"],
+    )
+    @pytest.mark.parametrize("batch_size", [16, 37, 4096], ids=["minibatch", "ragged", "fullbatch"])
+    def test_weights_bias_and_trace_bitwise(self, make, ref_step, batch_size):
+        ds = blobs(150, 3, 4, seed=8)
+        spec = make(epochs=25, batch_size=batch_size, momentum=0.7, l2=1e-3, seed=5)
+        clf = fit(spec, ds)
+        W, b, trace = _ref_sgd(ds.features, ds.labels, 4, spec.hyperparams,
+                               ref_step(spec.hyperparams, 4))
+        assert np.array_equal(clf.state.weights, W)
+        assert np.array_equal(clf.state.bias, b)
+        assert clf.state.loss_trace == trace
+
+
 class TestForest:
     def test_memorizes_training_set(self):
         ds = blobs(150, 2, 3, seed=1)

@@ -1,13 +1,18 @@
 """Ease scoring, subspace partitioning, experts, and per-query routing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpckit.classifiers import SoftmaxParams, knn_spec, softmax_spec
+from cpckit.classifiers import ClassifierSpec, SoftmaxParams, fit, knn_spec, softmax_spec
 from cpckit.cpc import (
     ALL_DIFFICULT,
     ALL_EASY,
     COMPLEMENT,
+    DEFAULT_DISC,
     DEGENERATE_NONE,
     EXCLUDE_IN_FOLD,
     INCLUDE_ALL,
@@ -34,6 +39,7 @@ from cpckit.errors import (
     BadSpec,
     DegenerateModel,
     DimMismatch,
+    Divergence,
     EmptyPartition,
     LengthMismatch,
 )
@@ -383,7 +389,7 @@ class TestCpcPredict:
     def test_batched_routing_matches_per_query_fits(self, which):
         # reference: the discriminator fitted query by query through the
         # classifier API on each query's k nearest pooled points
-        from cpckit.classifiers import ClassifierSpec, _nearest_indices, fit
+        from cpckit.classifiers import _nearest_indices
 
         rng = np.random.default_rng(6)
         if which == "mixed_line":
@@ -416,6 +422,48 @@ class TestCpcPredict:
             assert r.route == want_route
             assert r.label == expert.predict(q)
         assert finite > 0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        Q=st.integers(1, 4),
+        k=st.integers(2, 12),
+        d=st.integers(1, 5),
+        scale=st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_margins_match_per_query_softmax(self, seed, Q, k, d, scale):
+        # random mixed neighbourhoods, each refitted alone as a binary
+        # softmax through the classifier API
+        from cpckit.cpc import _discriminator_margins
+
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal((Q, k, d)) * scale
+        y = rng.permuted(np.tile(np.arange(k) % 2, (Q, 1)), axis=1)
+        X = rng.standard_normal((Q, d)) * scale
+        margins = _discriminator_margins(P, y, X, DEFAULT_DISC)
+        for q in range(Q):
+            disc = fit(ClassifierSpec("softmax", DEFAULT_DISC), LabeledDataset(P[q], y[q], 2))
+            s = disc.decision_scores(X[q][None, :])[0]
+            assert (margins[q] > 0) == (disc.predict(X[q]) == 1)
+            assert abs(margins[q] - (s[1] - s[0])) <= 1e-12
+
+    def test_diverging_discriminator_raises(self):
+        # the per-query fits of this spec leave the finite range; routing
+        # on NaN margins would send every such query to the difficult expert
+        train = generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=3)
+        test = generate_two_regime(50, 50, 4, 8, 6.0, 0.8, seed=4)
+        cfg = CpcConfig(
+            base_spec=softmax_spec(epochs=30, seed=0),
+            expert_spec=softmax_spec(seed=0),
+            disc_spec=replace(DEFAULT_DISC, learning_rate=1e6),
+            seed=0,
+        )
+        model = train_cpc(train, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Divergence) as err:
+                cpc_predict_many(model, test.features)
+        assert err.value.loss is None
+        assert "loss" not in str(err.value)
 
     def test_chunked_discriminator_solve_is_exact(self, monkeypatch):
         import cpckit.cpc as cpc_mod

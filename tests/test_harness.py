@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cpckit.classifiers import fit_call_count, forest_spec, knn_spec, softmax_spec
+import cpckit.classifiers as clf_mod
+from cpckit.classifiers import forest_spec, knn_spec, softmax_spec
 from cpckit.cpc import CpcConfig
 from cpckit.dataset import LabeledDataset, generate_two_regime
 from cpckit.errors import ConfigError, LabelOutOfRange, LengthMismatch
@@ -281,7 +282,7 @@ class TestThetaSweep:
         assert res.accuracies[0] == res.accuracies[1]
         assert res.best_theta == 0.3
 
-    def test_ensemble_trains_exactly_once(self):
+    def test_ensemble_trains_exactly_once(self, monkeypatch):
         # distinct kinds per role make the counters separable: forest only
         # appears as the base ensemble, so its fit count must be K * m
         train, val, _ = self.sweep_setup(seed=2)
@@ -293,9 +294,16 @@ class TestThetaSweep:
             disc_k=5,
             seed=0,
         )
-        before = fit_call_count("random_forest")
+        kinds = []
+        real_fit = clf_mod.fit
+
+        def spy(spec, ds):
+            kinds.append(spec.kind)
+            return real_fit(spec, ds)
+
+        monkeypatch.setattr(clf_mod, "fit", spy)
         theta_sweep(train, val, [0.0, 0.3, 0.6, 0.9], cfg)
-        assert fit_call_count("random_forest") - before == 4 * 2
+        assert kinds.count("random_forest") == 4 * 2
 
     def test_curve_csv_round_trips(self, tmp_path):
         train, val, cfg = self.sweep_setup(seed=3)

@@ -337,6 +337,62 @@ class TestTrain:
             train(m, ds, TrainConfig(epochs=1))
 
 
+# mlp.train's own momentum-SGD loop, before it moved onto the shared loop,
+# kept only as a reference: training must match it bit for bit.
+
+def _ref_train(m, ds, cfg):
+    model = copy.deepcopy(m)
+    rng = np.random.default_rng(cfg.seed)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    vel_hw = np.zeros_like(model.head_w)
+    vel_hb = np.zeros_like(model.head_b)
+    lr = cfg.learning_rate
+    batch = min(cfg.batch_size, ds.n)
+    trace = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(ds.n)
+        losses = []
+        for start in range(0, ds.n, batch):
+            sel = perm[start : start + batch]
+            loss, g = loss_and_gradients(
+                model, ds.features[sel], ds.labels[sel],
+                train_mode=True, dropout=cfg.dropout, rng=rng,
+            )
+            losses.append(loss)
+            for i in range(len(model.weights)):
+                vel_w[i] = cfg.momentum * vel_w[i] - lr * g.weights[i]
+                vel_b[i] = cfg.momentum * vel_b[i] - lr * g.biases[i]
+                model.weights[i] = model.weights[i] + vel_w[i]
+                model.biases[i] = model.biases[i] + vel_b[i]
+            vel_hw = cfg.momentum * vel_hw - lr * g.head_w
+            vel_hb = cfg.momentum * vel_hb - lr * g.head_b
+            model.head_w = model.head_w + vel_hw
+            model.head_b = model.head_b + vel_hb
+        trace.append(float(np.mean(losses)))
+        lr *= cfg.lr_decay_per_epoch
+    return model, trace
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("batch_size", [16, 45, 4096], ids=["minibatch", "ragged", "fullbatch"])
+    def test_parameters_and_trace_bitwise(self, batch_size):
+        ds = blobs(150, 4, 3, seed=6)
+        blocks = [BlockSpec(RESIDUAL_CONCAT, 6), BlockSpec(RESIDUAL_ADD, 10), BlockSpec(PLAIN, 5)]
+        m = build_mlp(4, blocks, 3, seed=2)
+        cfg = TrainConfig(
+            learning_rate=0.1, momentum=0.8, dropout=0.3, batch_size=batch_size,
+            epochs=6, lr_decay_per_epoch=0.9, seed=4,
+        )
+        got, trace = train(m, ds, cfg)
+        want, want_trace = _ref_train(m, ds, cfg)
+        assert trace == want_trace
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.head_w, want.head_w)
+        assert np.array_equal(got.head_b, want.head_b)
+
+
 class TestExtractFeatures:
     def test_tap_width_and_metadata(self):
         ds = blobs(40, 2, 2)

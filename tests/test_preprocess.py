@@ -13,7 +13,6 @@ from cpckit.preprocess import (
     load_transform,
     normalize_samples,
     save_transform,
-    standardize_columns,
     transform_from_json,
     transform_to_json,
 )
@@ -53,20 +52,6 @@ class TestNormalizeSamples:
         assert np.all(np.abs(out.mean(axis=1)) <= 1e-12)
         # continuous rows have std bounded away from eps, so scaling is exact
         assert np.all(np.abs(out.std(axis=1) - 1.0) <= 1e-9)
-
-
-class TestStandardizeColumns:
-    def test_column_statistics(self):
-        rng = np.random.default_rng(3)
-        out = standardize_columns(wrap(rng.normal(loc=5.0, size=(50, 4)))).features
-        assert np.all(np.abs(out.mean(axis=0)) <= 1e-12)
-        assert np.all(np.abs(out.std(axis=0) - 1.0) <= 1e-9)
-
-    def test_constant_column_maps_to_zeros(self):
-        X = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-        out = standardize_columns(wrap(X)).features
-        assert np.all(np.isfinite(out))
-        assert np.array_equal(out[:, 0], np.zeros(10))
 
 
 class TestZca:
