@@ -15,7 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import BadHyperparams, BadSpec, DimMismatch, Divergence, EmptyDataset
+from .errors import (
+    BadHyperparams,
+    BadSpec,
+    DimMismatch,
+    Divergence,
+    EmptyDataset,
+    LengthMismatch,
+)
 
 SOFTMAX = "softmax"
 LINEAR_SVM = "linear_svm"
@@ -164,59 +171,120 @@ class TrainedClassifier:
 
 
 def fit(spec: ClassifierSpec, ds: LabeledDataset) -> TrainedClassifier:
-    """Train a classifier of the given kind on ds."""
-    _validate(spec)
-    if ds.n == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
-    classes_seen = np.unique(ds.labels)
-    y = np.searchsorted(classes_seen, ds.labels)
-    state = _FITTERS[spec.kind](spec.hyperparams, ds.features, y, len(classes_seen))
-    return TrainedClassifier(
-        spec=spec, classes_seen=classes_seen, input_dim=ds.d, state=state
-    )
+    """Train a classifier of the given kind on ds: fit_many with one job."""
+    return fit_many([spec], [ds])[0]
+
+
+def fit_many(specs, datasets) -> list[TrainedClassifier]:
+    """Train specs[i] on datasets[i] for every i, with the results fit gives
+    for each job alone.
+
+    Linear jobs of one kind whose hyperparameters differ at most in the
+    seed, with equal d and an equal class count, train as one stacked
+    momentum-SGD run. Jobs with a single class or a single feature train
+    alone: numpy sums and multiplies their one-column arrays in a float
+    order that depends on the batch width. Forest and knn jobs run one by one.
+    Every spec and dataset is checked before anything trains.
+    """
+    if len(specs) != len(datasets):
+        raise LengthMismatch(f"{len(specs)} specs for {len(datasets)} datasets")
+    jobs = []
+    for spec, ds in zip(specs, datasets):
+        _validate(spec)
+        if ds.n == 0:
+            raise EmptyDataset("cannot fit on an empty dataset")
+        classes_seen = np.unique(ds.labels)
+        jobs.append((spec, ds, classes_seen, np.searchsorted(classes_seen, ds.labels)))
+    groups = {}
+    for i, (spec, ds, classes_seen, _) in enumerate(jobs):
+        C = len(classes_seen)
+        if spec.kind in _LINEAR_STEPS and min(C, ds.d) > 1:
+            key = (spec.kind, replace(spec.hyperparams, seed=0), ds.d, C)
+        else:
+            key = i
+        groups.setdefault(key, []).append(i)
+    states = [None] * len(jobs)
+    for members in groups.values():
+        fits = [(jobs[i][0].hyperparams, jobs[i][1].features, jobs[i][3]) for i in members]
+        kind, C = jobs[members[0]][0].kind, len(jobs[members[0]][2])
+        if kind in _LINEAR_STEPS:
+            fitted = _fit_linear_group(kind, fits, C)
+        else:
+            fitted = [_FITTERS[kind](*fits[0], C)]
+        for i, state in zip(members, fitted):
+            states[i] = state
+    return [
+        TrainedClassifier(spec=spec, classes_seen=classes_seen, input_dim=ds.d, state=state)
+        for (spec, ds, classes_seen, _), state in zip(jobs, states)
+    ]
 
 
 # shared SGD machinery ---------------------------------------------------
 
-def _momentum_sgd(params, grad, n, epochs, batch_size, learning_rate, momentum,
-                  rng=None, lr_decay=1.0):
-    """Mini-batch SGD with classical momentum, v = mu v - lr g; p += v,
-    updating the arrays in params in place. Returns the loss trace.
+def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
+                  rngs=None, lr_decay=1.0):
+    """Mini-batch SGD with classical momentum, v = mu v - lr g; p += v, for
+    one fit or a stack of them, updating the arrays in params in place.
+    Returns one loss trace per fit.
 
-    grad(rows) returns (loss, grads) for the samples picked by rows,
-    evaluated before the update; the grads are scratch arrays the loop may
-    overwrite. Batches of min(batch_size, n) samples run in order, or in a
-    fresh permutation drawn from rng each epoch when one is given. The
-    trace holds the mean batch loss per epoch unless grad reports None for
-    the loss. lr is multiplied by lr_decay after every epoch. Raises
-    Divergence at the first non-finite epoch loss, or when the final params
-    are not finite.
+    ns holds each fit's sample count, ordered so that batches per epoch
+    never increase; with more than one fit every param has a leading fit
+    axis. Every fit walks its samples in batches of min(batch_size, max(ns)),
+    its last batch shorter, in order or in a fresh permutation drawn from its
+    rng each epoch when rngs gives one. The fits that still have a batch at
+    a step are a prefix of the stack, and only their slice of each param
+    moves. grad(rows) gets one row per such fit, holding the sample indices
+    of its batch and -1 where it is shorter than the widest; it returns
+    (losses, grads) for those fits, evaluated before the update. The grads
+    are scratch arrays the loop may overwrite. A fit's trace holds its mean
+    batch loss per epoch unless grad reports None for the losses. lr is
+    multiplied by lr_decay after every epoch. Raises Divergence at the
+    first non-finite epoch loss, or when the final params are not finite.
     """
+    ns = np.asarray(ns, dtype=np.int64)
+    G = len(ns)
+    batch = min(batch_size, int(ns.max()))
+    steps = -(-ns // batch)
+    order = np.full((G, steps[0] * batch), -1, dtype=np.int64)
+    for i, n in enumerate(ns):
+        order[i, :n] = np.arange(n)
+    shuffled = [(i, n, rng) for i, (n, rng) in enumerate(zip(ns, rngs or [None] * G))
+                if rng is not None]
     vel = [np.zeros_like(p) for p in params]
-    batch = min(batch_size, n)
+    plan = []  # per step: live fits, their batch rows, and the slices that move
+    for j in range(steps[0]):
+        a = int(np.count_nonzero(steps > j))
+        width = min(batch, int(ns[:a].max()) - j * batch)
+        moving = [(p, v) if a == G else (p[:a], v[:a]) for p, v in zip(params, vel)]
+        plan.append((a, order[:a, j * batch : j * batch + width], moving))
+    runs = [(steps == s, s) for s in np.unique(steps)]  # fits by batches per epoch
+    losses = np.empty((G, len(plan)))
+    traces = np.empty((epochs, G))
+    recorded = 0
     lr = learning_rate
-    trace = []
     for epoch in range(epochs):
-        order = None if rng is None else rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch):
-            rows = slice(start, start + batch) if order is None else order[start : start + batch]
+        for i, n, rng in shuffled:
+            order[i, :n] = rng.permutation(n)
+        for j, (a, rows, moving) in enumerate(plan):
             loss, grads = grad(rows)
-            losses.append(loss)
-            for p, v, g in zip(params, vel, grads):
+            if loss is not None:
+                losses[:a, j] = loss
+            for (p, v), g in zip(moving, grads):
                 v *= momentum
                 g *= lr
                 v -= g
                 p += v
-        if losses[0] is not None:
-            loss = float(np.mean(losses))
-            if not np.isfinite(loss):
-                raise Divergence(epoch, loss)
-            trace.append(loss)
+        if loss is not None:
+            for fits, s in runs:
+                traces[epoch, fits] = losses[fits, :s].mean(axis=1)
+            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+            if bad.size:
+                raise Divergence(epoch, float(traces[epoch, bad[0]]))
+            recorded += 1
         lr *= lr_decay
     if not all(np.isfinite(p).all() for p in params):
         raise Divergence(epochs - 1)
-    return trace
+    return traces[:recorded].T.tolist()
 
 
 @dataclass
@@ -226,60 +294,115 @@ class _LinearState:
     loss_trace: list[float]
 
 
-def _fit_linear(hp, X, y, C, step_fn):
-    """Momentum SGD from zero weights; step_fn(W, b, Xb, yb) returns
-    (objective, grad_W, grad_b) for one batch. Full batches skip the
-    shuffle: sample order cannot change a whole-set gradient."""
-    n, d = X.shape
-    W = np.zeros((C, d))
-    b = np.zeros(C)
-    rng = np.random.default_rng(hp.seed) if hp.batch_size < n else None
+def _fit_linear_group(kind, fits, C):
+    """Momentum SGD from zero weights for linear fits of one kind that share
+    their hyperparameters but for the seed, d and the class count C, as one
+    stacked run. fits holds each fit's (hyperparams, X, y); returns their
+    states in order.
+
+    Each fit keeps its own seed's shuffle, and a batch padded to the widest
+    one of its step adds only zeros after its own rows, so every fit gets
+    the weights, bias and loss trace it gets alone. A fit whose whole set
+    fits in one batch skips the shuffle: sample order cannot change a
+    whole-set gradient.
+    """
+    hp = fits[0][0]
+    G, d = len(fits), fits[0][1].shape[1]
+    ns = [len(y) for _, _, y in fits]
+    order = sorted(range(G), key=lambda i: -ns[i])  # most batches per epoch first
+    X = np.concatenate([fits[i][1] for i in order] + [np.zeros((1, d))])
+    y = np.concatenate([fits[i][2] for i in order] + [np.zeros(1, dtype=np.int64)])
+    first = np.cumsum([0] + [ns[i] for i in order[:-1]])[:, None]
+    W = np.zeros((G, C, d))
+    b = np.zeros((G, C))
+    rngs = [np.random.default_rng(fits[i][0].seed) if hp.batch_size < ns[i] else None
+            for i in order]
+    step = _LINEAR_STEPS[kind]
 
     def grad(rows):
-        loss, gW, gb = step_fn(W, b, X[rows], y[rows])
+        a = len(rows)
+        pad = rows < 0
+        idx = rows + first[:a]
+        idx[pad] = -1  # the zero row after the last fit's samples
+        nb = rows.shape[1] - np.count_nonzero(pad, axis=1)
+        loss, gW, gb = step(hp, W[:a], b[:a], np.take(X, idx, axis=0), y[idx], pad, nb)
         return loss, (gW, gb)
 
-    trace = _momentum_sgd(
-        [W, b], grad, n, hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum, rng
+    traces = _momentum_sgd(
+        [W, b], grad, [ns[i] for i in order], hp.epochs, hp.batch_size,
+        hp.learning_rate, hp.momentum, rngs,
     )
-    return _LinearState(weights=W, bias=b, loss_trace=trace)
+    states = [None] * G
+    for slot, i in enumerate(order):
+        states[i] = _LinearState(
+            weights=W[slot].copy(), bias=b[slot].copy(), loss_trace=traces[slot]
+        )
+    return states
 
 
-def _fit_softmax(hp: SoftmaxParams, X, y, C):
-    eye = np.eye(C)
-
-    def step(W, b, Xb, yb):
-        nb = len(yb)
-        logits = Xb @ W.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        z = expl.sum(axis=1)
-        ce = float(np.mean(np.log(z) - logits[np.arange(nb), yb]))
-        loss = ce + 0.5 * hp.l2 * float(np.sum(W * W))
-        P = expl / z[:, None]
-        delta = P - eye[yb]
-        gW = delta.T @ Xb / nb + hp.l2 * W
-        gb = delta.mean(axis=0)
-        return loss, gW, gb
-
-    return _fit_linear(hp, X, y, C, step)
+def _batch_scores(W, b, X, nb):
+    """X @ W.T + b for each fit of a stack of batches X (a, w, d). A one-row
+    batch padded wider is scored alone, because numpy multiplies a lone row
+    as a vector, in another float order than a matrix product."""
+    S = X @ W.transpose(0, 2, 1) + b[:, None, :]
+    if X.shape[1] > 1:
+        for i in np.flatnonzero(nb == 1):
+            S[i, :1] = X[i, :1] @ W[i].T + b[i]
+    return S
 
 
-def _fit_svm(hp: SvmParams, X, y, C):
-    def step(W, b, Xb, yb):
-        nb = len(yb)
-        T = -np.ones((nb, C))
-        T[np.arange(nb), yb] = 1.0
-        margins = hp.hinge_margin - T * (Xb @ W.T + b)
-        active = margins > 0
-        loss = float(np.maximum(margins, 0.0).mean(axis=0).sum())
-        loss += 0.5 * hp.l2 * float(np.sum(W * W))
-        coef = -(active * T)
-        gW = coef.T @ Xb / nb + hp.l2 * W
-        gb = coef.mean(axis=0)
-        return loss, gW, gb
+def _batch_means(T, nb):
+    """Mean of row i of T over its first nb[i] entries. A padded row is
+    averaged on its own slice, so its pairwise sum runs as in an unpadded
+    batch."""
+    out = T.sum(axis=1) / nb
+    for i in np.flatnonzero(nb < T.shape[1]):
+        out[i] = T[i, : nb[i]].mean()
+    return out
 
-    return _fit_linear(hp, X, y, C, step)
+
+def _sq_norms(W):
+    return (W * W).reshape(len(W), -1).sum(axis=1)
+
+
+def _weight_grads(coef, X, nb, l2, W):
+    return coef.transpose(0, 2, 1) @ X / nb[:, None, None] + l2 * W
+
+
+def _label_index(y, C):
+    """Flat positions of each row's label entry in an (a, w, C) array."""
+    return np.arange(y.size).reshape(y.shape) * C + y
+
+
+def _softmax_step(hp: SoftmaxParams, W, b, X, y, pad, nb):
+    """Objectives and gradients of a stack of softmax batches; rows marked
+    in pad are zero padding and weigh nothing."""
+    S = _batch_scores(W, b, X, nb)
+    # a max is exact in any order; over a leading axis it is much faster
+    S -= np.ascontiguousarray(S.transpose(2, 0, 1)).max(axis=0)[..., None]
+    expS = np.exp(S)
+    z = expS.sum(axis=2)
+    at = _label_index(y, W.shape[1])
+    ce = _batch_means(np.log(z) - S.reshape(-1)[at], nb)
+    loss = ce + 0.5 * hp.l2 * _sq_norms(W)
+    delta = expS / z[..., None]
+    delta.reshape(-1)[at] -= 1.0
+    delta[pad] = 0.0
+    return loss, _weight_grads(delta, X, nb, hp.l2, W), delta.sum(axis=1) / nb[:, None]
+
+
+def _svm_step(hp: SvmParams, W, b, X, y, pad, nb):
+    """Objectives and gradients of a stack of one-vs-rest hinge batches;
+    rows marked in pad are zero padding and weigh nothing."""
+    T = np.full(y.shape + (W.shape[1],), -1.0)
+    T.reshape(-1)[_label_index(y, W.shape[1])] = 1.0
+    margins = hp.hinge_margin - T * _batch_scores(W, b, X, nb)
+    hinge = np.maximum(margins, 0.0)
+    coef = -((margins > 0) * T)
+    hinge[pad] = 0.0
+    coef[pad] = 0.0
+    loss = (hinge.sum(axis=1) / nb[:, None]).sum(axis=1) + 0.5 * hp.l2 * _sq_norms(W)
+    return loss, _weight_grads(coef, X, nb, hp.l2, W), coef.sum(axis=1) / nb[:, None]
 
 
 def _predict_linear(clf, X):
@@ -489,9 +612,12 @@ def _scores_knn(clf, X):
     return np.stack([_knn_vote(clf, x)[1] for x in X]).astype(np.float64)
 
 
+_LINEAR_STEPS = {
+    SOFTMAX: _softmax_step,
+    LINEAR_SVM: _svm_step,
+}
+
 _FITTERS = {
-    SOFTMAX: _fit_softmax,
-    LINEAR_SVM: _fit_svm,
     RANDOM_FOREST: _fit_forest,
     KNN: _fit_knn,
 }

@@ -13,10 +13,14 @@ From zero weights a binary softmax is a logistic regression on the
 difference of its two weight columns, and it is fitted in that form; the
 discriminators of all mixed-neighbourhood queries of one call are solved
 together as stacked fits by the shared momentum-SGD loop of classifiers.
+Models that split the same pooled points at different thresholds, as the
+grid of a theta sweep does, route a batch of queries with one neighbour
+search and one stacked discriminator solve.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +61,7 @@ DEFAULT_DISC = SoftmaxParams(
 
 
 # Mixed-neighbourhood queries per stacked discriminator fit; bounds its memory.
-_SOLVE_CHUNK = 512
+_SOLVE_CHUNK = 256
 
 
 def _derive_seed(*parts: int) -> int:
@@ -77,6 +81,8 @@ class BaseEnsemble:
     K: int
     m: int
     trained_on: list[TrainedOn]
+    n: int  # size of the training set
+    digest: str  # of its features and labels, see _digest
 
     @property
     def N(self) -> int:
@@ -96,7 +102,9 @@ def train_base_ensemble(
     Each repetition draws a fresh seeded K-fold partition. The default
     trains every member on exactly one fold, i.e. the folds act as small
     training sets rather than held-out sets; fold_training="complement"
-    gives the conventional K-1 fold training set instead.
+    gives the conventional K-1 fold training set instead. All members train
+    in one classifiers.fit_many call, so linear members share one stacked
+    SGD run. The ensemble records the training set's size and digest.
     """
     if m < 1:
         raise BadSpec(f"m={m} must be at least 1")
@@ -104,7 +112,7 @@ def train_base_ensemble(
         raise BadSpec(f"unknown fold_training {fold_training!r}")
     if not (2 <= K <= train.n):
         raise BadK(f"K={K} outside [2, n={train.n}]")
-    members, trained_on = [], []
+    specs, trained_on = [], []
     for rep in range(m):
         fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))
         for fold in range(K):
@@ -112,10 +120,18 @@ def train_base_ensemble(
                 idx = fa.indices_of(fold)
             else:
                 idx = fa.complement_of(fold)
-            member_spec = with_seed(base_spec, _derive_seed(seed, 1, rep, fold))
-            members.append(clf_mod.fit(member_spec, take(train, idx)))
+            specs.append(with_seed(base_spec, _derive_seed(seed, 1, rep, fold)))
             trained_on.append(TrainedOn(repetition=rep, fold=fold, indices=idx))
-    return BaseEnsemble(members=members, K=K, m=m, trained_on=trained_on)
+    members = clf_mod.fit_many(specs, [take(train, rec.indices) for rec in trained_on])
+    return BaseEnsemble(
+        members=members, K=K, m=m, trained_on=trained_on, n=train.n, digest=_digest(train)
+    )
+
+
+def _digest(ds: LabeledDataset) -> str:
+    h = hashlib.blake2b(ds.features.tobytes(), digest_size=16)
+    h.update(ds.labels.astype(np.int64).tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -141,11 +157,12 @@ def compute_ease(
 ) -> EaseScores:
     """Fraction of ensemble members that classify each training sample
     correctly. Exact integer counting; ratios are counts over the mode's
-    denominator."""
+    denominator. Raises LengthMismatch unless train has the size and digest
+    of the set the ensemble was built on."""
     if mode not in (INCLUDE_ALL, EXCLUDE_IN_FOLD):
         raise BadSpec(f"unknown ease mode {mode!r}")
     n = train.n
-    if any(rec.indices.size and rec.indices.max() >= n for rec in ens.trained_on):
+    if n != ens.n or _digest(train) != ens.digest:
         raise LengthMismatch("ensemble was built on a different training set")
     correct = np.zeros((ens.N, n), dtype=bool)
     for j, member in enumerate(ens.members):
@@ -184,6 +201,23 @@ class SubspacePartition:
     def difficult_dataset(self) -> LabeledDataset:
         return take(self.dataset, self.difficult_indices)
 
+    def expert_datasets(self) -> list[LabeledDataset]:
+        """The non-empty subspaces, easy first: one expert trains on each."""
+        subspaces = []
+        if len(self.easy_indices):
+            subspaces.append(self.easy_dataset())
+        if len(self.difficult_indices):
+            subspaces.append(self.difficult_dataset())
+        if not subspaces:
+            raise EmptyPartition("no samples in either subspace")
+        return subspaces
+
+
+def check_theta(theta: float) -> None:
+    """Refuse a threshold outside [0, 2]; above 1 means all difficult."""
+    if not 0.0 <= theta <= 2.0:
+        raise BadSpec(f"theta={theta} outside [0, 2]")
+
 
 def partition(
     train: LabeledDataset, ease: EaseScores, theta: float
@@ -194,8 +228,7 @@ def partition(
     """
     if ease.n != train.n:
         raise LengthMismatch(f"{ease.n} ease scores for {train.n} samples")
-    if not 0.0 <= theta <= 2.0:
-        raise BadSpec(f"theta={theta} outside [0, 2]")
+    check_theta(theta)
     easy = np.flatnonzero(ease.ratios >= theta)
     difficult = np.flatnonzero(ease.ratios < theta)
     return SubspacePartition(
@@ -220,7 +253,6 @@ class CpcModel:
     pooled_binary: np.ndarray  # 1 where the training sample fell easy, else 0
     discriminator_k: int
     discriminator_spec: SoftmaxParams
-    seed: int
     degenerate: str = DEGENERATE_NONE
 
     @property
@@ -228,7 +260,7 @@ class CpcModel:
         return self.pooled_features.shape[1]
 
 
-def _check_disc(disc_k: int, disc_spec: SoftmaxParams) -> None:
+def check_disc(disc_k: int, disc_spec: SoftmaxParams) -> None:
     """Refuse discriminator settings the batched routing cannot honour."""
     if disc_k < 1:
         raise BadSpec(f"disc_k={disc_k} must be at least 1")
@@ -245,28 +277,34 @@ def fit_cpc(
     expert_spec: ClassifierSpec,
     disc_k: int = 25,
     disc_spec: SoftmaxParams = DEFAULT_DISC,
-    seed: int = 0,
 ) -> CpcModel:
-    """Fit the subspace experts and freeze the pooled routing points.
+    """Fit the subspace experts, in one classifiers.fit_many call, and
+    freeze the pooled routing points.
 
     Experts train with expert_spec exactly as given, so a degenerate
     partition reproduces the plain baseline classifier bit for bit.
     """
-    n_easy = len(part.easy_indices)
-    n_diff = len(part.difficult_indices)
-    if n_easy == 0 and n_diff == 0:
-        raise EmptyPartition("no samples in either subspace")
-    _check_disc(disc_k, disc_spec)
-    easy_expert = (
-        clf_mod.fit(expert_spec, part.easy_dataset()) if n_easy else None
-    )
-    difficult_expert = (
-        clf_mod.fit(expert_spec, part.difficult_dataset()) if n_diff else None
-    )
+    subspaces = part.expert_datasets()
+    check_disc(disc_k, disc_spec)
+    experts = clf_mod.fit_many([expert_spec] * len(subspaces), subspaces)
+    return cpc_model(part, experts, disc_k, disc_spec)
+
+
+def cpc_model(
+    part: SubspacePartition,
+    experts: list[TrainedClassifier],
+    disc_k: int,
+    disc_spec: SoftmaxParams,
+) -> CpcModel:
+    """The model of part whose experts were fitted on
+    part.expert_datasets(), in that order."""
+    experts = iter(experts)
+    easy_expert = next(experts) if len(part.easy_indices) else None
+    difficult_expert = next(experts) if len(part.difficult_indices) else None
     degenerate = DEGENERATE_NONE
-    if n_diff == 0:
+    if difficult_expert is None:
         degenerate = ALL_EASY
-    elif n_easy == 0:
+    elif easy_expert is None:
         degenerate = ALL_DIFFICULT
     binary = np.zeros(part.dataset.n, dtype=np.int64)
     binary[part.easy_indices] = 1
@@ -278,7 +316,6 @@ def fit_cpc(
         pooled_binary=binary,
         discriminator_k=disc_k,
         discriminator_spec=disc_spec,
-        seed=seed,
         degenerate=degenerate,
     )
 
@@ -327,31 +364,33 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
         return None, (g,)
 
     clf_mod._momentum_sgd(
-        [u], grad, k, hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum
+        [u], grad, [k], hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum
     )
     X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)
     return (X1[:, None, :] @ u)[:, 0, 0]
 
 
-def _route_margins(model: CpcModel, X: np.ndarray) -> np.ndarray:
-    """Signed margin toward the easy side for each query of a
-    two-subspace model; unanimous neighbourhoods give +-inf."""
-    k = min(model.discriminator_k, len(model.pooled_features))
+def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
+                   k: int, hp: SoftmaxParams) -> np.ndarray:
+    """Signed margins (G, Q) toward the easy side for the queries X under G
+    splits, binaries (G, n), of the same pooled points features (n, d).
+
+    Each query's k nearest pooled points are found once for all splits.
+    Unanimous neighbourhoods give +-inf; the discriminators of all mixed
+    (split, query) pairs are solved together, in chunks of _SOLVE_CHUNK.
+    """
+    k = min(k, len(features))
     idx = np.empty((len(X), k), dtype=np.int64)
     for i, x in enumerate(X):
-        idx[i] = _nearest_indices(model.pooled_features, x, k)
-    nb_binary = model.pooled_binary[idx]
-    easy_votes = nb_binary.sum(axis=1)
+        idx[i] = _nearest_indices(features, x, k)
+    nb_binary = binaries.astype(bool)[:, idx]
+    easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
-    mixed = np.flatnonzero((easy_votes > 0) & (easy_votes < k))
-    for lo in range(0, len(mixed), _SOLVE_CHUNK):
-        rows = mixed[lo : lo + _SOLVE_CHUNK]
-        margins[rows] = _discriminator_margins(
-            model.pooled_features[idx[rows]],
-            nb_binary[rows],
-            X[rows],
-            model.discriminator_spec,
-        )
+    splits, queries = np.nonzero((easy_votes > 0) & (easy_votes < k))
+    for lo in range(0, len(queries), _SOLVE_CHUNK):
+        g = splits[lo : lo + _SOLVE_CHUNK]
+        q = queries[lo : lo + _SOLVE_CHUNK]
+        margins[g, q] = _discriminator_margins(features[idx[q]], nb_binary[g, q], X[q], hp)
     return margins
 
 
@@ -367,7 +406,10 @@ def discriminate(model: CpcModel, x) -> tuple[str, float]:
     if model.degenerate != DEGENERATE_NONE:
         raise DegenerateModel("single-subspace model; route degenerately")
     X = _as_queries(model, np.reshape(x, (1, -1)))
-    margin = float(_route_margins(model, X)[0])
+    margin = float(_route_margins(
+        model.pooled_features, model.pooled_binary[None], X,
+        model.discriminator_k, model.discriminator_spec,
+    )[0, 0])
     return (ROUTE_EASY if margin > 0 else ROUTE_DIFFICULT), margin
 
 
@@ -384,28 +426,56 @@ def cpc_predict(model: CpcModel, x) -> RoutedPrediction:
 
 
 def cpc_predict_many(model: CpcModel, X) -> list[RoutedPrediction]:
-    """Route every row of X, then let each expert predict its rows at once.
+    """Route every row of X, then let each expert predict its rows at once:
+    cpc_predict_grid with one model.
 
     The discriminators of all mixed-neighbourhood rows are solved together
     as stacked fits. Single-subspace models defer to their lone expert with
     an infinite margin.
     """
-    X = _as_queries(model, X)
-    if model.degenerate == ALL_EASY:
-        margins = np.full(len(X), np.inf)
-    elif model.degenerate == ALL_DIFFICULT:
-        margins = np.full(len(X), -np.inf)
-    else:
-        margins = _route_margins(model, X)
-    easy = margins > 0
-    labels = np.zeros(len(X), dtype=np.int64)
-    for rows, expert in ((easy, model.easy_expert), (~easy, model.difficult_expert)):
-        if rows.any():
-            labels[rows] = expert.predict_many(X[rows])
+    margins, labels = cpc_predict_grid([model], X)
     return [
-        RoutedPrediction(ROUTE_EASY if e else ROUTE_DIFFICULT, int(label), float(m))
-        for e, label, m in zip(easy, labels, margins)
+        RoutedPrediction(ROUTE_EASY if m > 0 else ROUTE_DIFFICULT, int(label), float(m))
+        for label, m in zip(labels[0], margins[0])
     ]
+
+
+def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and labels (G, Q) of every row of X under each of G models
+    that split the same pooled points, with one discriminator setting: the
+    grid of a theta sweep.
+
+    The queries' neighbours are searched once for all models and the
+    discriminators of every mixed (model, query) pair are solved together.
+    Each model's experts then predict its rows as cpc_predict_many does.
+    """
+    first = models[0]
+    if any(
+        m.pooled_features is not first.pooled_features
+        or m.discriminator_k != first.discriminator_k
+        or m.discriminator_spec != first.discriminator_spec
+        for m in models
+    ):
+        raise BadSpec("grid models must share their pooled points and discriminator")
+    X = _as_queries(first, X)
+    margins = np.full((len(models), len(X)), -np.inf)
+    margins[[m.degenerate == ALL_EASY for m in models]] = np.inf
+    split = np.array([m.degenerate == DEGENERATE_NONE for m in models])
+    if split.any():
+        margins[split] = _route_margins(
+            first.pooled_features,
+            np.stack([m.pooled_binary for m in models])[split],
+            X,
+            first.discriminator_k,
+            first.discriminator_spec,
+        )
+    labels = np.zeros(margins.shape, dtype=np.int64)
+    for g, m in enumerate(models):
+        easy = margins[g] > 0
+        for rows, expert in ((easy, m.easy_expert), (~easy, m.difficult_expert)):
+            if rows.any():
+                labels[g, rows] = expert.predict_many(X[rows])
+    return margins, labels
 
 
 # end-to-end orchestration --------------------------------------------------
@@ -436,9 +506,7 @@ def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
     )
     ease = compute_ease(ens, train, mode=cfg.ease_mode)
     part = partition(train, ease, cfg.theta)
-    return fit_cpc(
-        part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec, seed=cfg.seed
-    )
+    return fit_cpc(part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec)
 
 
 # serialization ---------------------------------------------------------------
@@ -451,7 +519,6 @@ def cpc_model_to_json(model: CpcModel) -> dict:
         "degenerate": model.degenerate,
         "discriminator_k": model.discriminator_k,
         "discriminator_spec": asdict(model.discriminator_spec),
-        "seed": model.seed,
         "easy_expert": (
             classifier_to_json(model.easy_expert) if model.easy_expert else None
         ),
@@ -467,7 +534,7 @@ def cpc_model_to_json(model: CpcModel) -> dict:
 
 def cpc_model_from_json(obj: dict) -> CpcModel:
     disc_spec = SoftmaxParams(**obj["discriminator_spec"])
-    _check_disc(int(obj["discriminator_k"]), disc_spec)
+    check_disc(int(obj["discriminator_k"]), disc_spec)
     return CpcModel(
         theta=float(obj["theta"]),
         easy_expert=(
@@ -482,6 +549,5 @@ def cpc_model_from_json(obj: dict) -> CpcModel:
         pooled_binary=np.asarray(obj["pooled_binary"], dtype=np.int64),
         discriminator_k=int(obj["discriminator_k"]),
         discriminator_spec=disc_spec,
-        seed=int(obj["seed"]),
         degenerate=obj["degenerate"],
     )

@@ -18,9 +18,12 @@ from .classifiers import ClassifierSpec
 from .cpc import (
     ROUTE_EASY,
     CpcConfig,
+    check_disc,
+    check_theta,
     compute_ease,
+    cpc_model,
+    cpc_predict_grid,
     cpc_predict_many,
-    fit_cpc,
     partition,
     train_base_ensemble,
     train_cpc,
@@ -280,14 +283,23 @@ def theta_sweep(
     """Validation accuracy across thresholds.
 
     The base ensemble and ease scores are computed once and shared by every
-    grid point; only the partition, experts, and routing change. Ties for
-    the best threshold break toward the smaller value.
+    grid point; only the partition, experts, and routing change. The grid
+    and the discriminator settings are checked before anything trains. The
+    experts of every grid point and the baseline train in one
+    classifiers.fit_many call, so linear experts share one stacked SGD run.
+    The validation queries' neighbours are searched once for the whole grid
+    and the discriminators of all grid points are solved together; the
+    answers are those of fit_cpc and cpc_predict_many at each grid point.
+    Ties for the best threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ConfigError("empty theta grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("theta grid must be strictly ascending")
+    for theta in grid:
+        check_theta(theta)
+    check_disc(cfg.disc_k, cfg.disc_spec)
     ens = train_base_ensemble(
         train_ds,
         cfg.k_folds,
@@ -297,20 +309,20 @@ def theta_sweep(
         fold_training=cfg.fold_training,
     )
     ease = compute_ease(ens, train_ds, mode=cfg.ease_mode)
-    baseline = clf_mod.fit(cfg.expert_spec, train_ds)
+    parts = [partition(train_ds, ease, theta) for theta in grid]
+    subspaces = [part.expert_datasets() for part in parts]
+    jobs = [ds for group in subspaces for ds in group] + [train_ds]
+    fitted = iter(clf_mod.fit_many([cfg.expert_spec] * len(jobs), jobs))
+    models = [
+        cpc_model(part, [next(fitted) for _ in group], cfg.disc_k, cfg.disc_spec)
+        for part, group in zip(parts, subspaces)
+    ]
+    baseline = next(fitted)
     baseline_acc = float(
         np.mean(baseline.predict_many(val_ds.features) == val_ds.labels)
     )
-    accuracies = []
-    for theta in grid:
-        part = partition(train_ds, ease, theta)
-        model = fit_cpc(
-            part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec,
-            seed=cfg.seed,
-        )
-        routed = cpc_predict_many(model, val_ds.features)
-        preds = np.array([r.label for r in routed], dtype=np.int64)
-        accuracies.append(float(np.mean(preds == val_ds.labels)))
+    _, labels = cpc_predict_grid(models, val_ds.features)
+    accuracies = [float(np.mean(preds == val_ds.labels)) for preds in labels]
     best = grid[int(np.argmax(accuracies))]
     return SweepResult(
         thetas=grid,

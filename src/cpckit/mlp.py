@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import _momentum_sgd
 from .dataset import LabeledDataset
-from .errors import BadArch, DimMismatch
+from .errors import BadArch, DimMismatch, EmptyDataset
 
 PLAIN = "plain"
 RESIDUAL_ADD = "residual_add"
@@ -297,10 +297,13 @@ def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """SGD with momentum and per-epoch lr decay. Returns a new model and the
     per-epoch mean batch loss; raises Divergence if the loss leaves the
-    finite range. epochs=0 returns an unchanged copy."""
+    finite range and EmptyDataset on an empty dataset. epochs=0 returns an
+    unchanged copy."""
     if ds.d != m.input_dim:
         raise DimMismatch(f"model expects d={m.input_dim}, dataset has d={ds.d}")
-    if ds.labels.size and ds.labels.max() >= m.class_count:
+    if ds.n == 0:
+        raise EmptyDataset("cannot train on an empty dataset")
+    if ds.labels.max() >= m.class_count:
         raise DimMismatch("dataset labels exceed the model head width")
     model = copy.deepcopy(m)
     rng = np.random.default_rng(cfg.seed)
@@ -308,23 +311,23 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
     def grad(rows):
         loss, g = loss_and_gradients(
             model,
-            ds.features[rows],
-            ds.labels[rows],
+            ds.features[rows[0]],
+            ds.labels[rows[0]],
             train_mode=True,
             dropout=cfg.dropout,
             rng=rng,
         )
         return loss, g.weights + g.biases + [g.head_w, g.head_b]
 
-    trace = _momentum_sgd(
+    [trace] = _momentum_sgd(
         model.weights + model.biases + [model.head_w, model.head_b],
         grad,
-        ds.n,
+        [ds.n],
         cfg.epochs,
         cfg.batch_size,
         cfg.learning_rate,
         cfg.momentum,
-        rng=rng,
+        rngs=[rng],
         lr_decay=cfg.lr_decay_per_epoch,
     )
     return model, trace

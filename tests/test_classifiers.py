@@ -11,6 +11,7 @@ from cpckit.classifiers import (
     classifier_from_json,
     classifier_to_json,
     fit,
+    fit_many,
     forest_spec,
     knn_spec,
     neighbors,
@@ -19,7 +20,14 @@ from cpckit.classifiers import (
     with_seed,
 )
 from cpckit.dataset import LabeledDataset
-from cpckit.errors import BadHyperparams, BadSpec, DimMismatch, Divergence, EmptyDataset
+from cpckit.errors import (
+    BadHyperparams,
+    BadSpec,
+    DimMismatch,
+    Divergence,
+    EmptyDataset,
+    LengthMismatch,
+)
 
 
 def blobs(n=150, d=2, C=3, seed=0, margin=6.0):
@@ -269,6 +277,114 @@ class TestLinearMatchesReference:
         assert np.array_equal(clf.state.weights, W)
         assert np.array_equal(clf.state.bias, b)
         assert clf.state.loss_trace == trace
+
+
+def assert_same_linear_fit(got, want):
+    assert np.array_equal(got.classes_seen, want.classes_seen)
+    assert np.array_equal(got.state.weights, want.state.weights)
+    assert np.array_equal(got.state.bias, want.state.bias)
+    assert got.state.loss_trace == want.state.loss_trace
+
+
+def labelled(X, labels, C):
+    return LabeledDataset(X, np.asarray(labels), C)
+
+
+class TestFitManyMatchesFit:
+    """fit_many stacks compatible linear fits into one SGD run; each result
+    must equal fitting that job alone, bit for bit."""
+
+    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    def test_ragged_group_bitwise(self, make):
+        rng = np.random.default_rng(3)
+        # batch 16: n % 16 == 0, == 1 (a lone last row), other, and n < 16
+        sizes = [32, 33, 41, 9, 17, 16, 1]
+        datasets = [blobs(n, 3, 4, seed=20 + i) for i, n in enumerate(sizes)]
+        # one job lacks a class, so it has its own class count and group
+        datasets.append(labelled(rng.standard_normal((40, 3)), np.arange(40) % 3 + 1, 4))
+        specs = [
+            make(epochs=6, batch_size=16, momentum=0.7, l2=1e-3, seed=100 + i)
+            for i in range(len(datasets))
+        ]
+        many = fit_many(specs, datasets)
+        for spec, ds, got in zip(specs, datasets, many):
+            assert_same_linear_fit(got, fit(spec, ds))
+            C = len(got.classes_seen)
+            y = np.searchsorted(got.classes_seen, ds.labels)
+            W, b, trace = _ref_sgd(ds.features, y, C, spec.hyperparams,
+                                   (_ref_softmax_step if make is softmax_spec
+                                    else _ref_svm_step)(spec.hyperparams, C))
+            assert np.array_equal(got.state.weights, W)
+            assert np.array_equal(got.state.bias, b)
+            assert got.state.loss_trace == trace
+
+    def test_mixed_kinds_and_hyperparameters(self):
+        ds = [blobs(50, 2, 3, seed=i) for i in range(6)]
+        specs = [
+            softmax_spec(epochs=5, batch_size=8, seed=1),
+            svm_spec(epochs=5, batch_size=8, seed=1),
+            softmax_spec(epochs=5, batch_size=8, learning_rate=0.2, seed=2),
+            softmax_spec(epochs=5, batch_size=8, seed=3),
+            forest_spec(tree_count=4, seed=4),
+            knn_spec(k=3),
+        ]
+        many = fit_many(specs, ds)
+        for spec, d, got in zip(specs, ds, many):
+            want = fit(spec, d)
+            assert got.spec == spec
+            if spec.kind in ("softmax", "linear_svm"):
+                assert_same_linear_fit(got, want)
+            elif spec.kind == "random_forest":
+                for t_got, t_want in zip(got.state.trees, want.state.trees):
+                    for name in t_want:
+                        assert np.array_equal(t_got[name], t_want[name])
+            else:
+                assert np.array_equal(got.state.features, want.state.features)
+                assert np.array_equal(got.state.labels, want.state.labels)
+
+    def test_single_class_and_single_feature_jobs(self):
+        rng = np.random.default_rng(4)
+        datasets = [
+            labelled(rng.standard_normal((30, 2)), np.full(30, 2), 3),
+            labelled(rng.standard_normal((30, 1)), np.arange(30) % 2, 2),
+            labelled(rng.standard_normal((31, 1)), np.arange(31) % 2, 2),
+        ]
+        specs = [svm_spec(epochs=4, batch_size=8, seed=i) for i in range(3)]
+        for spec, ds, got in zip(specs, datasets, fit_many(specs, datasets)):
+            assert_same_linear_fit(got, fit(spec, ds))
+
+    @given(
+        jobs=st.lists(
+            st.tuples(st.integers(1, 60), st.integers(0, 2**16)), min_size=1, max_size=6
+        ),
+        batch=st.integers(1, 40),
+        C=st.integers(2, 4),
+        d=st.integers(2, 4),
+        kind=st.sampled_from(["softmax", "svm"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_groups_match_fit(self, jobs, batch, C, d, kind):
+        make = softmax_spec if kind == "softmax" else svm_spec
+        datasets, specs = [], []
+        for n, seed in jobs:
+            rng = np.random.default_rng(seed)
+            datasets.append(labelled(rng.standard_normal((n, d)), rng.integers(0, C, n), C))
+            specs.append(make(epochs=3, batch_size=batch, momentum=0.6, seed=seed))
+        for spec, ds, got in zip(specs, datasets, fit_many(specs, datasets)):
+            assert_same_linear_fit(got, fit(spec, ds))
+
+    def test_divergence_in_a_group_raises(self):
+        specs = [softmax_spec(learning_rate=1e6, epochs=50, batch_size=8, seed=i)
+                 for i in range(3)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence):
+            fit_many(specs, [blobs(40, 2, 3, seed=i) for i in range(3)])
+
+    def test_checks_every_job_before_training(self):
+        with pytest.raises(LengthMismatch):
+            fit_many([softmax_spec()], [])
+        with pytest.raises(EmptyDataset):
+            fit_many([softmax_spec(), softmax_spec()],
+                     [blobs(20), LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)])
 
 
 class TestForest:

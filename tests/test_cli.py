@@ -319,6 +319,25 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    def test_grid_beyond_two_refused_before_training(self, data_files, monkeypatch):
+        import cpckit.classifiers as clf_mod
+
+        tmp, train, test = data_files
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(specs)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        code = main(
+            ["sweep", "--train", str(train), "--val", str(test),
+             "--grid", "0:2.5:0.5", "--epochs", "5"]
+        )
+        assert code == 1
+        assert jobs == []
+
 
 class TestCvCommand:
     def test_baseline_cv_report(self, data_files):

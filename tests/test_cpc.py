@@ -25,6 +25,7 @@ from cpckit.cpc import (
     cpc_model_from_json,
     cpc_model_to_json,
     cpc_predict,
+    cpc_predict_grid,
     cpc_predict_many,
     discriminate,
     fit_cpc,
@@ -68,7 +69,7 @@ def cluster_model(per=100, disc_k=25, seed=0):
     part = SubspacePartition(
         ds, 0.5, np.arange(per), np.arange(per, 2 * per)
     )
-    return ds, fit_cpc(part, softmax_spec(seed=0), disc_k=disc_k, seed=seed)
+    return ds, fit_cpc(part, softmax_spec(seed=0), disc_k=disc_k)
 
 
 class TestBaseEnsemble:
@@ -172,6 +173,15 @@ class TestComputeEase:
         smaller = take(ds, np.arange(10))
         with pytest.raises(LengthMismatch):
             compute_ease(ens, smaller)
+
+    def test_same_size_foreign_training_set_rejected(self):
+        ds = small_ds(n=30)
+        ens = train_base_ensemble(ds, 3, 1, knn_spec(k=1))
+        relabelled = LabeledDataset(ds.features, (ds.labels + 1) % 3, 3)
+        for foreign in (small_ds(n=30, seed=1), relabelled, take(ds, np.arange(30)[::-1])):
+            with pytest.raises(LengthMismatch):
+                compute_ease(ens, foreign)
+        assert compute_ease(ens, take(ds, np.arange(30))).n == 30
 
 
 def manual_ease(ratios):
@@ -339,7 +349,7 @@ class TestDiscriminate:
         part = SubspacePartition(
             ds, 0.5, np.arange(0, 20, 2), np.arange(1, 20, 2)
         )
-        return fit_cpc(part, knn_spec(k=1), disc_k=k, seed=0)
+        return fit_cpc(part, knn_spec(k=1), disc_k=k)
 
     def test_mixed_neighborhood_fits_local_softmax(self):
         model = self.mixed_line_model()
@@ -473,6 +483,27 @@ class TestCpcPredict:
         whole = cpc_predict_many(model, Q)
         monkeypatch.setattr(cpc_mod, "_SOLVE_CHUNK", 7)
         assert cpc_predict_many(model, Q) == whole
+
+    def test_grid_routing_matches_each_model(self):
+        # one neighbour search and one stacked solve for several splits of
+        # the same pooled points, degenerate ones included
+        ds = small_ds(n=60, d=2, C=3, seed=6)
+        ease = manual_ease(np.random.default_rng(6).integers(0, 17, 60) / 16)
+        models = [
+            fit_cpc(partition(ds, ease, theta), knn_spec(k=3), disc_k=7)
+            for theta in (0.0, 0.3, 0.55, 0.8, 1.5)
+        ]
+        assert [m.degenerate for m in models][::4] == [ALL_EASY, ALL_DIFFICULT]
+        Q = np.random.default_rng(7).standard_normal((40, 2)) * 4.0
+        margins, labels = cpc_predict_grid(models, Q)
+        assert np.isfinite(margins).any()
+        for model, m_row, l_row in zip(models, margins, labels):
+            alone = cpc_predict_many(model, Q)
+            assert m_row.tolist() == [r.discriminator_margin for r in alone]
+            assert l_row.tolist() == [r.label for r in alone]
+        other = fit_cpc(partition(take(ds, np.arange(60)), ease, 0.5), knn_spec(k=3), disc_k=7)
+        with pytest.raises(BadSpec):
+            cpc_predict_grid([models[1], other], Q)
 
     def test_predict_many_matches_scalar(self):
         _, model = cluster_model()

@@ -1,15 +1,23 @@
 """Confusion algebra, reports, cross-validation, sweeps, comparisons."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cpckit.classifiers as clf_mod
 from cpckit.classifiers import forest_spec, knn_spec, softmax_spec
-from cpckit.cpc import CpcConfig
+from cpckit.cpc import (
+    CpcConfig,
+    compute_ease,
+    cpc_predict_many,
+    fit_cpc,
+    partition,
+    train_base_ensemble,
+)
 from cpckit.dataset import LabeledDataset, generate_two_regime
-from cpckit.errors import ConfigError, LabelOutOfRange, LengthMismatch
+from cpckit.errors import BadSpec, ConfigError, LabelOutOfRange, LengthMismatch
 from cpckit.harness import (
     ComparisonRow,
     ExtractorConfig,
@@ -243,6 +251,28 @@ class TestCrossValidate:
         assert all(r.route_stats is not None for r in res.fold_reports)
 
 
+def _ref_theta_sweep(train_ds, val_ds, grid, cfg):
+    """theta_sweep as one fit_cpc and one cpc_predict_many per grid point,
+    kept only as a reference for the stacked sweep."""
+    ens = train_base_ensemble(
+        train_ds, cfg.k_folds, cfg.repetitions, cfg.base_spec,
+        seed=cfg.seed, fold_training=cfg.fold_training,
+    )
+    ease = compute_ease(ens, train_ds, mode=cfg.ease_mode)
+    baseline = clf_mod.fit(cfg.expert_spec, train_ds)
+    baseline_acc = float(np.mean(baseline.predict_many(val_ds.features) == val_ds.labels))
+    accuracies = []
+    for theta in grid:
+        model = fit_cpc(
+            partition(train_ds, ease, theta), cfg.expert_spec,
+            disc_k=cfg.disc_k, disc_spec=cfg.disc_spec,
+        )
+        routed = cpc_predict_many(model, val_ds.features)
+        preds = np.array([r.label for r in routed], dtype=np.int64)
+        accuracies.append(float(np.mean(preds == val_ds.labels)))
+    return accuracies, baseline_acc, grid[int(np.argmax(accuracies))]
+
+
 class TestThetaSweep:
     def sweep_setup(self, seed=0):
         train = generate_two_regime(60, 60, 3, 4, 6.0, 0.8, seed=seed)
@@ -263,6 +293,36 @@ class TestThetaSweep:
             theta_sweep(train, val, [0.5, 0.5], cfg)
         with pytest.raises(ConfigError):
             theta_sweep(train, val, [0.5, 0.1], cfg)
+
+    @pytest.mark.parametrize("experts", ["softmax", "knn"])
+    def test_matches_per_grid_point_reference(self, experts):
+        train, val, cfg = self.sweep_setup(seed=4)
+        if experts == "knn":
+            cfg = CpcConfig(base_spec=knn_spec(k=1), expert_spec=knn_spec(k=3), disc_k=7)
+        grid = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5]
+        res = theta_sweep(train, val, grid, cfg)
+        accuracies, baseline_acc, best = _ref_theta_sweep(train, val, grid, cfg)
+        assert res.accuracies == accuracies
+        assert res.baseline_accuracy == baseline_acc
+        assert res.best_theta == best
+        assert res.accuracies[0] == res.baseline_accuracy
+        assert len(set(res.accuracies)) > 2  # the grid is not all degenerate
+
+    def test_bad_grid_value_refused_before_any_fit(self, monkeypatch):
+        train, val, cfg = self.sweep_setup()
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(specs)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        with pytest.raises(BadSpec):
+            theta_sweep(train, val, [0.0, 0.5, 2.5], cfg)
+        with pytest.raises(BadSpec):
+            theta_sweep(train, val, [0.5], replace(cfg, disc_k=0))
+        assert jobs == []
 
     def test_degenerate_grid_ends_match_baseline_exactly(self):
         # theta 0 rebuilds the baseline as the lone easy expert; theta above
@@ -295,13 +355,13 @@ class TestThetaSweep:
             seed=0,
         )
         kinds = []
-        real_fit = clf_mod.fit
+        real_fit_many = clf_mod.fit_many
 
-        def spy(spec, ds):
-            kinds.append(spec.kind)
-            return real_fit(spec, ds)
+        def spy(specs, datasets):
+            kinds.extend(spec.kind for spec in specs)
+            return real_fit_many(specs, datasets)
 
-        monkeypatch.setattr(clf_mod, "fit", spy)
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
         theta_sweep(train, val, [0.0, 0.3, 0.6, 0.9], cfg)
         assert kinds.count("random_forest") == 4 * 2
 

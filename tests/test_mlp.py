@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpckit.dataset import LabeledDataset
-from cpckit.errors import BadArch, DimMismatch, Divergence
+from cpckit.errors import BadArch, DimMismatch, Divergence, EmptyDataset
 from cpckit.mlp import (
     IDENTITY,
     PLAIN,
@@ -335,6 +335,12 @@ class TestTrain:
         m = build_mlp(2, [BlockSpec(PLAIN, 8)], 2, seed=0)
         with pytest.raises(DimMismatch):
             train(m, ds, TrainConfig(epochs=1))
+
+    def test_empty_dataset_raises(self):
+        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
+        m = build_mlp(2, [BlockSpec(PLAIN, 8)], 3, seed=0)
+        with pytest.raises(EmptyDataset):
+            train(m, empty, TrainConfig(epochs=1))
 
 
 # mlp.train's own momentum-SGD loop, before it moved onto the shared loop,
