@@ -18,6 +18,7 @@ from .dataset import LabeledDataset
 from .errors import (
     BadHyperparams,
     BadSpec,
+    DataError,
     DimMismatch,
     Divergence,
     EmptyDataset,
@@ -179,12 +180,13 @@ def fit_many(specs, datasets) -> list[TrainedClassifier]:
     """Train specs[i] on datasets[i] for every i, with the results fit gives
     for each job alone.
 
-    Linear jobs of one kind whose hyperparameters differ at most in the
-    seed, with equal d and an equal class count, train as one stacked
-    momentum-SGD run. Jobs with a single class or a single feature train
-    alone: numpy sums and multiplies their one-column arrays in a float
-    order that depends on the batch width. Forest and knn jobs run one by one.
-    Every spec and dataset is checked before anything trains.
+    Jobs of one kind whose hyperparameters differ at most in the seed, with
+    equal d and an equal class count, train as one group: linear jobs as one
+    stacked momentum-SGD run, forests grown in lockstep. Linear jobs with a
+    single class or a single feature train alone: numpy sums and multiplies
+    their one-column arrays in a float order that depends on the batch
+    width. Knn jobs run one by one. Every spec and dataset is checked before
+    anything trains.
     """
     if len(specs) != len(datasets):
         raise LengthMismatch(f"{len(specs)} specs for {len(datasets)} datasets")
@@ -198,7 +200,7 @@ def fit_many(specs, datasets) -> list[TrainedClassifier]:
     groups = {}
     for i, (spec, ds, classes_seen, _) in enumerate(jobs):
         C = len(classes_seen)
-        if spec.kind in _LINEAR_STEPS and min(C, ds.d) > 1:
+        if spec.kind == RANDOM_FOREST or spec.kind in _LINEAR_STEPS and min(C, ds.d) > 1:
             key = (spec.kind, replace(spec.hyperparams, seed=0), ds.d, C)
         else:
             key = i
@@ -209,8 +211,10 @@ def fit_many(specs, datasets) -> list[TrainedClassifier]:
         kind, C = jobs[members[0]][0].kind, len(jobs[members[0]][2])
         if kind in _LINEAR_STEPS:
             fitted = _fit_linear_group(kind, fits, C)
+        elif kind == RANDOM_FOREST:
+            fitted = _fit_forest_group(fits, C)
         else:
-            fitted = [_FITTERS[kind](*fits[0], C)]
+            fitted = [_fit_knn(*fits[0], C)]
         for i, state in zip(members, fitted):
             states[i] = state
     return [
@@ -423,11 +427,11 @@ def _scores_linear(clf, X):
 # and their class in leaf; inner nodes have leaf = -1 and send a row with
 # x[feature] <= threshold left.
 _TREE_ARRAYS = {
-    "feature": np.int64,
+    "feature": np.int32,
     "threshold": np.float64,
-    "left": np.int64,
-    "right": np.int64,
-    "leaf": np.int64,
+    "left": np.int32,
+    "right": np.int32,
+    "leaf": np.int32,
 }
 
 
@@ -440,93 +444,184 @@ class _ForestState:
     trees: list[dict]  # see _TREE_ARRAYS
 
 
-def _best_split(Xs, y, counts, eye):
-    """Best (row of Xs, threshold) by weighted Gini, or None when no row
-    holds two distinct values.
+_SPLIT_CHUNK = 1 << 14  # about the most (row, feature) pairs sorted at once
 
-    Xs is (n_sub, n): one row per drawn feature, over the node's samples
-    with labels y and class counts counts; eye is the (C, C) integer
-    identity that one-hot encodes the labels. Ties go to the first cut within
-    a row, then to the first row. Class counts are exact integers, so the
-    costs match a one-feature-at-a-time search bit for bit; the order of
-    equal values within a row cannot change the counts at a cut between
-    distinct values, so the sort need not be stable.
+
+def _split_nodes(buf, a, m, feats, counts, ranks, y):
+    """Split node i, the rows buf[a[i]:a[i] + m[i]] with class counts
+    counts[i], at its best cut by weighted Gini over the features feats[i],
+    and partition its rows in place, left rows first. Returns per node the
+    slot of the best feature, whether any feature has a cut, the rows (2, K)
+    with the values either side of it, and the class counts left of it. Ties
+    go to the first cut, then to the first feature. Nodes are searched in
+    chunks of whole nodes; a node with no cut is a leaf, so its rows may move.
     """
-    k, n = Xs.shape
-    order = Xs.argsort(axis=1)
-    ks = np.arange(k)[:, None]
-    xs = Xs[ks, order]
-    ys = y[order]
-    left = eye.take(ys, axis=0).cumsum(axis=1)
-    left = left[:, :-1]  # (k, n-1, C) counts after taking i+1 smallest
-    sq_left = np.einsum("knc,knc->kn", left, left)
-    # sum of (counts - left)**2 over classes, expanded
-    sq_right = counts @ counts - 2 * counts[ys[:, :-1]].cumsum(axis=1) + sq_left
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    gl = 1.0 - sq_left / nl**2
-    gr = 1.0 - sq_right / nr**2
-    cost = (nl * gl + nr * gr) / n
-    cost[xs[:, :-1] == xs[:, 1:]] = np.inf
-    cut = cost.argmin(axis=1)
-    best = cost[ks[:, 0], cut]
-    f = int(best.argmin())
-    if best[f] == np.inf:
-        return None
-    c = cut[f]
-    return f, float((xs[f, c] + xs[f, c + 1]) / 2.0)
+    K, n_sub = feats.shape
+    C, n = counts.shape[1], ranks.shape[1]
+    rb = n.bit_length()  # bits of a row, and of a rank
+    if 2 * rb + (n_sub * K).bit_length() > 63:  # sort keys are segment | rank | row
+        raise DataError(f"{n} rows are too many for one forest group")
+    n_mask = (1 << rb) - 1
+    best = np.full((n_sub, K), np.inf)
+    cut = np.zeros((2, n_sub, K), dtype=np.int64)
+    left = np.zeros((K, C), dtype=np.int64)
+    chunk = (np.cumsum(m) - m) * n_sub // _SPLIT_CHUNK
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), K]
+    for k0, k1 in zip(bounds, bounds[1:]):
+        k, mc = np.arange(k0, k1), m[k0:k1]
+        run = np.cumsum(mc) - mc
+        node = np.repeat(np.arange(len(k)), mc)
+        pos = np.arange(len(node)) - run[node]  # within the node
+        r = buf[a[k][node] + pos]
+        # segment slot * len(k) + node: the node's rows sorted by the slot's feature
+        key = ranks.reshape(-1)[(feats[k].T * n)[:, node] + r].astype(np.int64) << rb
+        key += (node.astype(np.int64) << 2 * rb) + r
+        key = np.sort(key + (np.arange(n_sub) * len(k) << 2 * rb)[:, None], axis=None)
+        at, s, cost = _cut_costs(key, rb, np.tile(mc, n_sub), counts[k], y)
+        if not at.size:
+            continue
+        cuts = np.bincount(s, minlength=n_sub * len(k))
+        has = np.flatnonzero(cuts)
+        runs = (np.cumsum(cuts) - cuts)[has]
+        low = np.minimum.reduceat(cost, runs)
+        first = np.where(cost == np.repeat(low, cuts[has]), np.arange(len(at)), len(at))
+        i = at[np.minimum.reduceat(first, runs)]
+        best[has // len(k), k0 + has % len(k)] = low
+        cut[:, has // len(k), k0 + has % len(k)] = key[i] & n_mask, key[i + 1] & n_mask
+        # partition the chunk's rows at each node's best cut
+        slot = best[:, k].argmin(axis=0)
+        f = feats[k, slot]
+        go_left = ranks[f[node], r] <= ranks[f, cut[0, slot, k]][node]
+        left[k] = np.bincount(node[go_left] * C + y[r[go_left]],
+                              minlength=len(k) * C).reshape(-1, C)
+        nl = np.cumsum(go_left)
+        nl -= np.concatenate(([0], nl))[run][node]  # rows left so far in the node
+        buf[a[k][node] + np.where(go_left, nl - 1, left[k].sum(axis=1)[node] + pos - nl)] = r
+    slot = best.argmin(axis=0)
+    return slot, best.min(axis=0) < np.inf, cut[:, slot, np.arange(K)], left
 
 
-def _grow_tree(Xt, y, bag, C, rng, max_depth, n_sub):
-    """Grow one tree on rows bag of Xt.T with an explicit stack.
+def _cut_costs(key, rb, sizes, counts, y):
+    """(at, segment, cost) of the cuts between distinct values, after key[at],
+    in the sorted segments of key of the given sizes, segment s holding rows
+    of the node with class counts counts[s % len(counts)]. Class counts are
+    exact integers, so the costs match a one-node search bit for bit."""
+    C = counts.shape[1]
+    start = np.cumsum(sizes) - sizes
+    at = (key[:-1] >> rb) != (key[1:] >> rb)
+    at[start[1:] - 1] = False  # a segment's last row
+    at = np.flatnonzero(at)
+    s = key[at] >> 2 * rb
+    label = y[key & (1 << rb) - 1]
 
-    Nodes are numbered in DFS preorder, left subtree first, which is also
-    the order in which splitting nodes draw their feature subsets.
+    def within(x):  # running sum of x within its segment, at the cuts
+        total = np.zeros(len(x) + 1, dtype=np.int64)
+        np.cumsum(x, out=total[1:])
+        return total[at + 1] - total[start[s]]
+
+    # sum_c left_c**2 grows by 2 * own - 1, own counting the rows of the
+    # row's class up to it
+    left = np.zeros((C, len(key) + 1), dtype=np.int32)
+    np.cumsum(label == np.arange(C)[:, None], axis=1, out=left[:, 1:])
+    left = left.reshape(-1)
+    own = label * (len(key) + 1)
+    own = left[own + np.arange(1, len(key) + 1)] - left[own + np.repeat(start, sizes)]
+    del left  # the chunk's largest arrays go as soon as they are used
+    sq_left = within(2 * own - 1)
+    del own
+    segment = np.repeat(np.arange(len(sizes)) % len(counts) * C, sizes)
+    toward = within(counts.reshape(-1)[segment + label])  # sum_c counts_c * left_c
+    del segment, label
+    sq_right = np.einsum("kc,kc->k", counts, counts)[s % len(counts)] - 2 * toward + sq_left
+    nl = (at + 1 - start[s]).astype(np.float64)
+    n = sizes[s].astype(np.float64)
+    return at, s, (nl * (1.0 - sq_left / nl**2) + (n - nl) * (1.0 - sq_right / (n - nl)**2)) / n
+
+
+def _fit_forest_group(fits, C):
+    """Grow the forests of jobs, each job's (hyperparams, X, y) in fits, that
+    share their hyperparameters but for the seed, d and the class count C.
+
+    Tree i of job j draws from its own SeedSequence([seed_j, i]) generator
+    its bag, then one feature subset per split node in DFS preorder, left
+    subtree first, and keeps its own DFS stack, so it comes out node for
+    node as grown alone. Each step pops one node from every tree that still
+    has one and splits them together. The trees are views of shared arrays.
     """
-    feature, threshold, left, right, leaf = [], [], [], [], []
-    eye = np.eye(C, dtype=np.int64)
-    stack = [(bag, 0, -1, left)]  # rows, depth, parent, parent's child list
-    while stack:
-        rows, depth, parent, side = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            side[parent] = node
-        counts = np.bincount(y[rows], minlength=C)
-        majority = int(counts.argmax())  # ties fall to the lower id
-        found = None
-        if counts[majority] < len(rows) and (max_depth is None or depth < max_depth):
-            feats = rng.permutation(Xt.shape[0])[:n_sub]
-            found = _best_split(Xt[feats[:, None], rows], y[rows], counts, eye)
-        if found is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            leaf.append(majority)
-        else:
-            f, thr = feats[found[0]], found[1]
-            feature.append(int(f))
-            threshold.append(thr)
-            leaf.append(-1)
-            go_left = Xt[f, rows] <= thr
-            stack.append((rows[~go_left], depth + 1, node, right))
-            stack.append((rows[go_left], depth + 1, node, left))
-        left.append(-1)
-        right.append(-1)
-    return _as_tree(
-        {"feature": feature, "threshold": threshold, "left": left, "right": right, "leaf": leaf}
-    )
-
-
-def _fit_forest(hp: ForestParams, X, y, C):
-    n, d = X.shape
-    n_sub = hp.feature_subsample if hp.feature_subsample is not None else int(np.ceil(np.sqrt(d)))
-    n_sub = min(n_sub, d)
-    Xt = np.ascontiguousarray(X.T)
-    trees = []
-    for t in range(hp.tree_count):
-        rng = np.random.default_rng(np.random.SeedSequence([hp.seed, t]))
-        bag = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(Xt, y, bag, C, rng, hp.max_depth, n_sub))
-    return _ForestState(trees=trees)
+    hp, T0 = fits[0][0], fits[0][0].tree_count
+    d = fits[0][1].shape[1]
+    n_sub = min(hp.feature_subsample or int(np.ceil(np.sqrt(d))), d)
+    Xs = [X for _, X, _ in fits]
+    y = np.concatenate([y for _, _, y in fits])
+    # ranks[f, i]: the position of row i's value of f among the distinct values of f
+    ranks = np.empty((d, len(y)), dtype=np.min_scalar_type(len(y)))
+    for f in range(d):
+        ranks[f] = np.unique(np.concatenate([X[:, f] for X in Xs]), return_inverse=True)[1]
+    n_job = np.array([len(X) for X in Xs])
+    row0 = np.cumsum(n_job) - n_job
+    sizes = np.repeat(n_job, T0)
+    start = np.cumsum(sizes) - sizes
+    # the bags, partitioned in place as the trees grow: a node holds buf[a:b]
+    buf = np.empty(sizes.sum(), dtype=np.min_scalar_type(len(y)))
+    # stack entries: a, b, depth, parent if a right child else -1, class counts
+    stack = np.zeros((len(sizes), 16, 4 + C), dtype=np.int32)
+    rngs = [np.random.default_rng(np.random.SeedSequence([hpj.seed, i]))
+            for hpj, _, _ in fits for i in range(T0)]
+    for t, rng in enumerate(rngs):
+        bag = rng.integers(0, sizes[t], size=sizes[t]) + row0[t // T0]
+        buf[start[t] : start[t] + sizes[t]] = bag
+        stack[t, 0] = [start[t], start[t] + sizes[t], 0, -1, *np.bincount(y[bag], minlength=C)]
+    sp = np.ones(len(rngs), dtype=np.int64)
+    grown = np.zeros(len(rngs), dtype=np.int32)
+    steps = []  # per step: trees popped, their feature or ~class, parent, threshold
+    while (live := np.flatnonzero(sp)).size:
+        sp[live] -= 1
+        top = stack[live, sp[live]]
+        (a, b, depth, parent), counts = top[:, :4].T, top[:, 4:]
+        node = grown[live]
+        grown[live] += 1
+        code = ~counts.argmax(axis=1)  # a leaf's class; ties fall to the lower id
+        c = np.flatnonzero((counts[np.arange(len(live)), ~code] < b - a)
+                           & (depth < (hp.max_depth or np.inf)))
+        threshold = np.zeros(len(live))
+        if c.size:
+            feats = np.array([rngs[t].permutation(d)[:n_sub] for t in live[c]])
+            slot, found, rows, nl = _split_nodes(buf, a[c], (b - a)[c], feats, counts[c], ranks, y)
+            c, f, nl, rows = c[found], feats[found, slot[found]], nl[found], rows[:, found]
+            code[c], t = f, live[c]
+            x = np.empty((2, len(c)))
+            for j in np.unique(t // T0):  # the values either side of the cut, job by job
+                of = t // T0 == j
+                x[:, of] = Xs[j][rows[:, of] - row0[j], f[of]]
+            with np.errstate(over="ignore"):
+                mid = (x[0] + x[1]) / 2.0
+            # a midpoint rounded up to the upper value, or inf, would send every row left
+            threshold[c] = np.where((x[0] <= mid) & (mid < x[1]), mid, x[0])
+            if len(t) and sp[t].max() + 2 > stack.shape[1]:
+                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+            at = a[c] + nl.sum(axis=1)
+            stack[t, sp[t]] = np.column_stack([at, b[c], depth[c] + 1, node[c], counts[c] - nl])
+            stack[t, sp[t] + 1] = np.column_stack([a[c], at, depth[c] + 1, -np.ones_like(t), nl])
+            sp[t] += 2
+        steps.append((live.astype(np.min_scalar_type(len(sp))), code.astype(np.int32),
+                      parent.copy(), threshold))
+    del buf, stack, ranks, rngs
+    tree, code, parent, threshold = (np.concatenate(col) for col in zip(*steps))
+    order = np.argsort(tree, kind="stable")  # each tree's nodes were popped in preorder
+    code, parent, threshold = code[order], parent[order], threshold[order]
+    del tree, order
+    first = np.repeat(np.cumsum(grown, dtype=np.int32) - grown, grown)  # the node's root
+    local = np.arange(len(code), dtype=np.int32) - first
+    right = np.full(len(code), -1, dtype=np.int32)
+    child = parent >= 0
+    right[(first + parent)[child]] = local[child]
+    del first, parent, child
+    columns = {"feature": np.maximum(code, -1), "threshold": threshold, "right": right,
+               "left": np.where(code >= 0, local + 1, -1), "leaf": np.maximum(~code, -1)}
+    columns = {name: np.split(columns[name].astype(dt, copy=False), np.cumsum(grown)[:-1])
+               for name, dt in _TREE_ARRAYS.items()}
+    trees = [{name: col[t] for name, col in columns.items()} for t in range(len(grown))]
+    return [_ForestState(trees=trees[j * T0 : (j + 1) * T0]) for j in range(len(fits))]
 
 
 def _tree_leaves(tree: dict, X) -> np.ndarray:
@@ -615,11 +710,6 @@ def _scores_knn(clf, X):
 _LINEAR_STEPS = {
     SOFTMAX: _softmax_step,
     LINEAR_SVM: _svm_step,
-}
-
-_FITTERS = {
-    RANDOM_FOREST: _fit_forest,
-    KNN: _fit_knn,
 }
 
 _PREDICTORS = {

@@ -31,8 +31,6 @@ from .classifiers import (
     SoftmaxParams,
     TrainedClassifier,
     _nearest_indices,
-    classifier_from_json,
-    classifier_to_json,
     with_seed,
 )
 from .dataset import LabeledDataset, kfold, take
@@ -507,47 +505,3 @@ def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
     ease = compute_ease(ens, train, mode=cfg.ease_mode)
     part = partition(train, ease, cfg.theta)
     return fit_cpc(part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec)
-
-
-# serialization ---------------------------------------------------------------
-
-def cpc_model_to_json(model: CpcModel) -> dict:
-    from dataclasses import asdict
-
-    return {
-        "theta": model.theta,
-        "degenerate": model.degenerate,
-        "discriminator_k": model.discriminator_k,
-        "discriminator_spec": asdict(model.discriminator_spec),
-        "easy_expert": (
-            classifier_to_json(model.easy_expert) if model.easy_expert else None
-        ),
-        "difficult_expert": (
-            classifier_to_json(model.difficult_expert)
-            if model.difficult_expert
-            else None
-        ),
-        "pooled_features": model.pooled_features.tolist(),
-        "pooled_binary": model.pooled_binary.tolist(),
-    }
-
-
-def cpc_model_from_json(obj: dict) -> CpcModel:
-    disc_spec = SoftmaxParams(**obj["discriminator_spec"])
-    check_disc(int(obj["discriminator_k"]), disc_spec)
-    return CpcModel(
-        theta=float(obj["theta"]),
-        easy_expert=(
-            classifier_from_json(obj["easy_expert"]) if obj["easy_expert"] else None
-        ),
-        difficult_expert=(
-            classifier_from_json(obj["difficult_expert"])
-            if obj["difficult_expert"]
-            else None
-        ),
-        pooled_features=np.asarray(obj["pooled_features"], dtype=np.float64),
-        pooled_binary=np.asarray(obj["pooled_binary"], dtype=np.int64),
-        discriminator_k=int(obj["discriminator_k"]),
-        discriminator_spec=disc_spec,
-        degenerate=obj["degenerate"],
-    )

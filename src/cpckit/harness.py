@@ -60,13 +60,6 @@ class ConfusionMatrix:
             out.append(float(self.counts[i, i] / row) if row else None)
         return out
 
-    def row_normalized(self) -> np.ndarray:
-        """Rows scaled to sum to 1; all-zero rows stay zero."""
-        sums = self.counts.sum(axis=1, keepdims=True)
-        return np.divide(
-            self.counts, sums, out=np.zeros(self.counts.shape), where=sums > 0
-        )
-
 
 def confusion(preds, truth, class_count: int) -> ConfusionMatrix:
     preds = np.asarray(preds, dtype=np.int64).reshape(-1)
@@ -183,14 +176,28 @@ class PipelineConfig:
             raise ConfigError("cpc mode needs a CpcConfig")
 
 
-def run_pipeline(
-    train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineConfig
-):
-    """Fit on train_ds, predict test_ds. Returns (preds, routes-or-None).
+def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
+    """Fit on the training side of each (train, test) pair and predict its
+    test side. Returns one (preds, routes-or-None) per pair.
 
-    Preprocessing statistics and the extractor are fit on training data
-    only and applied unchanged to the test side.
-    """
+    Stage by stage: each pair is preprocessed and its extractor trained,
+    then all pairs' baseline classifiers train in one fit_many call (cpc
+    mode trains a model per pair). Preprocessing and the extractor are fit
+    on training data only and applied to the test side."""
+    pairs = [_prepare(train_ds, test_ds, cfg) for train_ds, test_ds in pairs]
+    if cfg.mode == "baseline":
+        fitted = clf_mod.fit_many([cfg.spec] * len(pairs), [train for train, _ in pairs])
+        return [(clf.predict_many(test.features), None) for clf, (_, test) in zip(fitted, pairs)]
+    out = []
+    for train_ds, test_ds in pairs:
+        routed = cpc_predict_many(train_cpc(train_ds, cfg.cpc), test_ds.features)
+        out.append((np.array([r.label for r in routed], dtype=np.int64),
+                    [r.route for r in routed]))
+    return out
+
+
+def _prepare(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineConfig):
+    """One pair after the preprocessing and extractor stages of cfg."""
     if cfg.preprocess.normalize:
         train_ds = normalize_samples(train_ds, cfg.preprocess.eps_norm)
         test_ds = normalize_samples(test_ds, cfg.preprocess.eps_norm)
@@ -215,14 +222,7 @@ def run_pipeline(
         model, _ = train(model, train_ds, cfg.extractor.train)
         train_ds = extract_features(model, train_ds)
         test_ds = extract_features(model, test_ds)
-    if cfg.mode == "baseline":
-        clf = clf_mod.fit(cfg.spec, train_ds)
-        return clf.predict_many(test_ds.features), None
-    model = train_cpc(train_ds, cfg.cpc)
-    routed = cpc_predict_many(model, test_ds.features)
-    preds = np.array([r.label for r in routed], dtype=np.int64)
-    routes = [r.route for r in routed]
-    return preds, routes
+    return train_ds, test_ds
 
 
 # cross-validation --------------------------------------------------------
@@ -238,24 +238,16 @@ def cross_validate(
     ds: LabeledDataset, cfg: PipelineConfig, folds: int = 5, seed: int = 0
 ) -> CvResult:
     """K-fold protocol: each fold is scored once by a pipeline trained on
-    the others. Mean is the arithmetic mean of fold accuracies; std is the
-    population deviation over folds."""
+    the others, all folds in one run_pipeline call, so their baseline
+    classifiers train together. Mean is the arithmetic mean of fold
+    accuracies; std is the population deviation over folds."""
     fa = kfold(ds, folds, seed=seed)
-    reports = []
-    for f in range(folds):
-        train_part = take(ds, fa.complement_of(f))
-        test_part = take(ds, fa.indices_of(f))
-        preds, routes = run_pipeline(train_part, test_part, cfg)
-        reports.append(
-            evaluate(
-                preds,
-                test_part.labels,
-                ds.class_count,
-                routes=routes,
-                config={"fold": f},
-                seed=seed,
-            )
-        )
+    tests = [take(ds, fa.indices_of(f)) for f in range(folds)]
+    pairs = ((take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests))
+    reports = [
+        evaluate(preds, test.labels, ds.class_count, routes=routes, config={"fold": f}, seed=seed)
+        for f, (test, (preds, routes)) in enumerate(zip(tests, run_pipeline(pairs, cfg)))
+    ]
     accs = np.array([r.overall_accuracy for r in reports])
     return CvResult(
         fold_reports=reports,
@@ -286,7 +278,9 @@ def theta_sweep(
     grid point; only the partition, experts, and routing change. The grid
     and the discriminator settings are checked before anything trains. The
     experts of every grid point and the baseline train in one
-    classifiers.fit_many call, so linear experts share one stacked SGD run.
+    classifiers.fit_many call, so linear experts share one stacked SGD run; a
+    grid point with every row on one side (theta 0, or above the top ratio)
+    takes the baseline, which fit_cpc would train there, as its lone expert.
     The validation queries' neighbours are searched once for the whole grid
     and the discriminators of all grid points are solved together; the
     answers are those of fit_cpc and cpc_predict_many at each grid point.
@@ -310,14 +304,16 @@ def theta_sweep(
     )
     ease = compute_ease(ens, train_ds, mode=cfg.ease_mode)
     parts = [partition(train_ds, ease, theta) for theta in grid]
-    subspaces = [part.expert_datasets() for part in parts]
-    jobs = [ds for group in subspaces for ds in group] + [train_ds]
+    subspaces = [part.expert_datasets() if len(part.easy_indices) and len(part.difficult_indices)
+                 else None for part in parts]  # None: the baseline is the lone expert
+    jobs = [train_ds] + [ds for group in subspaces if group for ds in group]
     fitted = iter(clf_mod.fit_many([cfg.expert_spec] * len(jobs), jobs))
+    baseline = next(fitted)
     models = [
-        cpc_model(part, [next(fitted) for _ in group], cfg.disc_k, cfg.disc_spec)
+        cpc_model(part, [next(fitted) for _ in group] if group else [baseline],
+                  cfg.disc_k, cfg.disc_spec)
         for part, group in zip(parts, subspaces)
     ]
-    baseline = next(fitted)
     baseline_acc = float(
         np.mean(baseline.predict_many(val_ds.features) == val_ds.labels)
     )

@@ -1,10 +1,17 @@
 """The four classifier kinds behind the shared train/predict contract."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpckit.classifiers as clf_mod
 from cpckit.classifiers import (
     ClassifierSpec,
     KnnParams,
@@ -23,6 +30,7 @@ from cpckit.dataset import LabeledDataset
 from cpckit.errors import (
     BadHyperparams,
     BadSpec,
+    DataError,
     DimMismatch,
     Divergence,
     EmptyDataset,
@@ -387,6 +395,71 @@ class TestFitManyMatchesFit:
                      [blobs(20), LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)])
 
 
+def assert_same_trees(got, want):
+    assert len(got.state.trees) == len(want.state.trees)
+    for t_got, t_want in zip(got.state.trees, want.state.trees):
+        for name in t_want:
+            assert np.array_equal(t_got[name], t_want[name])
+
+
+class TestFitManyForestGroups:
+    """fit_many grows the forests of jobs that differ at most in the seed
+    and n as one lockstep group; each must equal its lone fit node for node."""
+
+    def test_ragged_groups_match_lone_fits(self, monkeypatch):
+        groups = []
+        real_group = clf_mod._fit_forest_group
+
+        def spy(fits, C):
+            groups.append(len(fits))
+            return real_group(fits, C)
+
+        monkeypatch.setattr(clf_mod, "_fit_forest_group", spy)
+        rng = np.random.default_rng(6)
+        datasets, specs = [], []
+        for i, n in enumerate([40, 3, 17, 64]):
+            datasets.append(labelled(rng.standard_normal((n, 3)), np.arange(n) % 3, 3))
+            specs.append(forest_spec(tree_count=4, max_depth=3, seed=10 + i))
+        for i, n in enumerate([25, 9]):
+            datasets.append(labelled(rng.standard_normal((n, 3)), np.arange(n) % 3, 3))
+            specs.append(forest_spec(tree_count=3, feature_subsample=3, seed=20 + i))
+        datasets += [labelled(rng.standard_normal((1, 3)), [1], 3),
+                     labelled(rng.standard_normal((20, 3)), np.full(20, 2), 3),
+                     blobs(30, 3, 3, seed=7), blobs(31, 3, 3, seed=8)]
+        specs += [forest_spec(tree_count=2, seed=30), forest_spec(tree_count=2, seed=31),
+                  softmax_spec(epochs=3, batch_size=8, seed=1),
+                  svm_spec(epochs=3, batch_size=8, seed=2)]
+        many = fit_many(specs, datasets)
+        assert sorted(groups) == [2, 2, 4]  # the n = 1 and one-class jobs share C = 1
+        for spec, ds, got in zip(specs, datasets, many):
+            assert got.spec == spec
+            if spec.kind == "random_forest":
+                assert_same_trees(got, fit(spec, ds))
+            else:
+                assert_same_linear_fit(got, fit(spec, ds))
+
+    @given(
+        jobs=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(0, 2**16)), min_size=1, max_size=5
+        ),
+        d=st.integers(1, 3),
+        C=st.integers(1, 3),
+        max_depth=st.sampled_from([None, 1, 3]),
+        subsample=st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_integer_features_with_ties(self, jobs, d, C, max_depth, subsample):
+        datasets, specs = [], []
+        for n, seed in jobs:
+            rng = np.random.default_rng(seed)
+            X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            datasets.append(labelled(X, rng.integers(0, C, n), C))
+            specs.append(forest_spec(tree_count=2, max_depth=max_depth,
+                                     feature_subsample=subsample, seed=seed))
+        for spec, ds, got in zip(specs, datasets, fit_many(specs, datasets)):
+            assert_same_trees(got, fit(spec, ds))
+
+
 class TestForest:
     def test_memorizes_training_set(self):
         ds = blobs(150, 2, 3, seed=1)
@@ -418,6 +491,38 @@ class TestForest:
         clf = fit(forest_spec(tree_count=1, max_depth=1, seed=0), ds)
         assert clf.state.trees[0]["threshold"][0] == 0.5
         assert clf.predict_many(np.array([[0.5], [0.5000001]])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("lo, hi", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)],
+                             ids=["rounds_up", "overflows"])
+    def test_adjacent_values_whose_midpoint_is_not_below_the_upper_one(self, lo, hi):
+        # the midpoint is hi or inf, so splitting there would send every row
+        # left and split the same node forever; the split falls back to lo
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from cpckit.classifiers import fit, forest_spec
+            from cpckit.dataset import LabeledDataset
+            X = np.array([[{lo!r}]] * 4 + [[{hi!r}]] * 4)
+            ds = LabeledDataset(X, np.repeat([0, 1], 4), class_count=2)
+            clf = fit(forest_spec(tree_count=3, seed=0), ds)
+            print(clf.state.trees[0]["threshold"][0] == {lo!r},
+                  clf.predict_many(X).tolist() == ds.labels.tolist())
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
+
+    def test_group_too_large_for_the_sort_keys_is_refused(self):
+        # 2**31 rows leave no bits for the segment in a 63-bit key; a
+        # broadcast view gives the row count without the memory
+        ranks = np.broadcast_to(np.zeros(1, dtype=np.uint32), (1, 1 << 31))
+        with pytest.raises(DataError):
+            clf_mod._split_nodes(np.zeros(2, dtype=np.uint32), np.array([0]), np.array([2]),
+                                 np.zeros((1, 1), dtype=np.int64), np.array([[1, 1]]), ranks,
+                                 np.array([0, 1]))
 
     def test_vote_counts_sum_to_tree_count(self):
         ds = blobs(40, 2, 2, seed=9)

@@ -22,8 +22,6 @@ from cpckit.cpc import (
     EaseScores,
     SubspacePartition,
     compute_ease,
-    cpc_model_from_json,
-    cpc_model_to_json,
     cpc_predict,
     cpc_predict_grid,
     cpc_predict_many,
@@ -537,30 +535,3 @@ class TestTrainCpc:
         easy_mean = float(ease.ratios[tags == EASY_TAG].mean())
         hard_mean = float(ease.ratios[tags != EASY_TAG].mean())
         assert easy_mean > hard_mean + 0.2
-
-
-class TestSerialization:
-    def test_mixed_model_round_trip(self):
-        _, model = cluster_model(per=40, disc_k=7)
-        back = cpc_model_from_json(cpc_model_to_json(model))
-        rng = np.random.default_rng(5)
-        for q in rng.standard_normal((15, 2)) * 6.0:
-            a = cpc_predict(model, q)
-            b = cpc_predict(back, q)
-            assert (a.route, a.label) == (b.route, b.label)
-
-    def test_minibatch_discriminator_refused_on_load(self):
-        _, model = cluster_model(per=20, disc_k=7)
-        obj = cpc_model_to_json(model)
-        obj["discriminator_spec"]["batch_size"] = 6
-        with pytest.raises(BadSpec):
-            cpc_model_from_json(obj)
-
-    def test_degenerate_model_round_trip(self):
-        ds = small_ds(n=15)
-        part = SubspacePartition(ds, 0.0, np.arange(15), np.arange(0))
-        model = fit_cpc(part, softmax_spec(seed=1))
-        back = cpc_model_from_json(cpc_model_to_json(model))
-        assert back.degenerate == ALL_EASY
-        q = ds.features[3]
-        assert cpc_predict(back, q).label == cpc_predict(model, q).label

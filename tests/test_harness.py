@@ -15,8 +15,9 @@ from cpckit.cpc import (
     fit_cpc,
     partition,
     train_base_ensemble,
+    train_cpc,
 )
-from cpckit.dataset import LabeledDataset, generate_two_regime
+from cpckit.dataset import LabeledDataset, generate_two_regime, kfold, take
 from cpckit.errors import BadSpec, ConfigError, LabelOutOfRange, LengthMismatch
 from cpckit.harness import (
     ComparisonRow,
@@ -33,7 +34,8 @@ from cpckit.harness import (
     write_report,
     write_sweep_curve,
 )
-from cpckit.mlp import TrainConfig
+from cpckit.mlp import TrainConfig, build_mlp, extract_features, parse_arch, train
+from cpckit.preprocess import apply_whitening, fit_zca, normalize_samples
 
 
 def blobs(n=100, d=2, C=4, seed=0, margin=8.0):
@@ -86,13 +88,6 @@ class TestConfusion:
         cm = confusion([0, 0, 2], [0, 0, 2], 3)
         per = cm.per_class_accuracy()
         assert per[0] == 1.0 and per[1] is None and per[2] == 1.0
-
-    def test_row_normalized(self):
-        cm = confusion([0, 1, 1, 0], [0, 0, 1, 1], 3)
-        rn = cm.row_normalized()
-        sums = rn.sum(axis=1)
-        assert np.allclose(sums[:2], 1.0)
-        assert sums[2] == 0.0
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):
@@ -176,7 +171,7 @@ class TestPipeline:
             spec=knn_spec(k=3),
             preprocess=PreprocessConfig(zca=True),
         )
-        preds, routes = run_pipeline(train, test, cfg)
+        [(preds, routes)] = run_pipeline([(train, test)], cfg)
         assert routes is None
         assert float(np.mean(preds == test.labels)) >= 0.95
 
@@ -189,14 +184,14 @@ class TestPipeline:
             extractor=ExtractorConfig(arch="in:5 fc:8 head:4"),
         )
         with pytest.raises(ConfigError):
-            run_pipeline(train, test, bad_width)
+            run_pipeline([(train, test)], bad_width)
         bad_head = PipelineConfig(
             mode="baseline",
             spec=knn_spec(),
             extractor=ExtractorConfig(arch="in:2 fc:8 head:3"),
         )
         with pytest.raises(ConfigError):
-            run_pipeline(train, test, bad_head)
+            run_pipeline([(train, test)], bad_head)
 
     def test_extractor_feeds_classifier(self):
         train = blobs(seed=4)
@@ -209,7 +204,7 @@ class TestPipeline:
                 train=TrainConfig(epochs=15, dropout=0.0, seed=0),
             ),
         )
-        preds, _ = run_pipeline(train, test, cfg)
+        [(preds, _)] = run_pipeline([(train, test)], cfg)
         assert float(np.mean(preds == test.labels)) >= 0.9
 
     def test_cpc_mode_returns_routes(self):
@@ -219,7 +214,7 @@ class TestPipeline:
             base_spec=knn_spec(k=1), expert_spec=knn_spec(k=3), theta=0.5, disc_k=5
         )
         cfg = PipelineConfig(mode="cpc", spec=knn_spec(), cpc=cpc_cfg)
-        preds, routes = run_pipeline(train, test, cfg)
+        [(preds, routes)] = run_pipeline([(train, test)], cfg)
         assert len(routes) == test.n
         assert set(routes) <= {"+", "-"}
 
@@ -249,6 +244,58 @@ class TestCrossValidate:
         cfg = PipelineConfig(mode="cpc", spec=knn_spec(), cpc=cpc_cfg)
         res = cross_validate(ds, cfg, folds=3, seed=2)
         assert all(r.route_stats is not None for r in res.fold_reports)
+
+
+def _ref_cross_validate(ds, cfg, folds, seed):
+    """cross_validate as one whole pipeline per fold, preprocessing to
+    prediction, kept only as a reference for the stage-by-stage run."""
+    fa = kfold(ds, folds, seed=seed)
+    reports = []
+    for f in range(folds):
+        train_ds = take(ds, fa.complement_of(f))
+        test_ds = take(ds, fa.indices_of(f))
+        truth = test_ds.labels
+        if cfg.preprocess.normalize:
+            train_ds = normalize_samples(train_ds, cfg.preprocess.eps_norm)
+            test_ds = normalize_samples(test_ds, cfg.preprocess.eps_norm)
+        if cfg.preprocess.zca:
+            t = fit_zca(train_ds, cfg.preprocess.epsilon)
+            train_ds = apply_whitening(t, train_ds)
+            test_ds = apply_whitening(t, test_ds)
+        if cfg.extractor is not None:
+            model = build_mlp(*parse_arch(cfg.extractor.arch), seed=cfg.extractor.train.seed)
+            model, _ = train(model, train_ds, cfg.extractor.train)
+            train_ds = extract_features(model, train_ds)
+            test_ds = extract_features(model, test_ds)
+        if cfg.mode == "baseline":
+            preds = clf_mod.fit(cfg.spec, train_ds).predict_many(test_ds.features)
+            routes = None
+        else:
+            routed = cpc_predict_many(train_cpc(train_ds, cfg.cpc), test_ds.features)
+            preds = np.array([r.label for r in routed], dtype=np.int64)
+            routes = [r.route for r in routed]
+        reports.append(evaluate(preds, truth, ds.class_count, routes=routes,
+                                config={"fold": f}, seed=seed))
+    return reports
+
+
+class TestStagedCrossValidate:
+    @pytest.mark.parametrize("mode", ["baseline", "cpc"])
+    def test_fold_reports_match_per_fold_pipelines(self, mode):
+        ds = blobs(n=90, seed=13, margin=3.0)
+        forest = forest_spec(tree_count=6, seed=3)
+        cfg = PipelineConfig(
+            mode=mode,
+            spec=forest,
+            cpc=CpcConfig(base_spec=softmax_spec(epochs=10, seed=0), expert_spec=forest,
+                          disc_k=7) if mode == "cpc" else None,
+            preprocess=PreprocessConfig(zca=True),
+            extractor=ExtractorConfig(arch="in:2 concat:8 head:4",
+                                      train=TrainConfig(epochs=4, seed=2)),
+        )
+        res = cross_validate(ds, cfg, folds=4, seed=5)
+        want = _ref_cross_validate(ds, cfg, folds=4, seed=5)
+        assert [report_to_json(r) for r in res.fold_reports] == [report_to_json(r) for r in want]
 
 
 def _ref_theta_sweep(train_ds, val_ds, grid, cfg):
@@ -307,6 +354,23 @@ class TestThetaSweep:
         assert res.best_theta == best
         assert res.accuracies[0] == res.baseline_accuracy
         assert len(set(res.accuracies)) > 2  # the grid is not all degenerate
+
+    def test_one_sided_partitions_reuse_the_baseline(self, monkeypatch):
+        train, val, cfg = self.sweep_setup(seed=4)
+        grid = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5]
+        accuracies, baseline_acc, _ = _ref_theta_sweep(train, val, grid, cfg)
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(datasets)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        res = theta_sweep(train, val, grid, cfg)
+        assert sum(ds.n == train.n for ds in jobs) == 1  # the baseline alone
+        assert res.accuracies == accuracies
+        assert res.baseline_accuracy == baseline_acc
 
     def test_bad_grid_value_refused_before_any_fit(self, monkeypatch):
         train, val, cfg = self.sweep_setup()
