@@ -31,7 +31,6 @@ from .cpc import (
     compute_ease,
     cpc_predict,
     cpc_predict_many,
-    discriminate,
     fit_cpc,
     partition,
     train_base_ensemble,

@@ -23,6 +23,7 @@ from .errors import (
     Divergence,
     EmptyDataset,
     LengthMismatch,
+    NonFinite,
 )
 
 SOFTMAX = "softmax"
@@ -153,22 +154,23 @@ class TrainedClassifier:
         return int(self.predict_many(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimMismatch(
-                f"classifier expects d={self.input_dim}, got shape {X.shape}"
-            )
-        return _PREDICTORS[self.spec.kind](self, X)
+        return _PREDICTORS[self.spec.kind](self, _as_queries(X, self.input_dim))
 
     def decision_scores(self, X) -> np.ndarray:
         """Per-class scores over classes_seen: margins for the linear kinds,
         vote counts for forest and knn."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimMismatch(
-                f"classifier expects d={self.input_dim}, got shape {X.shape}"
-            )
-        return _SCORERS[self.spec.kind](self, X)
+        return _SCORERS[self.spec.kind](self, _as_queries(X, self.input_dim))
+
+
+def _as_queries(X, d: int) -> np.ndarray:
+    """X as float64 rows of d finite features; raises DimMismatch or NonFinite."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimMismatch(f"expected rows of d={d}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise NonFinite(f"query row {row}, column {col} is {X[row, col]}")
+    return X
 
 
 def fit(spec: ClassifierSpec, ds: LabeledDataset) -> TrainedClassifier:
@@ -433,10 +435,6 @@ _TREE_ARRAYS = {
     "right": np.int32,
     "leaf": np.int32,
 }
-
-
-def _as_tree(columns) -> dict:
-    return {name: np.asarray(columns[name], dtype=dt) for name, dt in _TREE_ARRAYS.items()}
 
 
 @dataclass
@@ -725,59 +723,3 @@ _SCORERS = {
     RANDOM_FOREST: _forest_votes,
     KNN: _scores_knn,
 }
-
-
-# serialization -----------------------------------------------------------
-
-def _params_to_json(clf: TrainedClassifier) -> dict:
-    if clf.spec.kind in (SOFTMAX, LINEAR_SVM):
-        return {
-            "weights": clf.state.weights.tolist(),
-            "bias": clf.state.bias.tolist(),
-            "loss_trace": clf.state.loss_trace,
-        }
-    if clf.spec.kind == RANDOM_FOREST:
-        return {
-            "trees": [{name: a.tolist() for name, a in t.items()} for t in clf.state.trees]
-        }
-    return {
-        "features": clf.state.features.tolist(),
-        "labels": clf.state.labels.tolist(),
-    }
-
-
-def classifier_to_json(clf: TrainedClassifier) -> dict:
-    from dataclasses import asdict
-
-    return {
-        "kind": clf.spec.kind,
-        "hyperparams": asdict(clf.spec.hyperparams),
-        "classes_seen": clf.classes_seen.tolist(),
-        "input_dim": clf.input_dim,
-        "params": _params_to_json(clf),
-    }
-
-
-def classifier_from_json(obj: dict) -> TrainedClassifier:
-    kind = obj["kind"]
-    spec = ClassifierSpec(kind, _PARAM_TYPES[kind](**obj["hyperparams"]))
-    params = obj["params"]
-    if kind in (SOFTMAX, LINEAR_SVM):
-        state = _LinearState(
-            weights=np.asarray(params["weights"], dtype=np.float64),
-            bias=np.asarray(params["bias"], dtype=np.float64),
-            loss_trace=list(params["loss_trace"]),
-        )
-    elif kind == RANDOM_FOREST:
-        state = _ForestState(trees=[_as_tree(t) for t in params["trees"]])
-    else:
-        state = _KnnState(
-            features=np.asarray(params["features"], dtype=np.float64),
-            labels=np.asarray(params["labels"], dtype=np.int64),
-        )
-    return TrainedClassifier(
-        spec=spec,
-        classes_seen=np.asarray(obj["classes_seen"], dtype=np.int64),
-        input_dim=int(obj["input_dim"]),
-        state=state,
-    )

@@ -9,10 +9,9 @@ and identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from .classifiers import forest_spec, softmax_spec, svm_spec
 from .cpc import (
@@ -21,8 +20,7 @@ from .cpc import (
     SINGLE_FOLD,
     COMPLEMENT,
     CpcConfig,
-    cpc_predict_many,
-    train_cpc,
+    check_theta,
 )
 from .dataset import generate_two_regime, load_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericalError
@@ -33,6 +31,7 @@ from .harness import (
     cross_validate,
     evaluate,
     report_to_json,
+    run_pipeline,
     theta_sweep,
     write_report,
     write_sweep_curve,
@@ -53,7 +52,6 @@ from .preprocess import (
     normalize_samples,
     save_transform,
 )
-from . import classifiers as clf_mod
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _echo(args: argparse.Namespace, spec) -> dict:
+    """The flags of a run and its classifier's hyperparameters, for reports."""
+    echo = {k: v for k, v in vars(args).items() if k != "func"}
+    return {**echo, "spec": asdict(spec.hyperparams)}
 
 
 def _clf_spec(args) -> object:
@@ -116,6 +115,8 @@ def _add_cpc_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """start:stop:step, both ends included. Each value is checked as it is
+    generated, so the expansion stops at the first one outside [0, 2]."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like start:stop:step")
@@ -123,6 +124,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid {text!r} has non-numeric parts") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid {text!r} has non-finite parts")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid {text!r} needs step > 0 and stop >= start")
     out = []
@@ -131,6 +134,7 @@ def _parse_grid(text: str) -> list[float]:
         v = round(start + i * step, 10)
         if v > stop + 1e-9:
             break
+        check_theta(v)
         out.append(v)
         i += 1
     return out
@@ -147,6 +151,31 @@ def _cpc_config(args, spec) -> CpcConfig:
         ease_mode=args.ease_mode,
         fold_training=args.fold_training,
         seed=args.seed,
+    )
+
+
+def _pipeline_config(args, spec) -> PipelineConfig:
+    """cv's pipeline; baseline and cpc name their mode by their command and
+    have no preprocessing or extractor flags."""
+    mode = getattr(args, "mode", args.command)
+    cpc = _cpc_config(args, spec) if mode == "cpc" else None
+    if args.command != "cv":
+        return PipelineConfig(mode=mode, spec=spec, cpc=cpc)
+    return PipelineConfig(
+        mode=mode,
+        spec=spec,
+        cpc=cpc,
+        preprocess=PreprocessConfig(
+            normalize=args.normalize, zca=args.zca, epsilon=args.epsilon
+        ),
+        extractor=(
+            ExtractorConfig(
+                arch=args.arch,
+                train=TrainConfig(epochs=args.extractor_epochs, seed=args.seed),
+            )
+            if args.arch
+            else None
+        ),
     )
 
 
@@ -220,42 +249,21 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_train_test(args) -> int:
+    """baseline and cpc: the pipeline of cv, in the mode named by the
+    command, on one (train, test) split."""
     train_ds = load_dataset(args.train, has_header=args.has_header)
     test_ds = load_dataset(
         args.test, has_header=args.has_header, label_map=train_ds.label_map
     )
     spec = _clf_spec(args)
-    clf = clf_mod.fit(spec, train_ds)
-    preds = clf.predict_many(test_ds.features)
+    [(preds, routes)] = run_pipeline([(train_ds, test_ds)], _pipeline_config(args, spec))
     report = evaluate(
         preds,
         test_ds.labels,
         train_ds.class_count,
-        config={**_echo(args), "spec": asdict(spec.hyperparams)},
-        seed=args.seed,
-    )
-    write_report(report_to_json(report), args.report)
-    print(f"accuracy {report.overall_accuracy:.4f}")
-    return 0
-
-
-def _cmd_cpc(args) -> int:
-    train_ds = load_dataset(args.train, has_header=args.has_header)
-    test_ds = load_dataset(
-        args.test, has_header=args.has_header, label_map=train_ds.label_map
-    )
-    spec = _clf_spec(args)
-    cfg = _cpc_config(args, spec)
-    model = train_cpc(train_ds, cfg)
-    routed = cpc_predict_many(model, test_ds.features)
-    preds = np.array([r.label for r in routed], dtype=np.int64)
-    report = evaluate(
-        preds,
-        test_ds.labels,
-        train_ds.class_count,
-        routes=[r.route for r in routed],
-        config={**_echo(args), "spec": asdict(spec.hyperparams)},
+        routes=routes,
+        config=_echo(args, spec),
         seed=args.seed,
     )
     write_report(report_to_json(report), args.report)
@@ -281,7 +289,7 @@ def _cmd_sweep(args) -> int:
                 "accuracies": result.accuracies,
                 "baseline_accuracy": result.baseline_accuracy,
                 "best_theta": result.best_theta,
-                "config": {**_echo(args), "spec": asdict(spec.hyperparams)},
+                "config": _echo(args, spec),
                 "seed": args.seed,
             },
             args.report,
@@ -293,29 +301,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_cv(args) -> int:
     ds = load_dataset(args.input, has_header=args.has_header)
     spec = _clf_spec(args)
-    pipeline = PipelineConfig(
-        mode=args.mode,
-        spec=spec,
-        cpc=_cpc_config(args, spec) if args.mode == "cpc" else None,
-        preprocess=PreprocessConfig(
-            normalize=args.normalize, zca=args.zca, epsilon=args.epsilon
-        ),
-        extractor=(
-            ExtractorConfig(
-                arch=args.arch,
-                train=TrainConfig(epochs=args.extractor_epochs, seed=args.seed),
-            )
-            if args.arch
-            else None
-        ),
-    )
-    result = cross_validate(ds, pipeline, folds=args.folds, seed=args.seed)
+    result = cross_validate(ds, _pipeline_config(args, spec), folds=args.folds, seed=args.seed)
     write_report(
         {
             "folds": [report_to_json(r) for r in result.fold_reports],
             "mean_accuracy": result.mean_accuracy,
             "std_accuracy": result.std_accuracy,
-            "config": {**_echo(args), "spec": asdict(spec.hyperparams)},
+            "config": _echo(args, spec),
             "seed": args.seed,
         },
         args.report,
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_clf_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_train_test)
 
     p = sub.add_parser("cpc", help="train and score the routed model")
     p.add_argument("--train", required=True)
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_cpc)
+    p.set_defaults(func=_cmd_train_test)
 
     p = sub.add_parser("sweep", help="validation sweep over the ease threshold")
     p.add_argument("--train", required=True)

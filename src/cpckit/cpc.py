@@ -30,18 +30,12 @@ from .classifiers import (
     ClassifierSpec,
     SoftmaxParams,
     TrainedClassifier,
+    _as_queries,
     _nearest_indices,
     with_seed,
 )
 from .dataset import LabeledDataset, kfold, take
-from .errors import (
-    BadK,
-    BadSpec,
-    DegenerateModel,
-    DimMismatch,
-    EmptyPartition,
-    LengthMismatch,
-)
+from .errors import BadK, BadSpec, EmptyPartition, LengthMismatch
 
 INCLUDE_ALL = "include_all"
 EXCLUDE_IN_FOLD = "exclude_in_fold"
@@ -318,15 +312,6 @@ def cpc_model(
     )
 
 
-def _as_queries(model: CpcModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise DimMismatch(
-            f"queries have shape {X.shape}, model expects d={model.input_dim}"
-        )
-    return X
-
-
 def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
                            hp: SoftmaxParams) -> np.ndarray:
     """Fit one discriminator per query on its own neighbours, all at once.
@@ -392,25 +377,6 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
     return margins
 
 
-def discriminate(model: CpcModel, x) -> tuple[str, float]:
-    """Route one query: (route, signed margin toward the easy side).
-
-    Unanimous neighborhoods short-circuit with an infinite margin; mixed
-    neighborhoods fit a binary softmax, in its logistic form, on just those
-    k points, full-batch from zero weights, so identical queries always
-    route identically. The query goes easy when the margin is positive.
-    Raises Divergence when the fit leaves the finite range.
-    """
-    if model.degenerate != DEGENERATE_NONE:
-        raise DegenerateModel("single-subspace model; route degenerately")
-    X = _as_queries(model, np.reshape(x, (1, -1)))
-    margin = float(_route_margins(
-        model.pooled_features, model.pooled_binary[None], X,
-        model.discriminator_k, model.discriminator_spec,
-    )[0, 0])
-    return (ROUTE_EASY if margin > 0 else ROUTE_DIFFICULT), margin
-
-
 @dataclass(frozen=True)
 class RoutedPrediction:
     route: str
@@ -419,7 +385,8 @@ class RoutedPrediction:
 
 
 def cpc_predict(model: CpcModel, x) -> RoutedPrediction:
-    """Route then defer to the routed expert."""
+    """Route one query, then defer to the routed expert; the margin is
+    signed toward the easy side, and infinite for a unanimous neighbourhood."""
     return cpc_predict_many(model, np.reshape(x, (1, -1)))[0]
 
 
@@ -455,7 +422,7 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
         for m in models
     ):
         raise BadSpec("grid models must share their pooled points and discriminator")
-    X = _as_queries(first, X)
+    X = _as_queries(X, first.input_dim)
     margins = np.full((len(models), len(X)), -np.inf)
     margins[[m.degenerate == ALL_EASY for m in models]] = np.inf
     split = np.array([m.degenerate == DEGENERATE_NONE for m in models])
@@ -492,8 +459,8 @@ class CpcConfig:
     seed: int = 0
 
 
-def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
-    """Ensemble, ease scores, partition, experts, in one call."""
+def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:
+    """The ease scores of train under the base ensemble of cfg."""
     ens = train_base_ensemble(
         train,
         cfg.k_folds,
@@ -502,6 +469,10 @@ def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
         seed=cfg.seed,
         fold_training=cfg.fold_training,
     )
-    ease = compute_ease(ens, train, mode=cfg.ease_mode)
-    part = partition(train, ease, cfg.theta)
+    return compute_ease(ens, train, mode=cfg.ease_mode)
+
+
+def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
+    """Ensemble, ease scores, partition, experts, in one call."""
+    part = partition(train, ease_scores(train, cfg), cfg.theta)
     return fit_cpc(part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec)

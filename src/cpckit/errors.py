@@ -93,10 +93,6 @@ class EmptyPartition(DataError):
     """Both subspaces are empty; nothing to fit."""
 
 
-class DegenerateModel(DataError):
-    """The model has an empty subspace; use the degenerate routing path."""
-
-
 # harness --------------------------------------------------------------
 
 class LabelOutOfRange(DataError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,12 +20,11 @@ from .cpc import (
     CpcConfig,
     check_disc,
     check_theta,
-    compute_ease,
     cpc_model,
     cpc_predict_grid,
     cpc_predict_many,
+    ease_scores,
     partition,
-    train_base_ensemble,
     train_cpc,
 )
 from .dataset import LabeledDataset, kfold, take
@@ -294,15 +293,7 @@ def theta_sweep(
     for theta in grid:
         check_theta(theta)
     check_disc(cfg.disc_k, cfg.disc_spec)
-    ens = train_base_ensemble(
-        train_ds,
-        cfg.k_folds,
-        cfg.repetitions,
-        cfg.base_spec,
-        seed=cfg.seed,
-        fold_training=cfg.fold_training,
-    )
-    ease = compute_ease(ens, train_ds, mode=cfg.ease_mode)
+    ease = ease_scores(train_ds, cfg)
     parts = [partition(train_ds, ease, theta) for theta in grid]
     subspaces = [part.expert_datasets() if len(part.easy_indices) and len(part.difficult_indices)
                  else None for part in parts]  # None: the baseline is the lone expert
@@ -357,23 +348,14 @@ def compare(
     cfg: CpcConfig,
 ) -> list[ComparisonRow]:
     """For each spec: plain accuracy vs routed accuracy with that spec as
-    both the base and expert learner."""
-    from dataclasses import replace
+    both the base and expert learner, each a run_pipeline run."""
 
-    rows = []
-    for spec in specs:
-        baseline = clf_mod.fit(spec, train_ds)
-        base_acc = float(
-            np.mean(baseline.predict_many(test_ds.features) == test_ds.labels)
-        )
+    def accuracy(mode, spec):
         cpc_cfg = replace(cfg, base_spec=spec, expert_spec=spec)
-        model = train_cpc(train_ds, cpc_cfg)
-        routed = cpc_predict_many(model, test_ds.features)
-        preds = np.array([r.label for r in routed], dtype=np.int64)
-        cpc_acc = float(np.mean(preds == test_ds.labels))
-        rows.append(
-            ComparisonRow(
-                kind=spec.kind, baseline_accuracy=base_acc, cpc_accuracy=cpc_acc
-            )
-        )
-    return rows
+        [(preds, _)] = run_pipeline([(train_ds, test_ds)], PipelineConfig(mode, spec, cpc_cfg))
+        return float(np.mean(preds == test_ds.labels))
+
+    return [
+        ComparisonRow(spec.kind, accuracy("baseline", spec), accuracy("cpc", spec))
+        for spec in specs
+    ]

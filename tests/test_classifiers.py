@@ -1,10 +1,6 @@
 """The four classifier kinds behind the shared train/predict contract."""
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +11,6 @@ import cpckit.classifiers as clf_mod
 from cpckit.classifiers import (
     ClassifierSpec,
     KnnParams,
-    classifier_from_json,
-    classifier_to_json,
     fit,
     fit_many,
     forest_spec,
@@ -35,7 +29,10 @@ from cpckit.errors import (
     Divergence,
     EmptyDataset,
     LengthMismatch,
+    NonFinite,
 )
+
+from conftest import run_python
 
 
 def blobs(n=150, d=2, C=3, seed=0, margin=6.0):
@@ -121,6 +118,19 @@ class TestFitContract:
             clf.predict_many(np.zeros((5, 3)))
         with pytest.raises(DimMismatch):
             clf.decision_scores(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_non_finite_query(self, spec, value):
+        clf = fit(spec, blobs(30, 2, 2))
+        X = np.zeros((5, 2))
+        X[3, 1] = value
+        with pytest.raises(NonFinite, match="row 3, column 1"):
+            clf.predict_many(X)
+        with pytest.raises(NonFinite):
+            clf.decision_scores(X)
+        with pytest.raises(NonFinite):
+            clf.predict(X[3])
 
     def test_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), class_count=2)
@@ -507,11 +517,7 @@ class TestForest:
             print(clf.state.trees[0]["threshold"][0] == {lo!r},
                   clf.predict_many(X).tolist() == ds.labels.tolist())
         """)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=30)
+        done = run_python(["-c", code], timeout=30)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["True", "True"]
 
@@ -622,7 +628,7 @@ def _ref_forest(ds, hp):
 def assert_matches_reference(ds, spec):
     clf = fit(spec, ds)
     want_trees, want_votes = _ref_forest(ds, spec.hyperparams)
-    got = classifier_to_json(clf)["params"]["trees"]
+    got = [{name: a.tolist() for name, a in t.items()} for t in clf.state.trees]
     assert len(got) == len(want_trees)
     for g, w in zip(got, want_trees):
         assert g == w
@@ -723,20 +729,3 @@ class TestKnn:
         want = sorted(range(n), key=lambda i: (d2[i], i))[: min(k, n)]
         assert got.tolist() == want
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-    def test_round_trip_preserves_predictions(self, spec):
-        ds = blobs(80, 3, 3, seed=11)
-        clf = fit(spec, ds)
-        back = classifier_from_json(classifier_to_json(clf))
-        probe = np.random.default_rng(12).normal(size=(30, 3)) * 4.0
-        assert np.array_equal(back.predict_many(probe), clf.predict_many(probe))
-        assert back.spec == clf.spec
-
-    def test_json_is_plain_data(self):
-        import json
-
-        clf = fit(softmax_spec(epochs=3), blobs(20, 2, 2))
-        text = json.dumps(classifier_to_json(clf))
-        assert "weights" in text

@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: exit codes, file artifacts, determinism."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from cpckit.classifiers import fit, forest_spec, softmax_spec
 from cpckit.cli import _parse_grid, main
-from cpckit.dataset import LabeledDataset, write_dataset
+from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
+from cpckit.dataset import LabeledDataset, load_dataset, write_dataset
 from cpckit.errors import ConfigError
+from cpckit.harness import evaluate, report_to_json
+
+from conftest import run_python
 
 
 def blobs(n=60, d=2, C=3, seed=0, margin=8.0):
@@ -291,6 +294,45 @@ class TestCpcCommand:
         assert code == 1
 
 
+def library_report(cmd, train_path, test_path, spec, cfg):
+    """The report of baseline or cpc, but for its config, built from library
+    calls: fit for baseline, train_cpc and cpc_predict_many for cpc."""
+    train = load_dataset(train_path)
+    test = load_dataset(test_path, label_map=train.label_map)
+    if cmd == "baseline":
+        preds, routes = fit(spec, train).predict_many(test.features), None
+    else:
+        routed = cpc_predict_many(train_cpc(train, cfg), test.features)
+        preds = np.array([r.label for r in routed])
+        routes = [r.route for r in routed]
+    report = report_to_json(evaluate(preds, test.labels, train.class_count, routes=routes,
+                                     seed=cfg.seed))
+    del report["config"]
+    return report
+
+
+class TestTrainTestMatchesLibrary:
+    @pytest.mark.parametrize("cmd", ["baseline", "cpc"])
+    @pytest.mark.parametrize("clf", ["softmax", "forest"])
+    def test_report_matches_library_reference(self, data_files, cmd, clf):
+        tmp, train, test = data_files
+        report = tmp / "r.json"
+        argv = [cmd, "--train", str(train), "--test", str(test), "--clf", clf,
+                "--epochs", "30", "--trees", "7", "--seed", "3", "--report", str(report)]
+        if cmd == "cpc":
+            argv += ["--theta", "0.5", "--disc-k", "5"]
+        assert main(argv) == 0
+        got = json.loads(report.read_text())
+        del got["config"]
+        if clf == "softmax":
+            spec = softmax_spec(epochs=30, seed=3)
+        else:
+            spec = forest_spec(tree_count=7, seed=3)
+        cfg = CpcConfig(base_spec=spec, expert_spec=spec, theta=0.5, disc_k=5, seed=3)
+        want = library_report(cmd, train, test, spec, cfg)
+        assert got == json.loads(json.dumps(want))
+
+
 class TestSweepCommand:
     def test_curve_and_report(self, data_files):
         tmp, train, test = data_files
@@ -319,7 +361,19 @@ class TestSweepCommand:
         )
         assert code == 1
 
-    def test_grid_beyond_two_refused_before_training(self, data_files, monkeypatch):
+    @pytest.mark.parametrize(
+        "grid", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "0:1e9:1"]
+    )
+    def test_non_finite_or_huge_grid_is_config_error(self, data_files, grid):
+        # these grids once expanded without end; a child process keeps a
+        # regression bounded in time and memory
+        tmp, train, test = data_files
+        done = run_python(["-m", "cpckit", "sweep", "--train", str(train), "--val", str(test),
+                           "--grid", grid, "--epochs", "5"], timeout=30)
+        assert done.returncode == 1, done.stderr
+        assert "configuration error" in done.stderr
+
+    def test_grid_beyond_two_refused_before_training(self, data_files, monkeypatch, capsys):
         import cpckit.classifiers as clf_mod
 
         tmp, train, test = data_files
@@ -337,6 +391,7 @@ class TestSweepCommand:
         )
         assert code == 1
         assert jobs == []
+        assert "theta=2.5 outside [0, 2]" in capsys.readouterr().err
 
 
 class TestCvCommand:
@@ -380,11 +435,9 @@ class TestTopLevel:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "data.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "cpckit", "synth", "--n-easy", "10",
-             "--n-hard", "10", "--out", str(out)],
-            capture_output=True,
-            text=True,
+        proc = run_python(
+            ["-m", "cpckit", "synth", "--n-easy", "10", "--n-hard", "10", "--out", str(out)],
+            timeout=120,
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -25,7 +25,6 @@ from cpckit.cpc import (
     cpc_predict,
     cpc_predict_grid,
     cpc_predict_many,
-    discriminate,
     fit_cpc,
     partition,
     train_base_ensemble,
@@ -36,11 +35,11 @@ from cpckit.errors import (
     BadHyperparams,
     BadK,
     BadSpec,
-    DegenerateModel,
     DimMismatch,
     Divergence,
     EmptyPartition,
     LengthMismatch,
+    NonFinite,
 )
 
 
@@ -317,15 +316,21 @@ class TestFitCpc:
             assert all(not np.isfinite(r.discriminator_margin) for r in routed)
 
 
+def routed(model, x):
+    """(route, margin) of one query through cpc_predict."""
+    r = cpc_predict(model, x)
+    return r.route, r.discriminator_margin
+
+
 class TestDiscriminate:
     def test_unanimous_easy_neighborhood(self):
         _, model = cluster_model()
-        route, margin = discriminate(model, np.array([0.0, 0.0]))
+        route, margin = routed(model, np.array([0.0, 0.0]))
         assert route == ROUTE_EASY and margin == float("inf")
 
     def test_unanimous_difficult_neighborhood(self):
         _, model = cluster_model()
-        route, margin = discriminate(model, np.array([12.0, 0.0]))
+        route, margin = routed(model, np.array([12.0, 0.0]))
         assert route == ROUTE_DIFFICULT and margin == float("-inf")
 
     def test_cluster_agreement_on_fresh_queries(self):
@@ -333,7 +338,7 @@ class TestDiscriminate:
         rng = np.random.default_rng(42)
         qA = rng.standard_normal((100, 2))
         qB = rng.standard_normal((100, 2)) + np.array([12.0, 0.0])
-        routes = [discriminate(model, q)[0] for q in np.vstack([qA, qB])]
+        routes = [routed(model, q)[0] for q in np.vstack([qA, qB])]
         truth = [ROUTE_EASY] * 100 + [ROUTE_DIFFICULT] * 100
         agreement = float(np.mean([r == t for r, t in zip(routes, truth)]))
         assert agreement >= 0.95
@@ -351,14 +356,14 @@ class TestDiscriminate:
 
     def test_mixed_neighborhood_fits_local_softmax(self):
         model = self.mixed_line_model()
-        route, margin = discriminate(model, np.array([9.5, 0.0]))
+        route, margin = routed(model, np.array([9.5, 0.0]))
         assert route in (ROUTE_EASY, ROUTE_DIFFICULT)
         assert np.isfinite(margin)
 
     def test_margin_sign_matches_route(self):
         model = self.mixed_line_model()
         for qx in (3.2, 9.5, 14.8):
-            route, margin = discriminate(model, np.array([qx, 0.0]))
+            route, margin = routed(model, np.array([qx, 0.0]))
             if margin > 0:
                 assert route == ROUTE_EASY
             elif margin < 0:
@@ -367,22 +372,27 @@ class TestDiscriminate:
     def test_deterministic_per_query(self):
         model = self.mixed_line_model()
         q = np.array([7.3, 0.0])
-        assert discriminate(model, q) == discriminate(model, q)
-
-    def test_degenerate_model_refuses(self):
-        ds = small_ds(n=10)
-        part = SubspacePartition(ds, 0.0, np.arange(10), np.arange(0))
-        model = fit_cpc(part, softmax_spec())
-        with pytest.raises(DegenerateModel):
-            discriminate(model, ds.features[0])
+        assert routed(model, q) == routed(model, q)
 
     def test_dim_mismatch(self):
         _, model = cluster_model()
         with pytest.raises(DimMismatch):
-            discriminate(model, np.zeros(3))
+            routed(model, np.zeros(3))
 
 
 class TestCpcPredict:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query(self, value):
+        ds, split = cluster_model()
+        lone = fit_cpc(SubspacePartition(ds, 0.0, np.arange(ds.n), np.arange(0)), softmax_spec())
+        Q = np.zeros((3, 2))
+        Q[1, 0] = value
+        for model in (split, lone):
+            with pytest.raises(NonFinite, match="row 1, column 0"):
+                cpc_predict_many(model, Q)
+            with pytest.raises(NonFinite):
+                cpc_predict(model, Q[1])
+
     def test_routed_label_comes_from_routed_expert(self):
         ds, model = cluster_model()
         rng = np.random.default_rng(3)

@@ -441,6 +441,14 @@ class TestThetaSweep:
         assert [a for _, a in parsed] == res.accuracies
 
 
+def _ref_compare_row(train, test, spec, cfg):
+    """compare's accuracies for spec, from fit, train_cpc and cpc_predict_many."""
+    base = clf_mod.fit(spec, train).predict_many(test.features)
+    model = train_cpc(train, replace(cfg, base_spec=spec, expert_spec=spec))
+    routed = np.array([r.label for r in cpc_predict_many(model, test.features)])
+    return float(np.mean(base == test.labels)), float(np.mean(routed == test.labels))
+
+
 class TestCompare:
     def test_rows_and_baseline_independence(self):
         train = generate_two_regime(60, 60, 3, 4, 6.0, 0.8, seed=4)
@@ -457,6 +465,10 @@ class TestCompare:
         assert [r.kind for r in rows_a] == ["softmax", "knn"]
         for ra, rb in zip(rows_a, rows_b):
             assert ra.baseline_accuracy == rb.baseline_accuracy
+        for rows, cfg in ((rows_a, cfg_a), (rows_b, cfg_b)):
+            for row, spec in zip(rows, specs):
+                want = _ref_compare_row(train, test, spec, cfg)
+                assert (row.baseline_accuracy, row.cpc_accuracy) == want
 
     def test_delta_property(self):
         row = ComparisonRow(kind="knn", baseline_accuracy=0.6, cpc_accuracy=0.7)

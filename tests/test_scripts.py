@@ -1,22 +1,10 @@
 """The study scripts run end to end on small inputs."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
 
 
 def run_script(name, *args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
-    )
+    return run_python([str(ROOT / "scripts" / name), *args], timeout=300, cwd=cwd)
 
 
 def test_extractor_study(tmp_path):
