@@ -32,6 +32,7 @@ from .cpc import (
     cpc_predict,
     cpc_predict_many,
     fit_cpc,
+    fit_cpc_many,
     partition,
     train_base_ensemble,
     train_cpc,

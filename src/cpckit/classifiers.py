@@ -670,9 +670,7 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 def neighbors(ds: LabeledDataset, x, k: int) -> np.ndarray:
     """k nearest sample positions in ds for query x, nearest first."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != ds.d:
-        raise DimMismatch(f"query has d={x.shape[0]}, dataset has d={ds.d}")
+    x = _as_queries(np.reshape(x, (1, -1)), ds.d)[0]
     if k < 1:
         raise BadHyperparams("k must be at least 1")
     return _nearest_indices(ds.features, x, k)

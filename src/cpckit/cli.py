@@ -116,7 +116,8 @@ def _add_cpc_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_grid(text: str) -> list[float]:
     """start:stop:step, both ends included. Each value is checked as it is
-    generated, so the expansion stops at the first one outside [0, 2]."""
+    generated, so the expansion stops at the first one outside [0, 2], or
+    at the first that, rounded to 10 decimals, does not exceed the last."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like start:stop:step")
@@ -135,6 +136,8 @@ def _parse_grid(text: str) -> list[float]:
         if v > stop + 1e-9:
             break
         check_theta(v)
+        if out and v <= out[-1]:
+            raise ConfigError(f"grid {text!r} step is below the 1e-10 resolution")
         out.append(v)
         i += 1
     return out

@@ -187,22 +187,13 @@ class SubspacePartition:
     easy_indices: np.ndarray
     difficult_indices: np.ndarray
 
-    def easy_dataset(self) -> LabeledDataset:
-        return take(self.dataset, self.easy_indices)
-
-    def difficult_dataset(self) -> LabeledDataset:
-        return take(self.dataset, self.difficult_indices)
-
-    def expert_datasets(self) -> list[LabeledDataset]:
-        """The non-empty subspaces, easy first: one expert trains on each."""
-        subspaces = []
-        if len(self.easy_indices):
-            subspaces.append(self.easy_dataset())
-        if len(self.difficult_indices):
-            subspaces.append(self.difficult_dataset())
-        if not subspaces:
+    def subspaces(self) -> list[np.ndarray]:
+        """The row arrays of the non-empty subspaces, easy first: one
+        expert trains on each."""
+        rows = [r for r in (self.easy_indices, self.difficult_indices) if len(r)]
+        if not rows:
             raise EmptyPartition("no samples in either subspace")
-        return subspaces
+        return rows
 
 
 def check_theta(theta: float) -> None:
@@ -231,11 +222,6 @@ def partition(
     )
 
 
-DEGENERATE_NONE = "none"
-ALL_EASY = "all_easy"
-ALL_DIFFICULT = "all_difficult"
-
-
 @dataclass
 class CpcModel:
     theta: float
@@ -245,7 +231,6 @@ class CpcModel:
     pooled_binary: np.ndarray  # 1 where the training sample fell easy, else 0
     discriminator_k: int
     discriminator_spec: SoftmaxParams
-    degenerate: str = DEGENERATE_NONE
 
     @property
     def input_dim(self) -> int:
@@ -270,46 +255,46 @@ def fit_cpc(
     disc_k: int = 25,
     disc_spec: SoftmaxParams = DEFAULT_DISC,
 ) -> CpcModel:
-    """Fit the subspace experts, in one classifiers.fit_many call, and
-    freeze the pooled routing points.
-
-    Experts train with expert_spec exactly as given, so a degenerate
-    partition reproduces the plain baseline classifier bit for bit.
-    """
-    subspaces = part.expert_datasets()
-    check_disc(disc_k, disc_spec)
-    experts = clf_mod.fit_many([expert_spec] * len(subspaces), subspaces)
-    return cpc_model(part, experts, disc_k, disc_spec)
+    """The model of one partition: fit_cpc_many with one partition."""
+    return fit_cpc_many([part], expert_spec, disc_k, disc_spec)[0]
 
 
-def cpc_model(
-    part: SubspacePartition,
-    experts: list[TrainedClassifier],
+def fit_cpc_many(
+    parts: list[SubspacePartition],
+    expert_spec: ClassifierSpec,
     disc_k: int,
     disc_spec: SoftmaxParams,
-) -> CpcModel:
-    """The model of part whose experts were fitted on
-    part.expert_datasets(), in that order."""
-    experts = iter(experts)
-    easy_expert = next(experts) if len(part.easy_indices) else None
-    difficult_expert = next(experts) if len(part.difficult_indices) else None
-    degenerate = DEGENERATE_NONE
-    if difficult_expert is None:
-        degenerate = ALL_EASY
-    elif easy_expert is None:
-        degenerate = ALL_DIFFICULT
-    binary = np.zeros(part.dataset.n, dtype=np.int64)
-    binary[part.easy_indices] = 1
-    return CpcModel(
-        theta=part.theta,
-        easy_expert=easy_expert,
-        difficult_expert=difficult_expert,
-        pooled_features=part.dataset.features,
-        pooled_binary=binary,
-        discriminator_k=disc_k,
-        discriminator_spec=disc_spec,
-        degenerate=degenerate,
-    )
+) -> list[CpcModel]:
+    """Fit the subspace experts of every partition, all in one
+    classifiers.fit_many call, and freeze each one's pooled routing points.
+
+    Each distinct row set of a training set trains once: every one-sided
+    partition of a set shares one expert, and partitions with equal easy
+    sets share both. Experts train with expert_spec exactly as given, so a
+    one-sided partition reproduces the plain baseline classifier bit for bit.
+    """
+    check_disc(disc_k, disc_spec)
+    subspaces = [part.subspaces() for part in parts]
+    jobs = {}
+    for part, rows_of in zip(parts, subspaces):
+        for rows in rows_of:
+            jobs.setdefault((id(part.dataset), rows.tobytes()), take(part.dataset, rows))
+    fitted = dict(zip(jobs, clf_mod.fit_many([expert_spec] * len(jobs), list(jobs.values()))))
+    models = []
+    for part, rows_of in zip(parts, subspaces):
+        experts = [fitted[id(part.dataset), rows.tobytes()] for rows in rows_of]
+        binary = np.zeros(part.dataset.n, dtype=np.int64)
+        binary[part.easy_indices] = 1
+        models.append(CpcModel(
+            theta=part.theta,
+            easy_expert=experts[0] if len(part.easy_indices) else None,
+            difficult_expert=experts[-1] if len(part.difficult_indices) else None,
+            pooled_features=part.dataset.features,
+            pooled_binary=binary,
+            discriminator_k=disc_k,
+            discriminator_spec=disc_spec,
+        ))
+    return models
 
 
 def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
@@ -423,17 +408,13 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
     ):
         raise BadSpec("grid models must share their pooled points and discriminator")
     X = _as_queries(X, first.input_dim)
-    margins = np.full((len(models), len(X)), -np.inf)
-    margins[[m.degenerate == ALL_EASY for m in models]] = np.inf
-    split = np.array([m.degenerate == DEGENERATE_NONE for m in models])
-    if split.any():
-        margins[split] = _route_margins(
-            first.pooled_features,
-            np.stack([m.pooled_binary for m in models])[split],
-            X,
-            first.discriminator_k,
-            first.discriminator_spec,
-        )
+    margins = _route_margins(
+        first.pooled_features,
+        np.stack([m.pooled_binary for m in models]),
+        X,
+        first.discriminator_k,
+        first.discriminator_spec,
+    )
     labels = np.zeros(margins.shape, dtype=np.int64)
     for g, m in enumerate(models):
         easy = margins[g] > 0

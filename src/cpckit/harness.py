@@ -20,12 +20,11 @@ from .cpc import (
     CpcConfig,
     check_disc,
     check_theta,
-    cpc_model,
     cpc_predict_grid,
     cpc_predict_many,
     ease_scores,
+    fit_cpc_many,
     partition,
-    train_cpc,
 )
 from .dataset import LabeledDataset, kfold, take
 from .errors import ConfigError, LabelOutOfRange, LengthMismatch
@@ -171,8 +170,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in ("baseline", "cpc"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "cpc" and self.cpc is None:
-            raise ConfigError("cpc mode needs a CpcConfig")
+        if self.mode == "cpc":
+            if self.cpc is None:
+                raise ConfigError("cpc mode needs a CpcConfig")
+            check_theta(self.cpc.theta)
+            check_disc(self.cpc.disc_k, self.cpc.disc_spec)
 
 
 def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
@@ -180,16 +182,19 @@ def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
     test side. Returns one (preds, routes-or-None) per pair.
 
     Stage by stage: each pair is preprocessed and its extractor trained,
-    then all pairs' baseline classifiers train in one fit_many call (cpc
-    mode trains a model per pair). Preprocessing and the extractor are fit
-    on training data only and applied to the test side."""
+    then all pairs' baseline classifiers train in one fit_many call; cpc
+    mode partitions each pair at theta and fits all pairs' experts in one
+    fit_cpc_many call. Preprocessing and the extractor are fit on training
+    data only and applied to the test side."""
     pairs = [_prepare(train_ds, test_ds, cfg) for train_ds, test_ds in pairs]
     if cfg.mode == "baseline":
         fitted = clf_mod.fit_many([cfg.spec] * len(pairs), [train for train, _ in pairs])
         return [(clf.predict_many(test.features), None) for clf, (_, test) in zip(fitted, pairs)]
+    c = cfg.cpc
+    parts = [partition(train, ease_scores(train, c), c.theta) for train, _ in pairs]
     out = []
-    for train_ds, test_ds in pairs:
-        routed = cpc_predict_many(train_cpc(train_ds, cfg.cpc), test_ds.features)
+    for model, (_, test) in zip(fit_cpc_many(parts, c.expert_spec, c.disc_k, c.disc_spec), pairs):
+        routed = cpc_predict_many(model, test.features)
         out.append((np.array([r.label for r in routed], dtype=np.int64),
                     [r.route for r in routed]))
     return out
@@ -276,13 +281,12 @@ def theta_sweep(
     The base ensemble and ease scores are computed once and shared by every
     grid point; only the partition, experts, and routing change. The grid
     and the discriminator settings are checked before anything trains. The
-    experts of every grid point and the baseline train in one
-    classifiers.fit_many call, so linear experts share one stacked SGD run; a
-    grid point with every row on one side (theta 0, or above the top ratio)
-    takes the baseline, which fit_cpc would train there, as its lone expert.
-    The validation queries' neighbours are searched once for the whole grid
-    and the discriminators of all grid points are solved together; the
-    answers are those of fit_cpc and cpc_predict_many at each grid point.
+    models of theta 0 and of every grid point come from one fit_cpc_many
+    call, so each distinct row set trains once, and linear experts share
+    one stacked SGD run. The theta-0 model's lone expert is the baseline.
+    The validation queries' neighbours are searched once for all models and
+    the discriminators of all grid points are solved together; the answers
+    are those of fit_cpc and cpc_predict_many at each grid point.
     Ties for the best threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
@@ -294,22 +298,10 @@ def theta_sweep(
         check_theta(theta)
     check_disc(cfg.disc_k, cfg.disc_spec)
     ease = ease_scores(train_ds, cfg)
-    parts = [partition(train_ds, ease, theta) for theta in grid]
-    subspaces = [part.expert_datasets() if len(part.easy_indices) and len(part.difficult_indices)
-                 else None for part in parts]  # None: the baseline is the lone expert
-    jobs = [train_ds] + [ds for group in subspaces if group for ds in group]
-    fitted = iter(clf_mod.fit_many([cfg.expert_spec] * len(jobs), jobs))
-    baseline = next(fitted)
-    models = [
-        cpc_model(part, [next(fitted) for _ in group] if group else [baseline],
-                  cfg.disc_k, cfg.disc_spec)
-        for part, group in zip(parts, subspaces)
-    ]
-    baseline_acc = float(
-        np.mean(baseline.predict_many(val_ds.features) == val_ds.labels)
-    )
+    parts = [partition(train_ds, ease, theta) for theta in [0.0, *grid]]
+    models = fit_cpc_many(parts, cfg.expert_spec, cfg.disc_k, cfg.disc_spec)
     _, labels = cpc_predict_grid(models, val_ds.features)
-    accuracies = [float(np.mean(preds == val_ds.labels)) for preds in labels]
+    baseline_acc, *accuracies = [float(np.mean(preds == val_ds.labels)) for preds in labels]
     best = grid[int(np.argmax(accuracies))]
     return SweepResult(
         thetas=grid,

@@ -711,6 +711,9 @@ class TestKnn:
             neighbors(ds, np.zeros(3), 2)
         with pytest.raises(BadHyperparams):
             neighbors(ds, np.zeros(2), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFinite):
+                neighbors(ds, [bad, 0.0], 3)
 
     @given(
         n=st.integers(1, 40),

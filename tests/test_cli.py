@@ -285,6 +285,27 @@ class TestCpcCommand:
         # the report path itself is echoed in config; normalize it first
         assert a.replace(b"r1.json", b"") == b.replace(b"r2.json", b"")
 
+    @pytest.mark.parametrize("command", ["cpc", "cv"])
+    @pytest.mark.parametrize("bad", [["--theta", "2.5"], ["--theta", "0.5", "--disc-k", "0"]])
+    def test_bad_cpc_settings_refused_before_any_fit(self, data_files, monkeypatch, command, bad):
+        import cpckit.classifiers as clf_mod
+
+        tmp, train, test = data_files
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(specs)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        if command == "cpc":
+            argv = ["cpc", "--train", str(train), "--test", str(test)]
+        else:
+            argv = ["cv", "--in", str(train), "--folds", "3", "--mode", "cpc"]
+        assert main(argv + bad + ["--epochs", "5", "--report", str(tmp / "r.json")]) == 1
+        assert jobs == []
+
     def test_theta_required(self, data_files):
         tmp, train, test = data_files
         code = main(
@@ -362,7 +383,7 @@ class TestSweepCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "grid", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "0:1e9:1"]
+        "grid", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "0:1e9:1", "0:1:1e-12"]
     )
     def test_non_finite_or_huge_grid_is_config_error(self, data_files, grid):
         # these grids once expanded without end; a child process keeps a

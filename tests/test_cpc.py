@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from cpckit.classifiers import ClassifierSpec, SoftmaxParams, fit, knn_spec, softmax_spec
 from cpckit.cpc import (
-    ALL_DIFFICULT,
-    ALL_EASY,
     COMPLEMENT,
     DEFAULT_DISC,
-    DEGENERATE_NONE,
     EXCLUDE_IN_FOLD,
     INCLUDE_ALL,
     ROUTE_DIFFICULT,
@@ -26,6 +23,7 @@ from cpckit.cpc import (
     cpc_predict_grid,
     cpc_predict_many,
     fit_cpc,
+    fit_cpc_many,
     partition,
     train_base_ensemble,
     train_cpc,
@@ -221,7 +219,8 @@ class TestPartition:
             np.concatenate([part.easy_indices, part.difficult_indices])
         )
         assert np.array_equal(joined, np.arange(16))
-        assert part.easy_dataset().n + part.difficult_dataset().n == 16
+        easy, difficult = part.subspaces()
+        assert len(easy) + len(difficult) == 16
 
     def test_monotone_in_theta(self):
         ds = small_ds(n=16)
@@ -260,14 +259,13 @@ class TestFitCpc:
         ds = small_ds(n=20)
         part = SubspacePartition(ds, 0.0, np.arange(20), np.arange(0))
         model = fit_cpc(part, softmax_spec(seed=3))
-        assert model.degenerate == ALL_EASY
         assert model.easy_expert is not None and model.difficult_expert is None
 
     def test_degenerate_all_difficult(self):
         ds = small_ds(n=20)
         part = SubspacePartition(ds, 1.01, np.arange(0), np.arange(20))
         model = fit_cpc(part, softmax_spec(seed=3))
-        assert model.degenerate == ALL_DIFFICULT
+        assert model.easy_expert is None and model.difficult_expert is not None
 
     def test_empty_partition_rejected(self):
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
@@ -314,6 +312,51 @@ class TestFitCpc:
             routed = [cpc_predict(model, x) for x in probe]
             assert np.array_equal(np.array([r.label for r in routed]), baseline)
             assert all(not np.isfinite(r.discriminator_margin) for r in routed)
+
+
+def same_expert(a, b):
+    """Both absent, or fitted to the same classes and state bit for bit."""
+    if a is None or b is None:
+        return a is b
+    sa, sb = vars(a.state), vars(b.state)
+    return (np.array_equal(a.classes_seen, b.classes_seen) and sa.keys() == sb.keys()
+            and all(np.array_equal(sa[key], sb[key]) for key in sa))
+
+
+class TestFitCpcMany:
+    def test_matches_lone_fits_and_fits_each_row_set_once(self, monkeypatch):
+        import cpckit.classifiers as clf_mod
+
+        A, B = small_ds(n=40, seed=1), small_ds(n=30, seed=2)
+        ease_a = manual_ease(np.random.default_rng(1).integers(0, 17, 40) / 16)
+        ease_b = manual_ease(np.random.default_rng(2).integers(0, 17, 30) / 16)
+        parts = [  # a repeated partition, and all-easy and all-difficult ones
+            partition(A, ease_a, 0.5), partition(B, ease_b, 0.5), partition(A, ease_a, 0.5),
+            partition(A, ease_a, 0.0), partition(A, ease_a, 1.5), partition(B, ease_b, 1.5),
+        ]
+        spec = softmax_spec(epochs=30, seed=5)
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(datasets)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        models = fit_cpc_many(parts, spec, 7, DEFAULT_DISC)
+        assert sorted(ds.n for ds in jobs) == sorted(
+            [len(parts[0].easy_indices), len(parts[0].difficult_indices),
+             len(parts[1].easy_indices), len(parts[1].difficult_indices), 40, 30]
+        )
+        assert models[0].easy_expert is models[2].easy_expert
+        assert models[3].easy_expert is models[4].difficult_expert
+        Q = np.random.default_rng(3).normal(scale=4.0, size=(25, 3))
+        for part, model in zip(parts, models):
+            alone = fit_cpc(part, spec, disc_k=7)
+            assert same_expert(model.easy_expert, alone.easy_expert)
+            assert same_expert(model.difficult_expert, alone.difficult_expert)
+            assert np.array_equal(model.pooled_binary, alone.pooled_binary)
+            assert cpc_predict_many(model, Q) == cpc_predict_many(alone, Q)
 
 
 def routed(model, x):
@@ -501,7 +544,7 @@ class TestCpcPredict:
             fit_cpc(partition(ds, ease, theta), knn_spec(k=3), disc_k=7)
             for theta in (0.0, 0.3, 0.55, 0.8, 1.5)
         ]
-        assert [m.degenerate for m in models][::4] == [ALL_EASY, ALL_DIFFICULT]
+        assert models[0].difficult_expert is None and models[4].easy_expert is None
         Q = np.random.default_rng(7).standard_normal((40, 2)) * 4.0
         margins, labels = cpc_predict_grid(models, Q)
         assert np.isfinite(margins).any()
@@ -533,7 +576,7 @@ class TestTrainCpc:
         )
         model = train_cpc(train, cfg)
         assert model.theta == 0.5
-        assert model.degenerate == DEGENERATE_NONE
+        assert model.easy_expert is not None and model.difficult_expert is not None
         preds = cpc_predict_many(model, train.features[:20])
         assert len(preds) == 20
 

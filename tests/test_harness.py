@@ -372,6 +372,31 @@ class TestThetaSweep:
         assert res.accuracies == accuracies
         assert res.baseline_accuracy == baseline_acc
 
+    def test_grid_points_with_equal_easy_sets_fit_once(self, monkeypatch):
+        # ratios of only 0 and 1: theta 0.3 and 0.7 split the same rows, so
+        # the sweep fits three row sets, all rows and the two subspaces
+        import cpckit.harness as harness_mod
+        from cpckit.cpc import INCLUDE_ALL, EaseScores
+
+        train, val, cfg = self.sweep_setup(seed=4)
+        ratios = (np.arange(train.n) % 3 == 0).astype(np.float64)
+        ease = EaseScores(correct_counts=16 * ratios.astype(np.int64), ratios=ratios,
+                          N=16, exclusion_mode=INCLUDE_ALL)
+        monkeypatch.setattr(harness_mod, "ease_scores", lambda ds, c: ease)
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(datasets)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        res = theta_sweep(train, val, [0.3, 0.7], cfg)
+        row_sets = [ds.features.tobytes() for ds in jobs]
+        assert len(row_sets) == len(set(row_sets)) == 3
+        assert sorted(ds.n for ds in jobs) == [40, 80, 120]
+        assert res.accuracies[0] == res.accuracies[1]
+
     def test_bad_grid_value_refused_before_any_fit(self, monkeypatch):
         train, val, cfg = self.sweep_setup()
         jobs = []
