@@ -114,10 +114,14 @@ def _add_cpc_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list[float]:
-    """start:stop:step, both ends included. Each value is checked as it is
-    generated, so the expansion stops at the first one outside [0, 2], or
-    at the first that, rounded to 10 decimals, does not exceed the last."""
+    """start:stop:step, both ends included. The point count is checked
+    against MAX_GRID_POINTS first, then each value as it is generated, so
+    the expansion stops at the first one outside [0, 2], or at the first
+    that, rounded to 10 decimals, does not exceed the last."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like start:stop:step")
@@ -129,6 +133,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"grid {text!r} has non-finite parts")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid {text!r} needs step > 0 and stop >= start")
+    if math.floor((stop + 1e-9 - start) / step) + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     out = []
     i = 0
     while True:

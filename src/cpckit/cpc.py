@@ -46,10 +46,8 @@ COMPLEMENT = "complement"  # conventional alternative: train on the other K-1
 ROUTE_EASY = "+"
 ROUTE_DIFFICULT = "-"
 
-# Per-query discriminator: full-batch softmax on the k neighbors.
-DEFAULT_DISC = SoftmaxParams(
-    learning_rate=0.05, epochs=200, batch_size=4096, l2=1e-2, momentum=0.5, seed=0
-)
+# Every routing discriminator's settings; full batch from zero, batch_size and seed unused.
+DEFAULT_DISC = SoftmaxParams(learning_rate=0.05, epochs=200, l2=1e-2, momentum=0.5)
 
 
 # Mixed-neighbourhood queries per stacked discriminator fit; bounds its memory.
@@ -230,40 +228,31 @@ class CpcModel:
     pooled_features: np.ndarray
     pooled_binary: np.ndarray  # 1 where the training sample fell easy, else 0
     discriminator_k: int
-    discriminator_spec: SoftmaxParams
 
     @property
     def input_dim(self) -> int:
         return self.pooled_features.shape[1]
 
 
-def check_disc(disc_k: int, disc_spec: SoftmaxParams) -> None:
-    """Refuse discriminator settings the batched routing cannot honour."""
+def check_disc(disc_k: int) -> None:
+    """Refuse a neighbourhood size below one; routing clamps it to n."""
     if disc_k < 1:
         raise BadSpec(f"disc_k={disc_k} must be at least 1")
-    clf_mod._validate(ClassifierSpec(clf_mod.SOFTMAX, disc_spec))
-    if disc_spec.batch_size < disc_k:
-        raise BadSpec(
-            f"discriminator batch_size={disc_spec.batch_size} is below "
-            f"disc_k={disc_k}; routing needs full-batch discriminators"
-        )
 
 
 def fit_cpc(
     part: SubspacePartition,
     expert_spec: ClassifierSpec,
     disc_k: int = 25,
-    disc_spec: SoftmaxParams = DEFAULT_DISC,
 ) -> CpcModel:
     """The model of one partition: fit_cpc_many with one partition."""
-    return fit_cpc_many([part], expert_spec, disc_k, disc_spec)[0]
+    return fit_cpc_many([part], expert_spec, disc_k)[0]
 
 
 def fit_cpc_many(
     parts: list[SubspacePartition],
     expert_spec: ClassifierSpec,
     disc_k: int,
-    disc_spec: SoftmaxParams,
 ) -> list[CpcModel]:
     """Fit the subspace experts of every partition, all in one
     classifiers.fit_many call, and freeze each one's pooled routing points.
@@ -273,7 +262,7 @@ def fit_cpc_many(
     sets share both. Experts train with expert_spec exactly as given, so a
     one-sided partition reproduces the plain baseline classifier bit for bit.
     """
-    check_disc(disc_k, disc_spec)
+    check_disc(disc_k)
     subspaces = [part.subspaces() for part in parts]
     jobs = {}
     for part, rows_of in zip(parts, subspaces):
@@ -292,32 +281,30 @@ def fit_cpc_many(
             pooled_features=part.dataset.features,
             pooled_binary=binary,
             discriminator_k=disc_k,
-            discriminator_spec=disc_spec,
         ))
     return models
 
 
-def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
-                           hp: SoftmaxParams) -> np.ndarray:
+def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Fit one discriminator per query on its own neighbours, all at once.
 
     P holds each query's k neighbour features (Q, k, d), y their 0/1
     subspace labels (Q, k), X the queries (Q, d). Each discriminator is the
-    binary softmax of classifiers, fitted full-batch from zero weights by
-    the shared momentum-SGD loop. From zero its two weight columns stay
-    opposite, so only their difference u = w1 - w0 is fitted: logistic
-    regression with gradient 2 (sigma(u.x) - y) x / k + l2 u, where
-    2 sigma(m) - 1 = tanh(m / 2). The bias rides as a last weight on a
-    constant-one feature, exempt from l2. Returns each query's margin
-    u.x = s1 - s0 toward the easy side; raises Divergence when the weights
-    leave the finite range.
+    binary softmax of classifiers with the settings of DEFAULT_DISC, fitted
+    full-batch from zero weights by the shared momentum-SGD loop. From zero
+    its two weight columns stay opposite, so only their difference
+    u = w1 - w0 is fitted: logistic regression with gradient
+    2 (sigma(u.x) - y) x / k + l2 u, where 2 sigma(m) - 1 = tanh(m / 2).
+    The bias rides as a last weight on a constant-one feature, exempt from
+    l2. Returns each query's margin u.x = s1 - s0 toward the easy side;
+    raises Divergence when the weights leave the finite range.
     """
     Q, k, d = P.shape
     P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, d+1)
     P1T = np.ascontiguousarray(P1.transpose(0, 2, 1))
     half = 0.5 * P1  # exact: half margins come out bit for bit
     shift = (1.0 - 2.0 * y)[:, :, None]  # 2 sigma(m) - 2y = tanh(m/2) + shift
-    l2 = np.append(np.full(d, hp.l2), 0.0)[:, None]
+    l2 = np.append(np.full(d, DEFAULT_DISC.l2), 0.0)[:, None]
     u = np.zeros((Q, d + 1, 1))  # per query: weight difference, bias last
     r = np.empty((Q, k, 1))
     g = np.empty_like(u)
@@ -332,14 +319,15 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray,
         return None, (g,)
 
     clf_mod._momentum_sgd(
-        [u], grad, [k], hp.epochs, hp.batch_size, hp.learning_rate, hp.momentum
+        [u], grad, [k], DEFAULT_DISC.epochs, k, DEFAULT_DISC.learning_rate,
+        DEFAULT_DISC.momentum,
     )
     X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)
     return (X1[:, None, :] @ u)[:, 0, 0]
 
 
 def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
-                   k: int, hp: SoftmaxParams) -> np.ndarray:
+                   k: int) -> np.ndarray:
     """Signed margins (G, Q) toward the easy side for the queries X under G
     splits, binaries (G, n), of the same pooled points features (n, d).
 
@@ -358,7 +346,7 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
     for lo in range(0, len(queries), _SOLVE_CHUNK):
         g = splits[lo : lo + _SOLVE_CHUNK]
         q = queries[lo : lo + _SOLVE_CHUNK]
-        margins[g, q] = _discriminator_margins(features[idx[q]], nb_binary[g, q], X[q], hp)
+        margins[g, q] = _discriminator_margins(features[idx[q]], nb_binary[g, q], X[q])
     return margins
 
 
@@ -392,7 +380,7 @@ def cpc_predict_many(model: CpcModel, X) -> list[RoutedPrediction]:
 
 def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]:
     """Margins and labels (G, Q) of every row of X under each of G models
-    that split the same pooled points, with one discriminator setting: the
+    that split the same pooled points, with one neighbourhood size: the
     grid of a theta sweep.
 
     The queries' neighbours are searched once for all models and the
@@ -403,17 +391,15 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
     if any(
         m.pooled_features is not first.pooled_features
         or m.discriminator_k != first.discriminator_k
-        or m.discriminator_spec != first.discriminator_spec
         for m in models
     ):
-        raise BadSpec("grid models must share their pooled points and discriminator")
+        raise BadSpec("grid models must share their pooled points and disc_k")
     X = _as_queries(X, first.input_dim)
     margins = _route_margins(
         first.pooled_features,
         np.stack([m.pooled_binary for m in models]),
         X,
         first.discriminator_k,
-        first.discriminator_spec,
     )
     labels = np.zeros(margins.shape, dtype=np.int64)
     for g, m in enumerate(models):
@@ -434,7 +420,6 @@ class CpcConfig:
     repetitions: int = 3
     theta: float = 0.5
     disc_k: int = 25
-    disc_spec: SoftmaxParams = DEFAULT_DISC
     ease_mode: str = INCLUDE_ALL
     fold_training: str = SINGLE_FOLD
     seed: int = 0
@@ -456,4 +441,4 @@ def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:
 def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:
     """Ensemble, ease scores, partition, experts, in one call."""
     part = partition(train, ease_scores(train, cfg), cfg.theta)
-    return fit_cpc(part, cfg.expert_spec, disc_k=cfg.disc_k, disc_spec=cfg.disc_spec)
+    return fit_cpc(part, cfg.expert_spec, disc_k=cfg.disc_k)

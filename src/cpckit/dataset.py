@@ -154,12 +154,10 @@ def load_dataset(
     )
 
 
-def write_dataset(ds: LabeledDataset, path, header: bool = False) -> None:
-    """Write the CSV wire format. Dense labels go in the last column."""
+def write_dataset(ds: LabeledDataset, path) -> None:
+    """Write the CSV wire format, with no header; dense labels go last."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"f{j}" for j in range(ds.d)] + ["label"])
         for x, y in zip(ds.features, ds.labels):
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
@@ -173,7 +171,6 @@ class SplitSpec:
     train: float
     val: float
     test: float
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -211,10 +208,10 @@ def _apportion(quotas: np.ndarray, total: int, capacity: np.ndarray) -> np.ndarr
 def split(
     ds: LabeledDataset, spec: SplitSpec
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Deterministic train/val/test split.
+    """Deterministic stratified train/val/test split.
 
     Validation and test sizes are rounded to nearest; train receives the
-    residue. Stratified mode preserves per-class proportions up to rounding.
+    residue. Per-class proportions are preserved up to rounding.
     """
     if ds.n == 0:
         raise EmptyDataset("cannot split an empty dataset")
@@ -225,14 +222,6 @@ def split(
     if n_train < 0:
         raise BadFractions("rounded val and test sizes exceed the dataset")
     rng = np.random.default_rng(spec.seed)
-
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        tr = perm[:n_train]
-        va = perm[n_train : n_train + n_val]
-        te = perm[n_train + n_val :]
-        return take(ds, tr), take(ds, va), take(ds, te)
-
     class_ids = np.arange(ds.class_count)
     members = [np.flatnonzero(ds.labels == c) for c in class_ids]
     sizes = np.array([len(ix) for ix in members], dtype=np.int64)
@@ -259,8 +248,6 @@ class FoldAssignment:
     """Maps each sample position to a fold id in [0, K)."""
 
     fold_of: np.ndarray
-    K: int
-    seed: int
 
     def indices_of(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -269,28 +256,23 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of != fold)
 
 
-def kfold(ds: LabeledDataset, K: int, seed: int = 0, stratified: bool = True) -> FoldAssignment:
-    """Partition samples into K folds whose sizes differ by at most one.
+def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> FoldAssignment:
+    """Partition samples into K stratified folds whose sizes differ by one at most.
 
-    Stratified mode deals each class's shuffled samples onto a single
-    round-robin cursor, which balances classes across folds without ever
-    violating the global size bound.
+    Each class's shuffled samples are dealt onto a single round-robin
+    cursor, which balances classes across folds without ever violating the
+    global size bound.
     """
     if not (2 <= K <= ds.n):
         raise BadK(f"K={K} outside [2, n={ds.n}]")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(ds.n, dtype=np.int64)
-    if stratified:
-        cursor = 0
-        for c in range(ds.class_count):
-            for i in rng.permutation(np.flatnonzero(ds.labels == c)):
-                fold_of[i] = cursor % K
-                cursor += 1
-    else:
-        perm = rng.permutation(ds.n)
-        for pos, i in enumerate(perm):
-            fold_of[i] = pos % K
-    return FoldAssignment(fold_of=fold_of, K=K, seed=seed)
+    cursor = 0
+    for c in range(ds.class_count):
+        for i in rng.permutation(np.flatnonzero(ds.labels == c)):
+            fold_of[i] = cursor % K
+            cursor += 1
+    return FoldAssignment(fold_of=fold_of)
 
 
 # synthetic two-regime data ---------------------------------------------

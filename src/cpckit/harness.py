@@ -37,7 +37,6 @@ class ConfusionMatrix:
     """counts[i, j] = samples of true class i predicted as class j."""
 
     counts: np.ndarray
-    class_names: list[str] | None = None
 
     @property
     def class_count(self) -> int:
@@ -146,7 +145,6 @@ def write_report(report_dict: dict, path) -> None:
 @dataclass(frozen=True)
 class PreprocessConfig:
     normalize: bool = False
-    eps_norm: float = 1e-8
     zca: bool = False
     epsilon: float = 1e-6
 
@@ -174,7 +172,7 @@ class PipelineConfig:
             if self.cpc is None:
                 raise ConfigError("cpc mode needs a CpcConfig")
             check_theta(self.cpc.theta)
-            check_disc(self.cpc.disc_k, self.cpc.disc_spec)
+            check_disc(self.cpc.disc_k)
 
 
 def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
@@ -193,7 +191,7 @@ def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
     c = cfg.cpc
     parts = [partition(train, ease_scores(train, c), c.theta) for train, _ in pairs]
     out = []
-    for model, (_, test) in zip(fit_cpc_many(parts, c.expert_spec, c.disc_k, c.disc_spec), pairs):
+    for model, (_, test) in zip(fit_cpc_many(parts, c.expert_spec, c.disc_k), pairs):
         routed = cpc_predict_many(model, test.features)
         out.append((np.array([r.label for r in routed], dtype=np.int64),
                     [r.route for r in routed]))
@@ -203,8 +201,8 @@ def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
 def _prepare(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineConfig):
     """One pair after the preprocessing and extractor stages of cfg."""
     if cfg.preprocess.normalize:
-        train_ds = normalize_samples(train_ds, cfg.preprocess.eps_norm)
-        test_ds = normalize_samples(test_ds, cfg.preprocess.eps_norm)
+        train_ds = normalize_samples(train_ds)
+        test_ds = normalize_samples(test_ds)
     if cfg.preprocess.zca:
         t = fit_zca(train_ds, cfg.preprocess.epsilon)
         train_ds = apply_whitening(t, train_ds)
@@ -279,15 +277,15 @@ def theta_sweep(
     """Validation accuracy across thresholds.
 
     The base ensemble and ease scores are computed once and shared by every
-    grid point; only the partition, experts, and routing change. The grid
-    and the discriminator settings are checked before anything trains. The
-    models of theta 0 and of every grid point come from one fit_cpc_many
-    call, so each distinct row set trains once, and linear experts share
-    one stacked SGD run. The theta-0 model's lone expert is the baseline.
-    The validation queries' neighbours are searched once for all models and
-    the discriminators of all grid points are solved together; the answers
-    are those of fit_cpc and cpc_predict_many at each grid point.
-    Ties for the best threshold break toward the smaller value.
+    grid point; the grid and disc_k are checked before anything trains.
+    Thresholds between the same two distinct ease ratios split the same
+    rows, so one model is fitted and routed per distinct easy set among
+    theta 0 and the grid, and its accuracy is copied to each such point.
+    All models come from one fit_cpc_many call, so linear experts share one
+    stacked SGD run, and are routed by one cpc_predict_grid call; the
+    answers are those of fit_cpc and cpc_predict_many at each grid point.
+    The theta-0 model's lone expert is the baseline. Ties for the best
+    threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -296,12 +294,17 @@ def theta_sweep(
         raise ConfigError("theta grid must be strictly ascending")
     for theta in grid:
         check_theta(theta)
-    check_disc(cfg.disc_k, cfg.disc_spec)
+    check_disc(cfg.disc_k)
     ease = ease_scores(train_ds, cfg)
-    parts = [partition(train_ds, ease, theta) for theta in [0.0, *grid]]
-    models = fit_cpc_many(parts, cfg.expert_spec, cfg.disc_k, cfg.disc_spec)
+    thetas = [0.0, *grid]
+    # ratios >= theta depends only on how many distinct ratios lie below theta
+    easy_sets = np.searchsorted(np.unique(ease.ratios), thetas)
+    _, first, slot = np.unique(easy_sets, return_index=True, return_inverse=True)
+    parts = [partition(train_ds, ease, thetas[i]) for i in first]
+    models = fit_cpc_many(parts, cfg.expert_spec, cfg.disc_k)
     _, labels = cpc_predict_grid(models, val_ds.features)
-    baseline_acc, *accuracies = [float(np.mean(preds == val_ds.labels)) for preds in labels]
+    model_acc = [float(np.mean(preds == val_ds.labels)) for preds in labels]
+    baseline_acc, *accuracies = [model_acc[s] for s in slot]
     best = grid[int(np.argmax(accuracies))]
     return SweepResult(
         thetas=grid,

@@ -36,6 +36,8 @@ _TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
 RELU = "relu"
 IDENTITY = "identity"  # linear variant, for gradient-check builds only
 
+LR_DECAY_PER_EPOCH = 0.95  # training multiplies the learning rate by this each epoch
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -56,7 +58,6 @@ class TrainConfig:
     dropout: float = 0.2
     batch_size: int = 128
     epochs: int = 10
-    lr_decay_per_epoch: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
@@ -70,8 +71,6 @@ class TrainConfig:
             raise BadArch("batch_size must be at least 1")
         if self.epochs < 0:
             raise BadArch("epochs must be non-negative")
-        if not 0 < self.lr_decay_per_epoch <= 1:
-            raise BadArch("lr_decay_per_epoch must lie in (0, 1]")
 
 
 @dataclass
@@ -295,10 +294,10 @@ def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
 
 
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
-    """SGD with momentum and per-epoch lr decay. Returns a new model and the
-    per-epoch mean batch loss; raises Divergence if the loss leaves the
-    finite range and EmptyDataset on an empty dataset. epochs=0 returns an
-    unchanged copy."""
+    """SGD with momentum and per-epoch lr decay by LR_DECAY_PER_EPOCH.
+    Returns a new model and the per-epoch mean batch loss; raises Divergence
+    if the loss leaves the finite range and EmptyDataset on an empty
+    dataset. epochs=0 returns an unchanged copy."""
     if ds.d != m.input_dim:
         raise DimMismatch(f"model expects d={m.input_dim}, dataset has d={ds.d}")
     if ds.n == 0:
@@ -328,7 +327,7 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
         cfg.learning_rate,
         cfg.momentum,
         rngs=[rng],
-        lr_decay=cfg.lr_decay_per_epoch,
+        lr_decay=LR_DECAY_PER_EPOCH,
     )
     return model, trace
 

@@ -8,7 +8,7 @@ import pytest
 from cpckit.classifiers import fit, forest_spec, softmax_spec
 from cpckit.cli import _parse_grid, main
 from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
-from cpckit.dataset import LabeledDataset, load_dataset, write_dataset
+from cpckit.dataset import LabeledDataset, generate_two_regime, load_dataset, write_dataset
 from cpckit.errors import ConfigError
 from cpckit.harness import evaluate, report_to_json
 
@@ -314,6 +314,22 @@ class TestCpcCommand:
         )
         assert code == 1
 
+    def test_disc_k_above_n_is_clamped(self, tmp_path):
+        # on the README fixture every neighbourhood is then all 800 rows
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_dataset(generate_two_regime(400, 400, 4, 8, 6.0, 0.8, seed=0), train)
+        write_dataset(generate_two_regime(200, 200, 4, 8, 6.0, 0.8, seed=1), test)
+        reports = []
+        for disc_k in ("5000", "800"):
+            report = tmp_path / f"r{disc_k}.json"
+            assert main(["cpc", "--train", str(train), "--test", str(test), "--theta", "0.5",
+                         "--disc-k", disc_k, "--report", str(report)]) == 0
+            obj = json.loads(report.read_text())
+            del obj["config"]
+            reports.append(obj)
+        assert reports[0] == reports[1]
+        assert reports[0]["routes"]["+"] + reports[0]["routes"]["-"] == 400
+
 
 def library_report(cmd, train_path, test_path, spec, cfg):
     """The report of baseline or cpc, but for its config, built from library
@@ -383,7 +399,8 @@ class TestSweepCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "grid", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "0:1e9:1", "0:1:1e-12"]
+        "grid",
+        ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "0:1e9:1", "0:1:1e-12", "0:1:1e-7"],
     )
     def test_non_finite_or_huge_grid_is_config_error(self, data_files, grid):
         # these grids once expanded without end; a child process keeps a

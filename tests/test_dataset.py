@@ -200,14 +200,11 @@ class TestSplit:
         n=st.integers(4, 120),
         seed=st.integers(0, 10_000),
         parts=st.tuples(st.integers(1, 10), st.integers(0, 5), st.integers(0, 5)),
-        stratified=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_split_is_exact_partition(self, n, seed, parts, stratified):
+    def test_split_is_exact_partition(self, n, seed, parts):
         s = sum(parts)
-        spec = SplitSpec(
-            parts[0] / s, parts[1] / s, parts[2] / s, stratified=stratified, seed=seed
-        )
+        spec = SplitSpec(parts[0] / s, parts[1] / s, parts[2] / s, seed=seed)
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(n, 2))
         # encode identity in the feature so multisets can be compared
@@ -263,17 +260,16 @@ class TestKfold:
         n=st.integers(2, 80),
         k=st.integers(2, 8),
         seed=st.integers(0, 10_000),
-        stratified=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_balance_property(self, n, k, seed, stratified):
+    def test_balance_property(self, n, k, seed):
         if k > n:
             k = n
         rng = np.random.default_rng(seed)
         ds = LabeledDataset(
             rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), class_count=4
         )
-        fa = kfold(ds, k, seed=seed, stratified=stratified)
+        fa = kfold(ds, k, seed=seed)
         sizes = np.bincount(fa.fold_of, minlength=k)
         assert sizes.max() - sizes.min() <= 1
         assert sizes.min() >= 1

@@ -256,8 +256,8 @@ def _ref_cross_validate(ds, cfg, folds, seed):
         test_ds = take(ds, fa.indices_of(f))
         truth = test_ds.labels
         if cfg.preprocess.normalize:
-            train_ds = normalize_samples(train_ds, cfg.preprocess.eps_norm)
-            test_ds = normalize_samples(test_ds, cfg.preprocess.eps_norm)
+            train_ds = normalize_samples(train_ds)
+            test_ds = normalize_samples(test_ds)
         if cfg.preprocess.zca:
             t = fit_zca(train_ds, cfg.preprocess.epsilon)
             train_ds = apply_whitening(t, train_ds)
@@ -310,10 +310,7 @@ def _ref_theta_sweep(train_ds, val_ds, grid, cfg):
     baseline_acc = float(np.mean(baseline.predict_many(val_ds.features) == val_ds.labels))
     accuracies = []
     for theta in grid:
-        model = fit_cpc(
-            partition(train_ds, ease, theta), cfg.expert_spec,
-            disc_k=cfg.disc_k, disc_spec=cfg.disc_spec,
-        )
+        model = fit_cpc(partition(train_ds, ease, theta), cfg.expert_spec, disc_k=cfg.disc_k)
         routed = cpc_predict_many(model, val_ds.features)
         preds = np.array([r.label for r in routed], dtype=np.int64)
         accuracies.append(float(np.mean(preds == val_ds.labels)))
@@ -396,6 +393,46 @@ class TestThetaSweep:
         assert len(row_sets) == len(set(row_sets)) == 3
         assert sorted(ds.n for ds in jobs) == [40, 80, 120]
         assert res.accuracies[0] == res.accuracies[1]
+
+    def test_theta_zero_is_routed_once(self, monkeypatch):
+        # theta 0 is the baseline's easy set whether or not the grid holds it
+        train, val, cfg = self.sweep_setup(seed=4)
+        calls = []
+        real_predict_many = clf_mod.TrainedClassifier.predict_many
+
+        def spy(self, X):
+            calls.append(len(X))
+            return real_predict_many(self, X)
+
+        monkeypatch.setattr(clf_mod.TrainedClassifier, "predict_many", spy)
+        counts = []
+        for grid in ([0.5], [0.0, 0.5]):
+            calls.clear()
+            theta_sweep(train, val, grid, cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_fine_grid_routes_each_easy_set_once(self, monkeypatch):
+        import cpckit.harness as harness_mod
+
+        train, val, cfg = self.sweep_setup(seed=4)
+        routed = []
+        real_grid = harness_mod.cpc_predict_grid
+
+        def grid_spy(models, X):
+            routed.append(len(models))
+            return real_grid(models, X)
+
+        monkeypatch.setattr(harness_mod, "cpc_predict_grid", grid_spy)
+        fine = [i / 1000 for i in range(1001)]
+        res = theta_sweep(train, val, fine, cfg)
+        ratios = compute_ease(
+            train_base_ensemble(train, cfg.k_folds, cfg.repetitions, cfg.base_spec,
+                                seed=cfg.seed), train).ratios
+        assert routed[-1] == len({tuple(ratios >= t) for t in fine})
+        coarse = theta_sweep(train, val, fine[::100], cfg)
+        assert res.accuracies[::100] == coarse.accuracies
+        assert res.baseline_accuracy == coarse.baseline_accuracy
 
     def test_bad_grid_value_refused_before_any_fit(self, monkeypatch):
         train, val, cfg = self.sweep_setup()

@@ -9,6 +9,7 @@ from cpckit.dataset import LabeledDataset
 from cpckit.errors import BadArch, DimMismatch, Divergence, EmptyDataset
 from cpckit.mlp import (
     IDENTITY,
+    LR_DECAY_PER_EPOCH,
     PLAIN,
     RELU,
     RESIDUAL_ADD,
@@ -376,7 +377,7 @@ def _ref_train(m, ds, cfg):
             model.head_w = model.head_w + vel_hw
             model.head_b = model.head_b + vel_hb
         trace.append(float(np.mean(losses)))
-        lr *= cfg.lr_decay_per_epoch
+        lr *= LR_DECAY_PER_EPOCH
     return model, trace
 
 
@@ -388,7 +389,7 @@ class TestTrainMatchesReference:
         m = build_mlp(4, blocks, 3, seed=2)
         cfg = TrainConfig(
             learning_rate=0.1, momentum=0.8, dropout=0.3, batch_size=batch_size,
-            epochs=6, lr_decay_per_epoch=0.9, seed=4,
+            epochs=6, seed=4,
         )
         got, trace = train(m, ds, cfg)
         want, want_trace = _ref_train(m, ds, cfg)
