@@ -50,9 +50,6 @@ from .dataset import (
     write_dataset,
 )
 from .harness import (
-    ConfusionMatrix,
-    CvResult,
-    EvalReport,
     PipelineConfig,
     SweepResult,
     compare,

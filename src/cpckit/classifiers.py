@@ -661,9 +661,14 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows by Euclidean distance, ascending.
 
     Distance ties break toward the lower index; k larger than the row count
-    clamps to all rows.
+    clamps to all rows. Squares that overflow (features above about 1e154)
+    are recomputed on rows and query divided by their largest magnitude.
     """
-    dist = np.sum((features - x) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        dist = np.sum((features - x) ** 2, axis=1)
+    if not np.isfinite(dist).all():
+        s = max(np.abs(features).max(), np.abs(x).max())
+        dist = np.sum((features / s - x / s) ** 2, axis=1)
     order = np.argsort(dist, kind="stable")
     return order[: min(k, len(features))]
 

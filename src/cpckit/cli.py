@@ -30,7 +30,6 @@ from .harness import (
     PreprocessConfig,
     cross_validate,
     evaluate,
-    report_to_json,
     run_pipeline,
     theta_sweep,
     write_report,
@@ -275,8 +274,8 @@ def _cmd_train_test(args) -> int:
         config=_echo(args, spec),
         seed=args.seed,
     )
-    write_report(report_to_json(report), args.report)
-    print(f"accuracy {report.overall_accuracy:.4f}")
+    write_report(report, args.report)
+    print(f"accuracy {report['accuracy']:.4f}")
     return 0
 
 
@@ -311,17 +310,8 @@ def _cmd_cv(args) -> int:
     ds = load_dataset(args.input, has_header=args.has_header)
     spec = _clf_spec(args)
     result = cross_validate(ds, _pipeline_config(args, spec), folds=args.folds, seed=args.seed)
-    write_report(
-        {
-            "folds": [report_to_json(r) for r in result.fold_reports],
-            "mean_accuracy": result.mean_accuracy,
-            "std_accuracy": result.std_accuracy,
-            "config": _echo(args, spec),
-            "seed": args.seed,
-        },
-        args.report,
-    )
-    print(f"mean accuracy {result.mean_accuracy:.4f} (+/- {result.std_accuracy:.4f})")
+    write_report({**result, "config": _echo(args, spec), "seed": args.seed}, args.report)
+    print(f"mean accuracy {result['mean_accuracy']:.4f} (+/- {result['std_accuracy']:.4f})")
     return 0
 
 

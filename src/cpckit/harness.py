@@ -1,8 +1,8 @@
-"""Evaluation harness: confusion matrices, reports, cross-validation,
+"""Evaluation harness: confusion counts, reports, cross-validation,
 threshold sweeps, and baseline-vs-routed comparisons.
 
-Report JSON is deterministic (sorted keys, no timestamps) so identical
-configurations and seeds reproduce identical bytes.
+Reports are plain dicts, written as JSON as they are: sorted keys and no
+timestamps, so identical configurations and seeds give identical bytes.
 """
 
 from __future__ import annotations
@@ -32,33 +32,8 @@ from .mlp import TrainConfig, build_mlp, extract_features, parse_arch, train
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[i, j] = samples of true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    @property
-    def class_count(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / self.total
-
-    def per_class_accuracy(self) -> list[float | None]:
-        """Diagonal over row sums; None where a class has no true samples."""
-        out = []
-        for i in range(self.class_count):
-            row = self.counts[i].sum()
-            out.append(float(self.counts[i, i] / row) if row else None)
-        return out
-
-
-def confusion(preds, truth, class_count: int) -> ConfusionMatrix:
+def confusion(preds, truth, class_count: int) -> np.ndarray:
+    """(C, C) int64 counts: [i, j] = samples of true class i predicted as j."""
     preds = np.asarray(preds, dtype=np.int64).reshape(-1)
     truth = np.asarray(truth, dtype=np.int64).reshape(-1)
     if len(preds) != len(truth):
@@ -70,17 +45,7 @@ def confusion(preds, truth, class_count: int) -> ConfusionMatrix:
         raise LabelOutOfRange(f"labels outside [0, {class_count})")
     counts = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(counts, (truth, preds), 1)
-    return ConfusionMatrix(counts=counts)
-
-
-@dataclass
-class EvalReport:
-    overall_accuracy: float
-    per_class_accuracy: list[float | None]
-    confusion: ConfusionMatrix
-    route_stats: dict | None
-    config_echo: dict
-    seed: int
+    return counts
 
 
 def evaluate(
@@ -90,13 +55,16 @@ def evaluate(
     routes=None,
     config: dict | None = None,
     seed: int = 0,
-) -> EvalReport:
-    """Score predictions against ground truth.
+) -> dict:
+    """Score predictions against ground truth as the report dict the CLI
+    writes: accuracy, per-class accuracy (diagonal over row sums, None
+    where a class has no true samples), confusion counts, route stats,
+    config and seed.
 
     routes, when given, is a per-sample "+"/"-" sequence and produces
     per-route counts and accuracies (None when a route saw no samples).
     """
-    cm = confusion(preds, truth, class_count)
+    counts = confusion(preds, truth, class_count)
     route_stats = None
     if routes is not None:
         preds_arr = np.asarray(preds, dtype=np.int64)
@@ -113,24 +81,14 @@ def evaluate(
             "acc+": float(hit[plus].mean()) if n_plus else None,
             "acc-": float(hit[~plus].mean()) if n_minus else None,
         }
-    return EvalReport(
-        overall_accuracy=cm.accuracy(),
-        per_class_accuracy=cm.per_class_accuracy(),
-        confusion=cm,
-        route_stats=route_stats,
-        config_echo=dict(config or {}),
-        seed=seed,
-    )
-
-
-def report_to_json(report: EvalReport) -> dict:
+    rows = counts.sum(axis=1)
     return {
-        "accuracy": report.overall_accuracy,
-        "per_class": report.per_class_accuracy,
-        "confusion": report.confusion.counts.tolist(),
-        "routes": report.route_stats,
-        "config": report.config_echo,
-        "seed": report.seed,
+        "accuracy": float(np.trace(counts)) / int(counts.sum()),
+        "per_class": [float(counts[i, i] / row) if row else None for i, row in enumerate(rows)],
+        "confusion": counts.tolist(),
+        "routes": route_stats,
+        "config": dict(config or {}),
+        "seed": seed,
     }
 
 
@@ -229,20 +187,14 @@ def _prepare(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineCon
 
 # cross-validation --------------------------------------------------------
 
-@dataclass
-class CvResult:
-    fold_reports: list[EvalReport]
-    mean_accuracy: float
-    std_accuracy: float
-
-
 def cross_validate(
     ds: LabeledDataset, cfg: PipelineConfig, folds: int = 5, seed: int = 0
-) -> CvResult:
+) -> dict:
     """K-fold protocol: each fold is scored once by a pipeline trained on
     the others, all folds in one run_pipeline call, so their baseline
-    classifiers train together. Mean is the arithmetic mean of fold
-    accuracies; std is the population deviation over folds."""
+    classifiers train together. Returns {"folds": one evaluate report per
+    fold, "mean_accuracy", "std_accuracy"}: the arithmetic mean of fold
+    accuracies and their population deviation."""
     fa = kfold(ds, folds, seed=seed)
     tests = [take(ds, fa.indices_of(f)) for f in range(folds)]
     pairs = ((take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests))
@@ -250,12 +202,12 @@ def cross_validate(
         evaluate(preds, test.labels, ds.class_count, routes=routes, config={"fold": f}, seed=seed)
         for f, (test, (preds, routes)) in enumerate(zip(tests, run_pipeline(pairs, cfg)))
     ]
-    accs = np.array([r.overall_accuracy for r in reports])
-    return CvResult(
-        fold_reports=reports,
-        mean_accuracy=float(accs.mean()),
-        std_accuracy=float(accs.std()),
-    )
+    accs = np.array([r["accuracy"] for r in reports])
+    return {
+        "folds": reports,
+        "mean_accuracy": float(accs.mean()),
+        "std_accuracy": float(accs.std()),
+    }
 
 
 # theta sweep ---------------------------------------------------------------

@@ -243,21 +243,24 @@ class Gradients:
     head_b: np.ndarray
 
 
-def _mean_ce(scores, y):
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(logz - shifted[np.arange(len(y)), y]))
-
-
-def _backward_from_caches(m, y, scores, head_in, caches):
+def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
+    """Mean cross-entropy over the batch and its exact parameter gradients,
+    both from one softmax of the scores."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    scores, outputs, caches = _forward_batch(
+        m, X, train_mode=train_mode, dropout=dropout, rng=rng
+    )
     n = len(y)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expl = np.exp(shifted)
-    P = expl / expl.sum(axis=1, keepdims=True)
+    rowsum = expl.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(rowsum[:, 0]) - shifted[np.arange(n), y]))
+    P = expl / rowsum
     P[np.arange(n), y] -= 1.0
     g = P / n  # d loss / d scores
 
-    gh_w = g.T @ head_in
+    gh_w = g.T @ outputs[-1]
     gh_b = g.sum(axis=0)
     g_x = g @ m.head_w
 
@@ -278,19 +281,7 @@ def _backward_from_caches(m, y, scores, head_in, caches):
         gws[i] = g_z.T @ x_in
         gbs[i] = g_z.sum(axis=0)
         g_x = g_z @ m.weights[i] + g_skip
-    return Gradients(weights=gws, biases=gbs, head_w=gh_w, head_b=gh_b)
-
-
-def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
-    """Mean cross-entropy over the batch and its exact parameter gradients."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    scores, outputs, caches = _forward_batch(
-        m, X, train_mode=train_mode, dropout=dropout, rng=rng
-    )
-    loss = _mean_ce(scores, y)
-    grads = _backward_from_caches(m, y, scores, outputs[-1], caches)
-    return loss, grads
+    return loss, Gradients(weights=gws, biases=gbs, head_w=gh_w, head_b=gh_b)
 
 
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:

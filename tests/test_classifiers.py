@@ -715,6 +715,21 @@ class TestKnn:
             with pytest.raises(NonFinite):
                 neighbors(ds, [bad, 0.0], 3)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300, 1e307])
+    def test_neighbors_survive_overflowing_squares(self, scale):
+        # squared distances overflow above about 1e154; the order must not change
+        X = np.random.default_rng(0).standard_normal((50, 3)) * scale
+        ds = LabeledDataset(X, np.zeros(50, dtype=int), class_count=1)
+        assert neighbors(ds, X[30], 3).tolist() == [30, 44, 26]
+
+    def test_knn_predict_is_scale_free(self):
+        ds = blobs(90, 3, 3, seed=11, margin=2.0)
+        queries = blobs(40, 3, 3, seed=12, margin=2.0).features
+        want = fit(knn_spec(k=5), ds).predict_many(queries)
+        big = LabeledDataset(ds.features * 1e160, ds.labels, ds.class_count)
+        got = fit(knn_spec(k=5), big).predict_many(queries * 1e160)
+        assert np.array_equal(got, want)
+
     @given(
         n=st.integers(1, 40),
         k=st.integers(1, 50),

@@ -10,7 +10,7 @@ from cpckit.cli import _parse_grid, main
 from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
 from cpckit.dataset import LabeledDataset, generate_two_regime, load_dataset, write_dataset
 from cpckit.errors import ConfigError
-from cpckit.harness import evaluate, report_to_json
+from cpckit.harness import PipelineConfig, PreprocessConfig, cross_validate, evaluate
 
 from conftest import run_python
 
@@ -342,8 +342,7 @@ def library_report(cmd, train_path, test_path, spec, cfg):
         routed = cpc_predict_many(train_cpc(train, cfg), test.features)
         preds = np.array([r.label for r in routed])
         routes = [r.route for r in routed]
-    report = report_to_json(evaluate(preds, test.labels, train.class_count, routes=routes,
-                                     seed=cfg.seed))
+    report = evaluate(preds, test.labels, train.class_count, routes=routes, seed=cfg.seed)
     del report["config"]
     return report
 
@@ -459,6 +458,26 @@ class TestCvCommand:
         assert code == 0
         obj = json.loads(report.read_text())
         assert all(f["routes"] is not None for f in obj["folds"])
+
+    @pytest.mark.parametrize("mode", ["baseline", "cpc"])
+    def test_report_matches_library(self, data_files, mode):
+        tmp, train, _ = data_files
+        report = tmp / "cv.json"
+        assert main(["cv", "--in", str(train), "--folds", "3", "--mode", mode, "--theta", "0.5",
+                     "--disc-k", "5", "--epochs", "20", "--seed", "4", "--zca",
+                     "--report", str(report)]) == 0
+        got = json.loads(report.read_text())
+        del got["config"]
+        spec = softmax_spec(epochs=20, seed=4)
+        cfg = PipelineConfig(
+            mode=mode,
+            spec=spec,
+            cpc=CpcConfig(base_spec=spec, expert_spec=spec, theta=0.5, disc_k=5, seed=4)
+            if mode == "cpc" else None,
+            preprocess=PreprocessConfig(zca=True),
+        )
+        want = cross_validate(load_dataset(train), cfg, folds=3, seed=4)
+        assert got == json.loads(json.dumps({**want, "seed": 4}))
 
 
 class TestTopLevel:

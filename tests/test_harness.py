@@ -28,7 +28,6 @@ from cpckit.harness import (
     confusion,
     cross_validate,
     evaluate,
-    report_to_json,
     run_pipeline,
     theta_sweep,
     write_report,
@@ -53,40 +52,39 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         truth = rng.integers(0, 4, size=200)
         preds = rng.integers(0, 4, size=200)
-        cm = confusion(preds, truth, 4)
+        counts = confusion(preds, truth, 4)
         manual = np.zeros((4, 4), dtype=np.int64)
         for p, t in zip(preds, truth):
             manual[t, p] += 1
-        assert np.array_equal(cm.counts, manual)
+        assert np.array_equal(counts, manual)
 
     def test_row_sums_are_truth_counts(self):
         rng = np.random.default_rng(1)
         truth = rng.integers(0, 3, size=150)
         preds = rng.integers(0, 3, size=150)
-        cm = confusion(preds, truth, 3)
-        assert np.array_equal(cm.counts.sum(axis=1), np.bincount(truth, minlength=3))
+        counts = confusion(preds, truth, 3)
+        assert np.array_equal(counts.sum(axis=1), np.bincount(truth, minlength=3))
 
     def test_trace_over_n_is_accuracy(self):
         rng = np.random.default_rng(2)
         truth = rng.integers(0, 5, size=137)
         preds = rng.integers(0, 5, size=137)
-        cm = confusion(preds, truth, 5)
+        rep = evaluate(preds, truth, 5)
         direct = float(np.mean(preds == truth))
-        assert abs(cm.accuracy() - direct) <= 1e-12
+        assert abs(rep["accuracy"] - direct) <= 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 4, size=120)
         preds = rng.integers(0, 4, size=120)
-        base = confusion(preds, truth, 4).counts
+        base = confusion(preds, truth, 4)
         for _ in range(10):
             perm = rng.permutation(4)
-            relabeled = confusion(perm[preds], perm[truth], 4).counts
+            relabeled = confusion(perm[preds], perm[truth], 4)
             assert np.array_equal(relabeled[np.ix_(perm, perm)], base)
 
     def test_per_class_none_for_absent_class(self):
-        cm = confusion([0, 0, 2], [0, 0, 2], 3)
-        per = cm.per_class_accuracy()
+        per = evaluate([0, 0, 2], [0, 0, 2], 3)["per_class"]
         assert per[0] == 1.0 and per[1] is None and per[2] == 1.0
 
     def test_errors(self):
@@ -106,7 +104,7 @@ class TestEvaluate:
         truth = [0, 1, 0, 0, 0]
         routes = ["+", "+", "-", "-", "-"]
         rep = evaluate(preds, truth, 2, routes=routes)
-        assert rep.route_stats == {
+        assert rep["routes"] == {
             "+": 2,
             "-": 3,
             "acc+": 1.0,
@@ -115,8 +113,8 @@ class TestEvaluate:
 
     def test_unused_route_has_none_accuracy(self):
         rep = evaluate([0, 1], [0, 1], 2, routes=["+", "+"])
-        assert rep.route_stats["-"] == 0
-        assert rep.route_stats["acc-"] is None
+        assert rep["routes"]["-"] == 0
+        assert rep["routes"]["acc-"] is None
 
     def test_routes_length_checked(self):
         with pytest.raises(LengthMismatch):
@@ -124,18 +122,17 @@ class TestEvaluate:
 
     def test_no_routes_no_stats(self):
         rep = evaluate([0, 1], [0, 1], 2)
-        assert rep.route_stats is None
+        assert rep["routes"] is None
 
     def test_config_and_seed_echoed(self):
         rep = evaluate([0], [0], 1, config={"k": 5}, seed=77)
-        assert rep.config_echo == {"k": 5}
-        assert rep.seed == 77
+        assert rep["config"] == {"k": 5}
+        assert rep["seed"] == 77
 
 
 class TestReportJson:
     def test_schema_keys(self):
-        rep = evaluate([0, 1], [0, 1], 2, routes=["+", "-"], seed=3)
-        obj = report_to_json(rep)
+        obj = evaluate([0, 1], [0, 1], 2, routes=["+", "-"], seed=3)
         assert set(obj) == {"accuracy", "per_class", "confusion", "routes", "config", "seed"}
         assert obj["accuracy"] == 1.0
         assert obj["confusion"] == [[1, 0], [0, 1]]
@@ -143,8 +140,8 @@ class TestReportJson:
     def test_write_is_byte_deterministic(self, tmp_path):
         rep = evaluate([0, 1, 1], [0, 1, 0], 2, config={"b": 1, "a": 2}, seed=1)
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        write_report(report_to_json(rep), p1)
-        write_report(report_to_json(rep), p2)
+        write_report(rep, p1)
+        write_report(rep, p2)
         b1, b2 = p1.read_bytes(), p2.read_bytes()
         assert b1 == b2
         assert b1.endswith(b"\n")
@@ -152,7 +149,7 @@ class TestReportJson:
 
     def test_null_per_class_survives_json(self):
         rep = evaluate([0, 0], [0, 0], 2)
-        text = json.dumps(report_to_json(rep))
+        text = json.dumps(rep)
         assert json.loads(text)["per_class"] == [1.0, None]
 
 
@@ -224,17 +221,17 @@ class TestCrossValidate:
         ds = blobs(n=83, seed=8)
         cfg = PipelineConfig(mode="baseline", spec=knn_spec(k=3))
         res = cross_validate(ds, cfg, folds=5, seed=0)
-        accs = [r.overall_accuracy for r in res.fold_reports]
-        assert abs(res.mean_accuracy - sum(accs) / len(accs)) <= 1e-12
-        assert abs(res.std_accuracy - float(np.std(accs))) <= 1e-12
-        tested = sum(r.confusion.total for r in res.fold_reports)
+        accs = [r["accuracy"] for r in res["folds"]]
+        assert abs(res["mean_accuracy"] - sum(accs) / len(accs)) <= 1e-12
+        assert abs(res["std_accuracy"] - float(np.std(accs))) <= 1e-12
+        tested = sum(int(np.sum(r["confusion"])) for r in res["folds"])
         assert tested == ds.n
 
     def test_fold_config_recorded(self):
         ds = blobs(n=40, seed=9)
         cfg = PipelineConfig(mode="baseline", spec=knn_spec(k=1))
         res = cross_validate(ds, cfg, folds=4, seed=1)
-        assert [r.config_echo["fold"] for r in res.fold_reports] == [0, 1, 2, 3]
+        assert [r["config"]["fold"] for r in res["folds"]] == [0, 1, 2, 3]
 
     def test_cpc_mode(self):
         ds = blobs(n=50, seed=10)
@@ -243,7 +240,7 @@ class TestCrossValidate:
         )
         cfg = PipelineConfig(mode="cpc", spec=knn_spec(), cpc=cpc_cfg)
         res = cross_validate(ds, cfg, folds=3, seed=2)
-        assert all(r.route_stats is not None for r in res.fold_reports)
+        assert all(r["routes"] is not None for r in res["folds"])
 
 
 def _ref_cross_validate(ds, cfg, folds, seed):
@@ -295,7 +292,7 @@ class TestStagedCrossValidate:
         )
         res = cross_validate(ds, cfg, folds=4, seed=5)
         want = _ref_cross_validate(ds, cfg, folds=4, seed=5)
-        assert [report_to_json(r) for r in res.fold_reports] == [report_to_json(r) for r in want]
+        assert res["folds"] == want
 
 
 def _ref_theta_sweep(train_ds, val_ds, grid, cfg):
