@@ -661,15 +661,20 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows by Euclidean distance, ascending.
 
     Distance ties break toward the lower index; k larger than the row count
-    clamps to all rows. Squares that overflow (features above about 1e154)
-    are recomputed on rows and query divided by their largest magnitude.
+    clamps to all rows. Rows whose squared distance overflows (above about
+    1e154 away) come after every other row, ordered by a scaled norm.
     """
     with np.errstate(over="ignore"):
         dist = np.sum((features - x) ** 2, axis=1)
-    if not np.isfinite(dist).all():
-        s = max(np.abs(features).max(), np.abs(x).max())
-        dist = np.sum((features / s - x / s) ** 2, axis=1)
+    far = ~np.isfinite(dist)
     order = np.argsort(dist, kind="stable")
+    if far.any():
+        # halved differences cannot overflow; m * sqrt(mean((diff / m)^2))
+        # is their norm over sqrt(d), which cannot overflow either
+        diff = features[far] / 2 - x / 2
+        m = np.abs(diff).max(axis=1, keepdims=True)
+        norm = m[:, 0] * np.sqrt(np.mean((diff / m) ** 2, axis=1))
+        order[len(order) - len(norm):] = np.flatnonzero(far)[np.argsort(norm, kind="stable")]
     return order[: min(k, len(features))]
 
 

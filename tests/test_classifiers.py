@@ -722,6 +722,24 @@ class TestKnn:
         ds = LabeledDataset(X, np.zeros(50, dtype=int), class_count=1)
         assert neighbors(ds, X[30], 3).tolist() == [30, 44, 26]
 
+    def test_one_far_row_leaves_the_others_ordered(self):
+        # an outlier whose squared distance overflows must not blur the rest
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        ds = LabeledDataset(X, np.zeros(50, dtype=int), class_count=1)
+        out = LabeledDataset(np.vstack([X, np.full((1, 3), 1e200)]),
+                             np.zeros(51, dtype=int), class_count=1)
+        for q in X[:10]:
+            assert neighbors(out, q, 51).tolist() == neighbors(ds, q, 50).tolist() + [50]
+
+    def test_far_rows_keep_their_order(self):
+        X = np.vstack([np.random.default_rng(0).standard_normal((20, 3)),
+                       [[3e200, 0, 0], [-1.7e308, 0, 0], [1e200, 0, 0], [0, 2e200, 0]]])
+        ds = LabeledDataset(X, np.zeros(24, dtype=int), class_count=1)
+        assert neighbors(ds, [0.0, 0.0, 0.0], 24)[20:].tolist() == [22, 23, 20, 21]
+        # from a far query, near rows tie at 1e200 and keep their index order
+        want = [22, *range(20), 20, 23, 21]
+        assert neighbors(ds, [1e200, 0.0, 0.0], 24).tolist() == want
+
     def test_knn_predict_is_scale_free(self):
         ds = blobs(90, 3, 3, seed=11, margin=2.0)
         queries = blobs(40, 3, 3, seed=12, margin=2.0).features
