@@ -64,7 +64,7 @@ from .mlp import (
     TrainConfig,
     build_mlp,
     extract_features,
-    forward,
+    fit_extractor,
     parse_arch,
     train,
 )

@@ -154,7 +154,12 @@ class TrainedClassifier:
         return int(self.predict_many(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_many(self, X) -> np.ndarray:
-        return _PREDICTORS[self.spec.kind](self, _as_queries(X, self.input_dim))
+        """The class of the top score, ties to the lower class id; knn
+        breaks vote ties toward the class of the nearest member."""
+        X = _as_queries(X, self.input_dim)
+        if self.spec.kind == KNN:
+            return self.classes_seen[[_knn_vote(self, x)[0] for x in X]]
+        return self.classes_seen[np.argmax(_SCORERS[self.spec.kind](self, X), axis=1)]
 
     def decision_scores(self, X) -> np.ndarray:
         """Per-class scores over classes_seen: margins for the linear kinds,
@@ -411,12 +416,6 @@ def _svm_step(hp: SvmParams, W, b, X, y, pad, nb):
     return loss, _weight_grads(coef, X, nb, hp.l2, W), coef.sum(axis=1) / nb[:, None]
 
 
-def _predict_linear(clf, X):
-    s = clf.state
-    scores = X @ s.weights.T + s.bias
-    return clf.classes_seen[np.argmax(scores, axis=1)]
-
-
 def _scores_linear(clf, X):
     s = clf.state
     return X @ s.weights.T + s.bias
@@ -644,11 +643,6 @@ def _forest_votes(clf, X):
     return votes
 
 
-def _predict_forest(clf, X):
-    votes = _forest_votes(clf, X)
-    return clf.classes_seen[np.argmax(votes, axis=1)]  # vote ties -> lower id
-
-
 # k-nearest-neighbors -----------------------------------------------------
 
 @dataclass
@@ -705,10 +699,6 @@ def _knn_vote(clf, x):
     return winner, votes
 
 
-def _predict_knn(clf, X):
-    return clf.classes_seen[[_knn_vote(clf, x)[0] for x in X]]
-
-
 def _scores_knn(clf, X):
     return np.stack([_knn_vote(clf, x)[1] for x in X]).astype(np.float64)
 
@@ -716,13 +706,6 @@ def _scores_knn(clf, X):
 _LINEAR_STEPS = {
     SOFTMAX: _softmax_step,
     LINEAR_SVM: _svm_step,
-}
-
-_PREDICTORS = {
-    SOFTMAX: _predict_linear,
-    LINEAR_SVM: _predict_linear,
-    RANDOM_FOREST: _predict_forest,
-    KNN: _predict_knn,
 }
 
 _SCORERS = {

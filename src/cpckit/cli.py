@@ -35,15 +35,7 @@ from .harness import (
     write_report,
     write_sweep_curve,
 )
-from .mlp import (
-    TrainConfig,
-    build_mlp,
-    extract_features,
-    load_mlp,
-    parse_arch,
-    save_mlp,
-    train,
-)
+from .mlp import TrainConfig, extract_features, fit_extractor, load_mlp, save_mlp
 from .preprocess import (
     apply_whitening,
     fit_zca,
@@ -221,20 +213,6 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train_extractor(args) -> int:
     ds = load_dataset(args.input, has_header=args.has_header)
-    input_dim, blocks, class_count = parse_arch(args.arch)
-    if input_dim != ds.d:
-        raise ConfigError(f"arch expects in:{input_dim} but data has d={ds.d}")
-    if class_count < ds.class_count:
-        raise ConfigError(
-            f"arch head:{class_count} is narrower than {ds.class_count} classes"
-        )
-    model = build_mlp(
-        input_dim,
-        blocks,
-        class_count,
-        seed=args.seed,
-        feature_tap=args.feature_tap,
-    )
     cfg = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
@@ -243,7 +221,7 @@ def _cmd_train_extractor(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
-    model, trace = train(model, ds, cfg)
+    model, trace = fit_extractor(ds, args.arch, cfg, feature_tap=args.feature_tap)
     save_mlp(model, args.model_out)
     if trace:
         print(f"final epoch loss {trace[-1]:.6f}")

@@ -28,7 +28,7 @@ from .cpc import (
 )
 from .dataset import LabeledDataset, kfold, take
 from .errors import ConfigError, LabelOutOfRange, LengthMismatch
-from .mlp import TrainConfig, build_mlp, extract_features, parse_arch, train
+from .mlp import TrainConfig, extract_features, fit_extractor
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
 
@@ -166,20 +166,7 @@ def _prepare(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineCon
         train_ds = apply_whitening(t, train_ds)
         test_ds = apply_whitening(t, test_ds)
     if cfg.extractor is not None:
-        input_dim, blocks, class_count = parse_arch(cfg.extractor.arch)
-        if input_dim != train_ds.d:
-            raise ConfigError(
-                f"arch expects in:{input_dim} but data has d={train_ds.d}"
-            )
-        if class_count != train_ds.class_count:
-            raise ConfigError(
-                f"arch expects head:{class_count} but data has "
-                f"{train_ds.class_count} classes"
-            )
-        model = build_mlp(
-            input_dim, blocks, class_count, seed=cfg.extractor.train.seed
-        )
-        model, _ = train(model, train_ds, cfg.extractor.train)
+        model, _ = fit_extractor(train_ds, cfg.extractor.arch, cfg.extractor.train)
         train_ds = extract_features(model, train_ds)
         test_ds = extract_features(model, test_ds)
     return train_ds, test_ds

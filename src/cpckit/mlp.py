@@ -197,9 +197,10 @@ def _act(m: MlpModel, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) if m.activation == RELU else z
 
 
-def _forward_batch(m, X, train_mode=False, dropout=0.0, rng=None):
-    """Returns (scores, block_outputs, caches). Dropout masks only exist in
-    train mode; scaling is inverted so eval needs no correction."""
+def _forward_batch(m, X, dropout=0.0, rng=None):
+    """Returns (scores, block_outputs, caches). A positive dropout with an
+    rng is training and draws masks; scaling is inverted so evaluation
+    needs no correction."""
     caches = []
     outputs = []
     x = X
@@ -207,7 +208,7 @@ def _forward_batch(m, X, train_mode=False, dropout=0.0, rng=None):
         z = x @ W.T + b
         a = _act(m, z)
         mask = None
-        if train_mode and dropout > 0.0:
+        if dropout > 0.0 and rng is not None:
             mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
             a = a * mask
         if spec.kind == PLAIN:
@@ -223,34 +224,18 @@ def _forward_batch(m, X, train_mode=False, dropout=0.0, rng=None):
     return scores, outputs, caches
 
 
-def forward(m: MlpModel, x, train_mode: bool = False, seed: int = 0, dropout: float = 0.0):
-    """Single-sample forward pass: (class scores, per-block activations)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != m.input_dim:
-        raise DimMismatch(f"model expects d={m.input_dim}, got {x.shape[0]}")
-    rng = np.random.default_rng(seed) if train_mode else None
-    scores, outputs, _ = _forward_batch(
-        m, x[None, :], train_mode=train_mode, dropout=dropout, rng=rng
-    )
-    return scores[0], [o[0] for o in outputs]
+def _params(m: MlpModel) -> list[np.ndarray]:
+    """The model's parameter arrays, in the order of its gradients."""
+    return m.weights + m.biases + [m.head_w, m.head_b]
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-
-def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
+def loss_and_gradients(m, X, y, dropout=0.0, rng=None):
     """Mean cross-entropy over the batch and its exact parameter gradients,
-    both from one softmax of the scores."""
+    both from one softmax of the scores. The gradients come as a list in
+    the order of _params(m)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    scores, outputs, caches = _forward_batch(
-        m, X, train_mode=train_mode, dropout=dropout, rng=rng
-    )
+    scores, outputs, caches = _forward_batch(m, X, dropout=dropout, rng=rng)
     n = len(y)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expl = np.exp(shifted)
@@ -281,7 +266,7 @@ def loss_and_gradients(m, X, y, train_mode=False, dropout=0.0, rng=None):
         gws[i] = g_z.T @ x_in
         gbs[i] = g_z.sum(axis=0)
         g_x = g_z @ m.weights[i] + g_skip
-    return loss, Gradients(weights=gws, biases=gbs, head_w=gh_w, head_b=gh_b)
+    return loss, gws + gbs + [gh_w, gh_b]
 
 
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
@@ -299,18 +284,12 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
     rng = np.random.default_rng(cfg.seed)
 
     def grad(rows):
-        loss, g = loss_and_gradients(
-            model,
-            ds.features[rows[0]],
-            ds.labels[rows[0]],
-            train_mode=True,
-            dropout=cfg.dropout,
-            rng=rng,
+        return loss_and_gradients(
+            model, ds.features[rows[0]], ds.labels[rows[0]], cfg.dropout, rng
         )
-        return loss, g.weights + g.biases + [g.head_w, g.head_b]
 
     [trace] = _momentum_sgd(
-        model.weights + model.biases + [model.head_w, model.head_b],
+        _params(model),
         grad,
         [ds.n],
         cfg.epochs,
@@ -321,6 +300,21 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
         lr_decay=LR_DECAY_PER_EPOCH,
     )
     return model, trace
+
+
+def fit_extractor(
+    ds: LabeledDataset, arch: str, cfg: TrainConfig, feature_tap: int | None = None
+) -> tuple[MlpModel, list[float]]:
+    """The extractor stage: parse arch, check it against ds, build with
+    cfg.seed and train. in: must equal ds.d and head: must be at least
+    ds.class_count; raises BadArch otherwise."""
+    input_dim, blocks, class_count = parse_arch(arch)
+    if input_dim != ds.d:
+        raise BadArch(f"arch expects in:{input_dim} but data has d={ds.d}")
+    if class_count < ds.class_count:
+        raise BadArch(f"arch head:{class_count} is narrower than {ds.class_count} classes")
+    model = build_mlp(input_dim, blocks, class_count, seed=cfg.seed, feature_tap=feature_tap)
+    return train(model, ds, cfg)
 
 
 def extract_features(m: MlpModel, ds: LabeledDataset) -> LabeledDataset:

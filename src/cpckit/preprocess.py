@@ -8,12 +8,13 @@ invocations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import DimMismatch, TooFewSamples
+from .errors import ConfigError, DimMismatch, NumericalError, TooFewSamples
 
 
 def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledDataset:
@@ -21,7 +22,10 @@ def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledData
 
     The divisor is max(std, eps_norm), so constant rows map to zeros
     instead of NaNs. Population std (ddof=0) over the row's components.
+    Raises ConfigError unless eps_norm is finite.
     """
+    if not math.isfinite(eps_norm):
+        raise ConfigError(f"eps_norm must be finite, got {eps_norm!r}")
     mu = ds.features.mean(axis=1, keepdims=True)
     sd = ds.features.std(axis=1, keepdims=True)
     out = (ds.features - mu) / np.maximum(sd, eps_norm)
@@ -55,14 +59,24 @@ def fit_zca(ds: LabeledDataset, epsilon: float = 1e-6) -> WhiteningTransform:
     """Fit the whitening rotation from the sample covariance (divisor n-1).
 
     Eigenvalues are clamped at zero before the shift by epsilon, which keeps
-    the inverse square root real under round-off.
+    the inverse square root real under round-off. Raises ConfigError unless
+    epsilon is finite and positive, and NumericalError when the covariance
+    overflows or its eigendecomposition fails.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon!r}")
     if ds.n < 2:
         raise TooFewSamples(f"covariance needs at least 2 samples, got {ds.n}")
-    mean = ds.features.mean(axis=0)
-    centered = ds.features - mean
-    cov = centered.T @ centered / (ds.n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.features.mean(axis=0)
+        centered = ds.features - mean
+        cov = centered.T @ centered / (ds.n - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalError("the covariance overflows the float range")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"covariance eigendecomposition failed: {e}") from None
     eigvals = np.maximum(eigvals, 0.0)
     scale = 1.0 / np.sqrt(eigvals + epsilon)
     rotation = (eigvecs * scale) @ eigvecs.T

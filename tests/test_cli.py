@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, file artifacts, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,65 @@ class TestExtractorCommands:
                 ]
             )
         assert code == 3
+
+
+class TestExtractorArchRule:
+    """train-extractor and cv --arch share one rule: in: equals d and head:
+    is at least the class count."""
+
+    @pytest.fixture
+    def four_classes(self, tmp_path):
+        path = tmp_path / "four.csv"
+        write_dataset(blobs(60, C=4, seed=0), path)
+        return tmp_path, path
+
+    def test_cv_accepts_a_wider_head(self, four_classes):
+        tmp, data = four_classes
+        code = main(["cv", "--in", str(data), "--folds", "3", "--epochs", "5",
+                     "--arch", "in:2 concat:8 head:5", "--extractor-epochs", "2",
+                     "--report", str(tmp / "cv.json")])
+        assert code == 0
+
+    @pytest.mark.parametrize("arch", ["in:2 concat:8 head:3", "in:7 concat:8 head:4"])
+    @pytest.mark.parametrize("command", ["train-extractor", "cv"])
+    def test_narrow_head_or_wrong_width_is_config_error(self, four_classes, command, arch):
+        tmp, data = four_classes
+        out = (["--model-out", str(tmp / "m.json")] if command == "train-extractor"
+               else ["--report", str(tmp / "cv.json")])
+        assert main([command, "--in", str(data), "--arch", arch, *out]) == 1
+
+
+class TestNumericFlagsAndOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preprocess", "--normalize", "--eps-norm", "nan"],
+            ["preprocess", "--zca", "--epsilon", "nan"],
+            ["preprocess", "--zca", "--epsilon", "-1"],
+            ["cv", "--zca", "--epsilon", "-1"],
+            ["cv", "--zca", "--epsilon", "inf"],
+        ],
+        ids=["eps-norm-nan", "epsilon-nan", "epsilon-negative", "cv-epsilon-negative",
+             "cv-epsilon-inf"],
+    )
+    def test_flag_outside_its_domain_is_config_error(self, data_files, argv, capsys):
+        tmp, train, _ = data_files
+        out = (["--out", str(tmp / "o.csv")] if argv[0] == "preprocess"
+               else ["--folds", "3", "--epochs", "5", "--report", str(tmp / "cv.json")])
+        assert main([argv[0], "--in", str(train), *argv[1:], *out]) == 1
+        assert repr(float(argv[-1])) in capsys.readouterr().err  # names the value
+
+    @pytest.mark.parametrize("command", ["preprocess", "cv"])
+    def test_overflowing_zca_is_numerical_failure(self, tmp_path, command, capsys):
+        big = tmp_path / "big.csv"
+        ds = blobs(60, seed=0)
+        write_dataset(LabeledDataset(ds.features * 1e200, ds.labels, 3), big)
+        out = (["--out", str(tmp_path / "o.csv")] if command == "preprocess"
+               else ["--report", str(tmp_path / "cv.json")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
+            assert main([command, "--in", str(big), "--zca", *out]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestBaselineCommand:

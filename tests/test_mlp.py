@@ -17,11 +17,12 @@ from cpckit.mlp import (
     BlockSpec,
     MlpModel,
     TrainConfig,
+    _forward_batch,
+    _params,
     block_widths,
     build_mlp,
     extract_features,
     format_arch,
-    forward,
     load_mlp,
     loss_and_gradients,
     mlp_from_json,
@@ -174,15 +175,12 @@ def random_model_and_batch(seed, activation):
 
 
 def numeric_gradients(m, X, y, step=1e-5):
-    """Central finite differences over every parameter."""
+    """Central finite differences over every parameter, in _params order."""
 
     def loss_of(model):
         return loss_and_gradients(model, X, y)[0]
 
-    grads = {"weights": [], "biases": [], "head_w": None, "head_b": None}
-
-    def diff_array(getter):
-        arr = getter(m)
+    def diff_array(arr):
         out = np.zeros_like(arr)
         flat = arr.reshape(-1)
         for i in range(flat.size):
@@ -195,22 +193,11 @@ def numeric_gradients(m, X, y, step=1e-5):
             out.reshape(-1)[i] = (hi - lo) / (2 * step)
         return out
 
-    for bi in range(len(m.weights)):
-        grads["weights"].append(diff_array(lambda mm, bi=bi: mm.weights[bi]))
-        grads["biases"].append(diff_array(lambda mm, bi=bi: mm.biases[bi]))
-    grads["head_w"] = diff_array(lambda mm: mm.head_w)
-    grads["head_b"] = diff_array(lambda mm: mm.head_b)
-    return grads
+    return [diff_array(p) for p in _params(m)]
 
 
 def max_relative_error(analytic, numeric):
-    pairs = []
-    for a, n in zip(analytic.weights, numeric["weights"]):
-        pairs.append((a, n))
-    for a, n in zip(analytic.biases, numeric["biases"]):
-        pairs.append((a, n))
-    pairs.append((analytic.head_w, numeric["head_w"]))
-    pairs.append((analytic.head_b, numeric["head_b"]))
+    pairs = list(zip(analytic, numeric))
     scale = max(max(np.max(np.abs(a)), np.max(np.abs(n))) for a, n in pairs)
     scale = max(scale, 1e-8)
     worst = max(np.max(np.abs(a - n)) for a, n in pairs)
@@ -242,49 +229,26 @@ class TestGradients:
         m.head_b[int(y[0])] = 50.0
         y_all = np.full_like(y, y[0])
         _, g = loss_and_gradients(m, X, y_all)
-        worst = max(
-            max(np.max(np.abs(a)) for a in g.weights),
-            max(np.max(np.abs(a)) for a in g.biases),
-            np.max(np.abs(g.head_w)),
-            np.max(np.abs(g.head_b)),
-        )
+        worst = max(np.max(np.abs(a)) for a in g)
         assert worst <= 1e-6
 
 
 class TestForward:
-    def test_single_sample_matches_batch(self):
-        m, X, y = random_model_and_batch(3, RELU)
-        ds = LabeledDataset(X, y, class_count=m.class_count)
-        batch_feats = extract_features(m, ds).features
-        for i in range(len(X)):
-            _, acts = forward(m, X[i])
-            np.testing.assert_allclose(
-                acts[m.feature_tap], batch_feats[i], rtol=1e-12, atol=1e-12
-            )
-            assert acts[-1].shape == (m.feature_width,)
-
     def test_dim_mismatch(self):
         m = build_mlp(4, [BlockSpec(PLAIN, 8)], 2)
         with pytest.raises(DimMismatch):
-            forward(m, np.zeros(5))
+            extract_features(m, LabeledDataset(np.zeros((1, 5)), np.zeros(1, dtype=int), 2))
 
     def test_dropout_zeroes_or_rescales(self):
         m = build_mlp(4, [BlockSpec(PLAIN, 50)], 2, seed=2)
-        x = np.random.default_rng(5).normal(size=4)
-        _, eval_acts = forward(m, x)
-        _, train_acts = forward(m, x, train_mode=True, seed=11, dropout=0.5)
+        x = np.random.default_rng(5).normal(size=(1, 4))
+        _, eval_acts, _ = _forward_batch(m, x)
+        _, train_acts, _ = _forward_batch(m, x, dropout=0.5, rng=np.random.default_rng(11))
         kept = train_acts[0] != 0.0
         assert 0 < kept.sum() < 50  # both branches exercised
         np.testing.assert_allclose(
             train_acts[0][kept], eval_acts[0][kept] * 2.0, rtol=1e-12
         )
-
-    def test_eval_mode_ignores_dropout_seed(self):
-        m = build_mlp(4, [BlockSpec(PLAIN, 8)], 2, seed=3)
-        x = np.ones(4)
-        a, _ = forward(m, x, seed=1)
-        b, _ = forward(m, x, seed=2)
-        assert np.array_equal(a, b)
 
 
 class TestTrain:
@@ -295,7 +259,7 @@ class TestTrain:
         assert len(trace) == 30
         assert trace[-1] < trace[0]
         assert trace[-1] < 0.15
-        scores = np.stack([forward(m2, x)[0] for x in ds.features])
+        scores, _, _ = _forward_batch(m2, ds.features)
         acc = float(np.mean(np.argmax(scores, axis=1) == ds.labels))
         assert acc >= 0.99
 
@@ -363,17 +327,17 @@ def _ref_train(m, ds, cfg):
         for start in range(0, ds.n, batch):
             sel = perm[start : start + batch]
             loss, g = loss_and_gradients(
-                model, ds.features[sel], ds.labels[sel],
-                train_mode=True, dropout=cfg.dropout, rng=rng,
+                model, ds.features[sel], ds.labels[sel], dropout=cfg.dropout, rng=rng,
             )
             losses.append(loss)
-            for i in range(len(model.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - lr * g.weights[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - lr * g.biases[i]
+            L = len(model.weights)
+            for i in range(L):
+                vel_w[i] = cfg.momentum * vel_w[i] - lr * g[i]
+                vel_b[i] = cfg.momentum * vel_b[i] - lr * g[L + i]
                 model.weights[i] = model.weights[i] + vel_w[i]
                 model.biases[i] = model.biases[i] + vel_b[i]
-            vel_hw = cfg.momentum * vel_hw - lr * g.head_w
-            vel_hb = cfg.momentum * vel_hb - lr * g.head_b
+            vel_hw = cfg.momentum * vel_hw - lr * g[2 * L]
+            vel_hb = cfg.momentum * vel_hb - lr * g[2 * L + 1]
             model.head_w = model.head_w + vel_hw
             model.head_b = model.head_b + vel_hb
         trace.append(float(np.mean(losses)))
@@ -423,13 +387,13 @@ class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         m, X, y = random_model_and_batch(6, RELU)
         back = mlp_from_json(mlp_to_json(m))
-        s1, _ = forward(m, X[0])
-        s2, _ = forward(back, X[0])
+        s1, _, _ = _forward_batch(m, X[:1])
+        s2, _, _ = _forward_batch(back, X[:1])
         assert np.array_equal(s1, s2)
         assert back.feature_tap == m.feature_tap
 
         path = tmp_path / "model.json"
         save_mlp(m, path)
         loaded = load_mlp(path)
-        s3, _ = forward(loaded, X[0])
+        s3, _, _ = _forward_batch(loaded, X[:1])
         assert np.array_equal(s1, s3)
