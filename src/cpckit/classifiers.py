@@ -442,6 +442,7 @@ class _ForestState:
 
 
 _SPLIT_CHUNK = 1 << 14  # about the most (row, feature) pairs sorted at once
+_DRAW_BLOCK = 32  # feature subsets a tree draws at once
 
 
 def _split_nodes(buf, a, m, feats, counts, ranks, y):
@@ -517,12 +518,17 @@ def _cut_costs(key, rb, sizes, counts, y):
         return total[at + 1] - total[start[s]]
 
     # sum_c left_c**2 grows by 2 * own - 1, own counting the rows of the
-    # row's class up to it
-    left = np.zeros((C, len(key) + 1), dtype=np.int32)
-    np.cumsum(label == np.arange(C)[:, None], axis=1, out=left[:, 1:])
-    left = left.reshape(-1)
-    own = label * (len(key) + 1)
-    own = left[own + np.arange(1, len(key) + 1)] - left[own + np.repeat(start, sizes)]
+    # row's class up to it. Class c counts in a w-bit field of int64 word
+    # c // (63 // w); a field holds any count, so none carries into the next.
+    w = (len(key) + 1).bit_length()
+    word, shift = np.divmod(np.arange(C), 63 // w)
+    mine = word == np.arange(word[-1] + 1)[:, None]  # (words, C)
+    shift = np.where(mine, shift * w, 63)  # shifted by 63, a word reads 0
+    left = np.zeros((len(mine), len(key) + 1), dtype=np.int64)
+    np.cumsum((mine.astype(np.int64) << shift)[:, label], axis=1, out=left[:, 1:])
+    own = (left[:, 1:] - left[:, np.repeat(start, sizes)]) >> shift[:, label]
+    own &= (1 << w) - 1
+    own = own.sum(axis=0)
     del left  # the chunk's largest arrays go as soon as they are used
     sq_left = within(2 * own - 1)
     del own
@@ -548,13 +554,13 @@ def _fit_forest_group(fits, C):
     hp, T0 = fits[0][0], fits[0][0].tree_count
     d = fits[0][1].shape[1]
     n_sub = min(hp.feature_subsample or int(np.ceil(np.sqrt(d))), d)
-    Xs = [X for _, X, _ in fits]
+    X = np.concatenate([Xj for _, Xj, _ in fits])  # one row table; buf holds its row ids
     y = np.concatenate([y for _, _, y in fits])
     # ranks[f, i]: the position of row i's value of f among the distinct values of f
     ranks = np.empty((d, len(y)), dtype=np.min_scalar_type(len(y)))
     for f in range(d):
-        ranks[f] = np.unique(np.concatenate([X[:, f] for X in Xs]), return_inverse=True)[1]
-    n_job = np.array([len(X) for X in Xs])
+        ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
+    n_job = np.array([len(Xj) for _, Xj, _ in fits])
     row0 = np.cumsum(n_job) - n_job
     sizes = np.repeat(n_job, T0)
     start = np.cumsum(sizes) - sizes
@@ -568,6 +574,11 @@ def _fit_forest_group(fits, C):
         bag = rng.integers(0, sizes[t], size=sizes[t]) + row0[t // T0]
         buf[start[t] : start[t] + sizes[t]] = bag
         stack[t, 0] = [start[t], start[t] + sizes[t], 0, -1, *np.bincount(y[bag], minlength=C)]
+    # each tree's next feature subsets, drawn _DRAW_BLOCK at a time: the rows of
+    # rng.permuted(deck, axis=1) are the permutations rng.permutation(d) would give
+    deck = np.tile(np.arange(d), (_DRAW_BLOCK, 1))
+    draws = np.empty((len(rngs), _DRAW_BLOCK, n_sub), dtype=np.int64)
+    drawn = np.full(len(rngs), _DRAW_BLOCK)  # subsets of the block used so far
     sp = np.ones(len(rngs), dtype=np.int64)
     grown = np.zeros(len(rngs), dtype=np.int32)
     steps = []  # per step: trees popped, their feature or ~class, parent, threshold
@@ -582,14 +593,15 @@ def _fit_forest_group(fits, C):
                            & (depth < (hp.max_depth or np.inf)))
         threshold = np.zeros(len(live))
         if c.size:
-            feats = np.array([rngs[t].permutation(d)[:n_sub] for t in live[c]])
+            t = live[c]
+            for u in t[drawn[t] == _DRAW_BLOCK]:
+                draws[u], drawn[u] = rngs[u].permuted(deck, axis=1)[:, :n_sub], 0
+            feats = draws[t, drawn[t]]
+            drawn[t] += 1
             slot, found, rows, nl = _split_nodes(buf, a[c], (b - a)[c], feats, counts[c], ranks, y)
             c, f, nl, rows = c[found], feats[found, slot[found]], nl[found], rows[:, found]
             code[c], t = f, live[c]
-            x = np.empty((2, len(c)))
-            for j in np.unique(t // T0):  # the values either side of the cut, job by job
-                of = t // T0 == j
-                x[:, of] = Xs[j][rows[:, of] - row0[j], f[of]]
+            x = X[rows, f]  # the values either side of the cut
             with np.errstate(over="ignore"):
                 mid = (x[0] + x[1]) / 2.0
             # a midpoint rounded up to the upper value, or inf, would send every row left
@@ -602,7 +614,7 @@ def _fit_forest_group(fits, C):
             sp[t] += 2
         steps.append((live.astype(np.min_scalar_type(len(sp))), code.astype(np.int32),
                       parent.copy(), threshold))
-    del buf, stack, ranks, rngs
+    del X, buf, stack, ranks, rngs, draws
     tree, code, parent, threshold = (np.concatenate(col) for col in zip(*steps))
     order = np.argsort(tree, kind="stable")  # each tree's nodes were popped in preorder
     code, parent, threshold = code[order], parent[order], threshold[order]

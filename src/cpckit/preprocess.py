@@ -22,13 +22,24 @@ def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledData
 
     The divisor is max(std, eps_norm), so constant rows map to zeros
     instead of NaNs. Population std (ddof=0) over the row's components.
-    Raises ConfigError unless eps_norm is finite.
+    A row whose mean or std overflows is normalized as the row divided by
+    its largest |x|, which gives the same result. Raises ConfigError unless
+    eps_norm is finite and positive.
     """
-    if not math.isfinite(eps_norm):
-        raise ConfigError(f"eps_norm must be finite, got {eps_norm!r}")
-    mu = ds.features.mean(axis=1, keepdims=True)
-    sd = ds.features.std(axis=1, keepdims=True)
-    out = (ds.features - mu) / np.maximum(sd, eps_norm)
+    if not (math.isfinite(eps_norm) and eps_norm > 0):
+        raise ConfigError(f"eps_norm must be finite and positive, got {eps_norm!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = ds.features.mean(axis=1, keepdims=True)
+        sd = ds.features.std(axis=1, keepdims=True)
+        out = (ds.features - mu) / np.maximum(sd, eps_norm)
+    huge = ~(np.isfinite(mu) & np.isfinite(sd))[:, 0]
+    if huge.any():
+        m = np.abs(ds.features[huge]).max(axis=1, keepdims=True)
+        x = ds.features[huge] / m
+        # eps_norm / m may underflow to 0; any positive floor keeps a constant row at 0
+        floor = np.maximum(eps_norm / m, np.finfo(np.float64).smallest_subnormal)
+        sd = np.maximum(x.std(axis=1, keepdims=True), floor)
+        out[huge] = (x - x.mean(axis=1, keepdims=True)) / sd
     return LabeledDataset(
         features=out,
         labels=ds.labels,

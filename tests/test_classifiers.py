@@ -661,6 +661,22 @@ class TestForestMatchesReference:
     def test_conflicting_duplicates(self):
         assert_matches_reference(conflicting_duplicates(), forest_spec(tree_count=5, seed=0))
 
+    def test_sixteen_classes(self):
+        # 3 of 6 features over 400 rows: 1200-row segments, 11-bit class
+        # counters, 5 to an int64 word, so the counts span 4 words
+        ds = blobs(400, 6, 16, seed=5, margin=1.0)
+        assert_matches_reference(ds, forest_spec(tree_count=4, seed=7))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 40, 41])
+    def test_block_draws_are_successive_permutations(self, d):
+        # the forest draws each tree's feature subsets a block at a time
+        B = clf_mod._DRAW_BLOCK
+        for seed in range(20):
+            one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [one.permutation(d) for _ in range(2 * B)]
+            got = [block.permuted(np.tile(np.arange(d), (B, 1)), axis=1) for _ in range(2)]
+            assert np.array_equal(np.concatenate(got), want)
+
     @given(
         n=st.integers(2, 40),
         d=st.integers(1, 4),

@@ -198,12 +198,14 @@ class TestNumericFlagsAndOverflow:
         "argv",
         [
             ["preprocess", "--normalize", "--eps-norm", "nan"],
+            ["preprocess", "--normalize", "--eps-norm", "0"],
+            ["preprocess", "--normalize", "--eps-norm", "-1"],
             ["preprocess", "--zca", "--epsilon", "nan"],
             ["preprocess", "--zca", "--epsilon", "-1"],
             ["cv", "--zca", "--epsilon", "-1"],
             ["cv", "--zca", "--epsilon", "inf"],
         ],
-        ids=["eps-norm-nan", "epsilon-nan", "epsilon-negative", "cv-epsilon-negative",
+        ids=["eps-norm-nan", "eps-norm-zero", "eps-norm-negative", "epsilon-nan", "epsilon-negative", "cv-epsilon-negative",
              "cv-epsilon-inf"],
     )
     def test_flag_outside_its_domain_is_config_error(self, data_files, argv, capsys):

@@ -1,5 +1,7 @@
 """Per-sample normalization and ZCA whitening."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,20 @@ class TestNormalizeSamples:
         ds = wrap(np.random.default_rng(0).normal(size=(6, 4)), C=3)
         out = normalize_samples(ds)
         assert np.array_equal(out.labels, ds.labels)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_rows_normalize_as_unscaled(self, scale):
+        X = np.random.default_rng(0).normal(size=(20, 8))
+        X[0] = 3.0  # a constant row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            huge = normalize_samples(wrap(X * scale)).features
+        assert np.max(np.abs(huge - normalize_samples(wrap(X)).features)) <= 1e-12
+
+    def test_constant_row_near_the_float_limit_maps_to_zeros(self):
+        X = np.array([[1.5e308] * 8, [-1.5e308, 1.5e308] * 4])
+        out = normalize_samples(wrap(X), eps_norm=1e-300).features
+        assert np.array_equal(out, [[0.0] * 8, [-1.0, 1.0] * 4])
 
     @given(
         n=st.integers(1, 20),
