@@ -273,26 +273,28 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     traces = np.empty((epochs, G))
     recorded = 0
     lr = learning_rate
-    for epoch in range(epochs):
-        for i, n, rng in shuffled:
-            order[i, :n] = rng.permutation(n)
-        for j, (a, rows, moving) in enumerate(plan):
-            loss, grads = grad(rows)
+    # overflow surfaces as a non-finite epoch loss or final param: Divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            for i, n, rng in shuffled:
+                order[i, :n] = rng.permutation(n)
+            for j, (a, rows, moving) in enumerate(plan):
+                loss, grads = grad(rows)
+                if loss is not None:
+                    losses[:a, j] = loss
+                for (p, v), g in zip(moving, grads):
+                    v *= momentum
+                    g *= lr
+                    v -= g
+                    p += v
             if loss is not None:
-                losses[:a, j] = loss
-            for (p, v), g in zip(moving, grads):
-                v *= momentum
-                g *= lr
-                v -= g
-                p += v
-        if loss is not None:
-            for fits, s in runs:
-                traces[epoch, fits] = losses[fits, :s].mean(axis=1)
-            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
-            if bad.size:
-                raise Divergence(epoch, float(traces[epoch, bad[0]]))
-            recorded += 1
-        lr *= lr_decay
+                for fits, s in runs:
+                    traces[epoch, fits] = losses[fits, :s].mean(axis=1)
+                bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+                if bad.size:
+                    raise Divergence(epoch, float(traces[epoch, bad[0]]))
+                recorded += 1
+            lr *= lr_decay
     if not all(np.isfinite(p).all() for p in params):
         raise Divergence(epochs - 1)
     return traces[:recorded].T.tolist()
@@ -423,22 +425,15 @@ def _scores_linear(clf, X):
 
 # random forest ----------------------------------------------------------
 
-# A tree is a dict of equal-length arrays with one entry per node in DFS
-# preorder, node 0 being the root. Leaves have feature = left = right = -1
-# and their class in leaf; inner nodes have leaf = -1 and send a row with
-# x[feature] <= threshold left.
-_TREE_ARRAYS = {
-    "feature": np.int32,
-    "threshold": np.float64,
-    "left": np.int32,
-    "right": np.int32,
-    "leaf": np.int32,
-}
-
-
+# A forest is one node table, tree t's nodes in DFS preorder from roots[t],
+# left subtree first: a node's left child is the next node, its right child
+# skip nodes on. An inner node sends a row with x[code] <= threshold left.
 @dataclass
 class _ForestState:
-    trees: list[dict]  # see _TREE_ARRAYS
+    code: np.ndarray  # int32: the split feature, or ~class at a leaf
+    threshold: np.ndarray
+    skip: np.ndarray  # int32, 0 at a leaf
+    roots: np.ndarray
 
 
 _SPLIT_CHUNK = 1 << 14  # about the most (row, feature) pairs sorted at once
@@ -549,7 +544,8 @@ def _fit_forest_group(fits, C):
     its bag, then one feature subset per split node in DFS preorder, left
     subtree first, and keeps its own DFS stack, so it comes out node for
     node as grown alone. Each step pops one node from every tree that still
-    has one and splits them together. The trees are views of shared arrays.
+    has one and splits them together. Each job's node table is a view of
+    the group's.
     """
     hp, T0 = fits[0][0], fits[0][0].tree_count
     d = fits[0][1].shape[1]
@@ -619,40 +615,29 @@ def _fit_forest_group(fits, C):
     order = np.argsort(tree, kind="stable")  # each tree's nodes were popped in preorder
     code, parent, threshold = code[order], parent[order], threshold[order]
     del tree, order
-    first = np.repeat(np.cumsum(grown, dtype=np.int32) - grown, grown)  # the node's root
-    local = np.arange(len(code), dtype=np.int32) - first
-    right = np.full(len(code), -1, dtype=np.int32)
+    roots = np.cumsum(grown, dtype=np.int32) - grown
+    up = np.repeat(roots, grown) + parent  # a right child's parent in the table
     child = parent >= 0
-    right[(first + parent)[child]] = local[child]
-    del first, parent, child
-    columns = {"feature": np.maximum(code, -1), "threshold": threshold, "right": right,
-               "left": np.where(code >= 0, local + 1, -1), "leaf": np.maximum(~code, -1)}
-    columns = {name: np.split(columns[name].astype(dt, copy=False), np.cumsum(grown)[:-1])
-               for name, dt in _TREE_ARRAYS.items()}
-    trees = [{name: col[t] for name, col in columns.items()} for t in range(len(grown))]
-    return [_ForestState(trees=trees[j * T0 : (j + 1) * T0]) for j in range(len(fits))]
-
-
-def _tree_leaves(tree: dict, X) -> np.ndarray:
-    """Leaf class for every row: all rows descend one level per step."""
-    node = np.zeros(len(X), dtype=np.int64)
-    rows = np.arange(len(X))
-    while rows.size:
-        at = node[rows]
-        f = tree["feature"][at]
-        inner = f >= 0
-        rows, at, f = rows[inner], at[inner], f[inner]
-        go_left = X[rows, f] <= tree["threshold"][at]
-        node[rows] = np.where(go_left, tree["left"][at], tree["right"][at])
-    return tree["leaf"][node]
+    skip = np.zeros(len(code), dtype=np.int32)
+    skip[up[child]] = (np.arange(len(code), dtype=np.int32) - up)[child]
+    bounds = [*roots[::T0], len(code)]
+    return [_ForestState(code[lo:hi], threshold[lo:hi], skip[lo:hi], r - lo)
+            for lo, hi, r in zip(bounds, bounds[1:], roots.reshape(-1, T0))]
 
 
 def _forest_votes(clf, X):
-    votes = np.zeros((len(X), len(clf.classes_seen)))
-    rows = np.arange(len(X))
-    for tree in clf.state.trees:
-        votes[rows, _tree_leaves(tree, X)] += 1.0
-    return votes
+    """Vote counts over classes_seen: every row descends every tree together,
+    one level per step, until each (row, tree) pair is at a leaf."""
+    s, C, T = clf.state, len(clf.classes_seen), len(clf.state.roots)
+    node = np.tile(s.roots, len(X))  # node[r * T + t]: row r's node in tree t
+    live = np.flatnonzero(s.code[node] >= 0)  # the pairs at an inner node
+    while live.size:
+        at = node[live]
+        at += np.where(X[live // T, s.code[at]] <= s.threshold[at], 1, s.skip[at])
+        node[live] = at
+        live = live[s.code[at] >= 0]
+    votes = ~s.code[node] + np.repeat(np.arange(len(X)) * C, T)
+    return np.bincount(votes, minlength=len(X) * C).reshape(len(X), C).astype(np.float64)
 
 
 # k-nearest-neighbors -----------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import _momentum_sgd
 from .dataset import LabeledDataset
-from .errors import BadArch, DimMismatch, EmptyDataset
+from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError
 
 PLAIN = "plain"
 RESIDUAL_ADD = "residual_add"
@@ -318,12 +318,18 @@ def fit_extractor(
 
 
 def extract_features(m: MlpModel, ds: LabeledDataset) -> LabeledDataset:
-    """Evaluation-mode activations at feature_tap, labels carried through."""
+    """Evaluation-mode activations at feature_tap, labels carried through.
+    Raises NumericalError when an activation there is not finite."""
     if ds.d != m.input_dim:
         raise DimMismatch(f"model expects d={m.input_dim}, dataset has d={ds.d}")
-    _, outputs, _ = _forward_batch(m, ds.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, outputs, _ = _forward_batch(m, ds.features)
+    features = outputs[m.feature_tap]
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise NumericalError(f"extractor output row {row}, column {col} is {features[row, col]}")
     return LabeledDataset(
-        features=outputs[m.feature_tap],
+        features=features,
         labels=ds.labels,
         class_count=ds.class_count,
         regime_tags=ds.regime_tags,

@@ -353,9 +353,7 @@ class TestFitManyMatchesFit:
             if spec.kind in ("softmax", "linear_svm"):
                 assert_same_linear_fit(got, want)
             elif spec.kind == "random_forest":
-                for t_got, t_want in zip(got.state.trees, want.state.trees):
-                    for name in t_want:
-                        assert np.array_equal(t_got[name], t_want[name])
+                assert_same_trees(got, want)
             else:
                 assert np.array_equal(got.state.features, want.state.features)
                 assert np.array_equal(got.state.labels, want.state.labels)
@@ -406,10 +404,8 @@ class TestFitManyMatchesFit:
 
 
 def assert_same_trees(got, want):
-    assert len(got.state.trees) == len(want.state.trees)
-    for t_got, t_want in zip(got.state.trees, want.state.trees):
-        for name in t_want:
-            assert np.array_equal(t_got[name], t_want[name])
+    for name in ("code", "threshold", "skip", "roots"):
+        assert np.array_equal(getattr(got.state, name), getattr(want.state, name))
 
 
 class TestFitManyForestGroups:
@@ -479,8 +475,7 @@ class TestForest:
     def test_max_depth_one_is_a_stump_ensemble(self):
         ds = blobs(60, 2, 2, seed=7)
         clf = fit(forest_spec(max_depth=1, seed=0), ds)
-        for tree in clf.state.trees:
-            assert tree_depth(tree) <= 1
+        assert tree_depth(clf.state) <= 1
 
     def test_single_tree_no_subsample_is_deterministic(self):
         ds = blobs(60, 4, 3, seed=8)
@@ -499,7 +494,7 @@ class TestForest:
         ds = LabeledDataset(np.repeat([[0.0], [1.0]], 10, axis=0),
                             np.repeat([0, 1], 10), class_count=2)
         clf = fit(forest_spec(tree_count=1, max_depth=1, seed=0), ds)
-        assert clf.state.trees[0]["threshold"][0] == 0.5
+        assert clf.state.threshold[clf.state.roots[0]] == 0.5
         assert clf.predict_many(np.array([[0.5], [0.5000001]])).tolist() == [0, 1]
 
     @pytest.mark.parametrize("lo, hi", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)],
@@ -514,7 +509,7 @@ class TestForest:
             X = np.array([[{lo!r}]] * 4 + [[{hi!r}]] * 4)
             ds = LabeledDataset(X, np.repeat([0, 1], 4), class_count=2)
             clf = fit(forest_spec(tree_count=3, seed=0), ds)
-            print(clf.state.trees[0]["threshold"][0] == {lo!r},
+            print(clf.state.threshold[clf.state.roots[0]] == {lo!r},
                   clf.predict_many(X).tolist() == ds.labels.tolist())
         """)
         done = run_python(["-c", code], timeout=30)
@@ -586,13 +581,14 @@ def _ref_grow_tree(X, y, C, rng, max_depth, n_sub, depth=0):
 
 
 def _ref_forest(ds, hp):
-    """Reference trees flattened to (feature, threshold, left, right, leaf)
-    lists in DFS preorder, plus the reference votes on the training rows."""
+    """Reference trees flattened to one node table, lists of code (feature,
+    or ~class at a leaf), threshold, skip (right child's offset) and roots,
+    each tree in DFS preorder, plus the reference votes on the training rows."""
     classes = np.unique(ds.labels)
     y = np.searchsorted(classes, ds.labels)
     n, d = ds.features.shape
     n_sub = min(hp.feature_subsample or int(np.ceil(np.sqrt(d))), d)
-    trees = []
+    flat = {"code": [], "threshold": [], "skip": [], "roots": []}
     votes = np.zeros((n, len(classes)))
     for t in range(hp.tree_count):
         rng = np.random.default_rng(np.random.SeedSequence([hp.seed, t]))
@@ -604,43 +600,39 @@ def _ref_forest(ds, hp):
             while "leaf" not in node:
                 node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
             votes[i, node["leaf"]] += 1.0
-        flat = {"feature": [], "threshold": [], "left": [], "right": [], "leaf": []}
 
         def visit(node):
-            i = len(flat["feature"])
-            for key in flat:
-                flat[key].append(-1)
+            i = len(flat["code"])
+            flat["skip"].append(0)
             if "leaf" in node:
-                flat["threshold"][i] = 0.0
-                flat["leaf"][i] = node["leaf"]
+                flat["code"].append(~node["leaf"])
+                flat["threshold"].append(0.0)
                 return i
-            flat["feature"][i] = node["feature"]
-            flat["threshold"][i] = node["threshold"]
-            flat["left"][i] = visit(node["left"])
-            flat["right"][i] = visit(node["right"])
+            flat["code"].append(node["feature"])
+            flat["threshold"].append(node["threshold"])
+            visit(node["left"])  # node i + 1
+            flat["skip"][i] = visit(node["right"]) - i
             return i
 
-        visit(root)
-        trees.append(flat)
-    return trees, votes
+        flat["roots"].append(visit(root))
+    return flat, votes
 
 
 def assert_matches_reference(ds, spec):
     clf = fit(spec, ds)
-    want_trees, want_votes = _ref_forest(ds, spec.hyperparams)
-    got = [{name: a.tolist() for name, a in t.items()} for t in clf.state.trees]
-    assert len(got) == len(want_trees)
-    for g, w in zip(got, want_trees):
-        assert g == w
+    want_table, want_votes = _ref_forest(ds, spec.hyperparams)
+    for name, want in want_table.items():
+        assert getattr(clf.state, name).tolist() == want
     assert np.array_equal(clf.decision_scores(ds.features), want_votes)
 
 
-def tree_depth(tree):
-    depth = {0: 0}
-    for i, f in enumerate(tree["feature"]):  # preorder: parents come first
+def tree_depth(state):
+    """The depth of the deepest node of any tree in a forest's node table."""
+    depth = np.zeros(len(state.code), dtype=int)  # a root's depth stays 0
+    for i, f in enumerate(state.code):  # preorder: parents come first
         if f >= 0:
-            depth[tree["left"][i]] = depth[tree["right"][i]] = depth[i] + 1
-    return max(depth.values())
+            depth[i + 1] = depth[i + state.skip[i]] = depth[i] + 1
+    return depth.max()
 
 
 def conflicting_duplicates():

@@ -35,6 +35,15 @@ def data_files(tmp_path):
     return tmp_path, train, test
 
 
+def synth_file(tmp_path, scale):
+    """`synth --n-easy 100 --n-hard 100` (d = 8, 4 classes, seed 0) with
+    every feature times scale."""
+    ds = generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=0)
+    path = tmp_path / f"synth_x{scale:g}.csv"
+    write_dataset(LabeledDataset(ds.features * scale, ds.labels, 4), path)
+    return path
+
+
 class TestParseGrid:
     def test_inclusive_endpoints(self):
         assert _parse_grid("0.0:1.0:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -153,18 +162,34 @@ class TestExtractorCommands:
         )
         assert code == 1
 
-    def test_divergence_is_numerical_error(self, data_files):
-        tmp, train, _ = data_files
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                [
-                    "train-extractor", "--in", str(train),
-                    "--arch", "in:2 fc:8 head:3", "--lr", "1e9",
-                    "--epochs", "40", "--dropout", "0.0",
-                    "--model-out", str(tmp / "m.json"),
-                ]
-            )
+    @pytest.mark.parametrize(
+        "argv, scale",
+        [(["--lr", "1e9", "--epochs", "40", "--dropout", "0.0"], 1.0), (["--epochs", "1"], 1e200)],
+        ids=["lr", "scaled"],
+    )
+    def test_divergence_is_numerical_error(self, tmp_path, argv, scale, capsys):
+        train = synth_file(tmp_path, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
+            code = main(["train-extractor", "--in", str(train), "--arch", "in:8 fc:16 head:4",
+                         *argv, "--model-out", str(tmp_path / "m.json")])
         assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_overflowing_extractor_output_is_numerical_failure(self, tmp_path, capsys):
+        # one epoch on rows near 1e100 leaves finite weights that rows near
+        # 1e200 overflow
+        train, big = synth_file(tmp_path, 1e100), synth_file(tmp_path, 1e200)
+        model = tmp_path / "m.json"
+        assert main(["train-extractor", "--in", str(train), "--arch", "in:8 fc:16 head:4",
+                     "--epochs", "1", "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
+            code = main(["extract", "--model", str(model), "--in", str(big),
+                         "--out", str(tmp_path / "f.csv")])
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestExtractorArchRule:
@@ -266,15 +291,29 @@ class TestBaselineCommand:
         )
         assert code == 2
 
-    def test_sgd_divergence_is_numerical_error(self, data_files):
-        tmp, train, test = data_files
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                ["baseline", "--train", str(train), "--test", str(test),
-                 "--lr", "1e6", "--report", str(tmp / "r.json")]
-            )
+    @pytest.mark.parametrize(
+        "argv, scale",
+        [
+            (["baseline", "--lr", "1e6"], 1.0),
+            (["baseline"], 1e160),
+            (["baseline", "--clf", "svm"], 1e160),
+            (["cpc", "--theta", "0.5"], 1e160),
+            (["sweep"], 1e160),
+            (["cv", "--mode", "cpc"], 1e160),
+        ],
+        ids=["lr", "softmax-scaled", "svm-scaled", "cpc-scaled", "sweep-scaled", "cv-cpc-scaled"],
+    )
+    def test_sgd_divergence_is_numerical_error(self, tmp_path, argv, scale, capsys):
+        data = str(synth_file(tmp_path, scale))
+        files = {"cv": ["--in", data], "sweep": ["--train", data, "--val", data]}
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
+            code = main([*argv, *files.get(argv[0], ["--train", data, "--test", data]),
+                         "--report", str(report)])
         assert code == 3
-        assert not (tmp / "r.json").exists()
+        assert not report.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def without_class_zero(tmp_path):
