@@ -3,7 +3,8 @@
 Four kinds: multinomial softmax regression, one-vs-rest linear SVM, a random
 forest, and k-nearest-neighbors. The linear models train with
 _momentum_sgd, the package's one mini-batch SGD loop with classical
-momentum, which the MLP extractor and the routing discriminators share.
+momentum, which the MLP extractor shares. cpc's routing discriminators run
+its full-batch case as a fixed-matrix recursion; tests check them against it.
 Everything is deterministic for a fixed spec and seed; fits never mutate
 their input dataset.
 """
@@ -117,14 +118,14 @@ def with_seed(spec: ClassifierSpec, seed: int) -> ClassifierSpec:
 def _validate(spec: ClassifierSpec) -> None:
     hp = spec.hyperparams
     if isinstance(hp, (SoftmaxParams, SvmParams)):
-        if hp.learning_rate <= 0:
-            raise BadHyperparams("learning_rate must be positive")
+        if not 0 < hp.learning_rate < np.inf:
+            raise BadHyperparams("learning_rate must be finite and positive")
         if hp.epochs < 0:
             raise BadHyperparams("epochs must be non-negative")
         if hp.batch_size < 1:
             raise BadHyperparams("batch_size must be at least 1")
-        if hp.l2 < 0:
-            raise BadHyperparams("l2 must be non-negative")
+        if not 0 <= hp.l2 < np.inf:
+            raise BadHyperparams("l2 must be finite and non-negative")
         if not 0 <= hp.momentum < 1:
             raise BadHyperparams("momentum must lie in [0, 1)")
         if isinstance(hp, SvmParams) and hp.hinge_margin <= 0:
@@ -248,9 +249,9 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     of its batch and -1 where it is shorter than the widest; it returns
     (losses, grads) for those fits, evaluated before the update. The grads
     are scratch arrays the loop may overwrite. A fit's trace holds its mean
-    batch loss per epoch unless grad reports None for the losses. lr is
-    multiplied by lr_decay after every epoch. Raises Divergence at the
-    first non-finite epoch loss, or when the final params are not finite.
+    batch loss per epoch. lr is multiplied by lr_decay after every epoch.
+    Raises Divergence at the first non-finite epoch loss, or when the final
+    params are not finite.
     """
     ns = np.asarray(ns, dtype=np.int64)
     G = len(ns)
@@ -271,7 +272,6 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     runs = [(steps == s, s) for s in np.unique(steps)]  # fits by batches per epoch
     losses = np.empty((G, len(plan)))
     traces = np.empty((epochs, G))
-    recorded = 0
     lr = learning_rate
     # overflow surfaces as a non-finite epoch loss or final param: Divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,25 +279,21 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
             for i, n, rng in shuffled:
                 order[i, :n] = rng.permutation(n)
             for j, (a, rows, moving) in enumerate(plan):
-                loss, grads = grad(rows)
-                if loss is not None:
-                    losses[:a, j] = loss
+                losses[:a, j], grads = grad(rows)
                 for (p, v), g in zip(moving, grads):
                     v *= momentum
                     g *= lr
                     v -= g
                     p += v
-            if loss is not None:
-                for fits, s in runs:
-                    traces[epoch, fits] = losses[fits, :s].mean(axis=1)
-                bad = np.flatnonzero(~np.isfinite(traces[epoch]))
-                if bad.size:
-                    raise Divergence(epoch, float(traces[epoch, bad[0]]))
-                recorded += 1
+            for fits, s in runs:
+                traces[epoch, fits] = losses[fits, :s].mean(axis=1)
+            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+            if bad.size:
+                raise Divergence(epoch, float(traces[epoch, bad[0]]))
             lr *= lr_decay
     if not all(np.isfinite(p).all() for p in params):
         raise Divergence(epochs - 1)
-    return traces[:recorded].T.tolist()
+    return traces.T.tolist()
 
 
 @dataclass

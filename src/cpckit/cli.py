@@ -55,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds are non-negative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return int(text)
+
+
 def _echo(args: argparse.Namespace, spec) -> dict:
     """The flags of a run and its classifier's hyperparameters, for reports."""
     echo = {k: v for k, v in vars(args).items() if k != "func"}
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--easy-margin", type=float, default=6.0)
     p.add_argument("--hard-margin", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--feature-tap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train_extractor)
 
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--has-header", action="store_true")
     _add_clf_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_train_test)
 
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_clf_flags(p)
     _add_cpc_flags(p)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_train_test)
 
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.0:1.0:0.1")
     _add_clf_flags(p)
     _add_cpc_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--curve-out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_sweep)
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--arch", default=None)
     p.add_argument("--extractor-epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_cv)
 

@@ -12,10 +12,10 @@ full-batch fits from zero weights, so identical queries route identically.
 From zero weights a binary softmax is a logistic regression on the
 difference of its two weight columns, and it is fitted in that form; the
 discriminators of all mixed-neighbourhood queries of one call are solved
-together as stacked fits by the shared momentum-SGD loop of classifiers.
+together, each as a heavy-ball recursion over its own fixed step matrix.
 Models that split the same pooled points at different thresholds, as the
 grid of a theta sweep does, route a batch of queries with one neighbour
-search and one stacked discriminator solve.
+search and solve each distinct (query, neighbour labels) problem once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .classifiers import (
     with_seed,
 )
 from .dataset import LabeledDataset, kfold, take
-from .errors import BadK, BadSpec, EmptyPartition, LengthMismatch
+from .errors import BadK, BadSpec, Divergence, EmptyPartition, LengthMismatch
 
 INCLUDE_ALL = "include_all"
 EXCLUDE_IN_FOLD = "exclude_in_fold"
@@ -50,8 +50,8 @@ ROUTE_DIFFICULT = "-"
 DEFAULT_DISC = SoftmaxParams(learning_rate=0.05, epochs=200, l2=1e-2, momentum=0.5)
 
 
-# Mixed-neighbourhood queries per stacked discriminator fit; bounds its memory.
-_SOLVE_CHUNK = 256
+# Discriminator problems per stacked solve; bounds the step matrices (0.9 MB at k=25, d=9).
+_SOLVE_CHUNK = 128
 
 
 def _derive_seed(*parts: int) -> int:
@@ -291,39 +291,40 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     P holds each query's k neighbour features (Q, k, d), y their 0/1
     subspace labels (Q, k), X the queries (Q, d). Each discriminator is the
     binary softmax of classifiers with the settings of DEFAULT_DISC, fitted
-    full-batch from zero weights by the shared momentum-SGD loop. From zero
-    its two weight columns stay opposite, so only their difference
-    u = w1 - w0 is fitted: logistic regression with gradient
-    2 (sigma(u.x) - y) x / k + l2 u, where 2 sigma(m) - 1 = tanh(m / 2).
-    The bias rides as a last weight on a constant-one feature, exempt from
-    l2. Returns each query's margin u.x = s1 - s0 toward the easy side;
-    raises Divergence when the weights leave the finite range.
+    full-batch from zero weights with momentum SGD. From zero its two weight
+    columns stay opposite, so only their difference u = w1 - w0 is fitted:
+    logistic regression with gradient g(u) = 2 (sigma(u.x) - y) x / k + l2 u,
+    where 2 sigma(m) - 1 = tanh(m / 2). The bias rides as a last weight on a
+    constant-one feature, exempt from l2. That SGD is the heavy-ball
+    recursion u+ = u + mu (u - u-) - lr g(u), linear in z = [u, u-, t, 1]
+    with t = tanh(half margins), so each query's step matrix M holds it, one
+    copy per slot of z that holds u: an epoch is three numpy calls. Returns
+    each query's margin u.x = s1 - s0 toward the easy side; raises
+    Divergence when the final weights are not finite (overflow on the way).
     """
     Q, k, d = P.shape
-    P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, d+1)
-    P1T = np.ascontiguousarray(P1.transpose(0, 2, 1))
+    e, lr, mu = d + 1, DEFAULT_DISC.learning_rate, DEFAULT_DISC.momentum
+    P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, e)
     half = 0.5 * P1  # exact: half margins come out bit for bit
-    shift = (1.0 - 2.0 * y)[:, :, None]  # 2 sigma(m) - 2y = tanh(m/2) + shift
-    l2 = np.append(np.full(d, DEFAULT_DISC.l2), 0.0)[:, None]
-    u = np.zeros((Q, d + 1, 1))  # per query: weight difference, bias last
-    r = np.empty((Q, k, 1))
-    g = np.empty_like(u)
-
-    def grad(rows):
-        np.matmul(half, u, out=r)
-        np.tanh(r, out=r)
-        np.add(r, shift, out=r)
-        np.matmul(P1T, r, out=g)
-        np.divide(g, k, out=g)
-        np.add(g, l2 * u, out=g)
-        return None, (g,)
-
-    clf_mod._momentum_sgd(
-        [u], grad, [k], DEFAULT_DISC.epochs, k, DEFAULT_DISC.learning_rate,
-        DEFAULT_DISC.momentum,
-    )
+    z = np.zeros((Q, 2 * e + k + 1, 1))  # per query [u_a, u_b, t, 1], bias last in u
+    z[:, -1] = 1.0
+    u, t = (z[:, :e], z[:, e : 2 * e]), z[:, 2 * e : -1]
+    keep = np.diag(1.0 + mu - lr * np.append(np.full(d, DEFAULT_DISC.l2), 0.0))
+    M = np.empty((2, Q, e, z.shape[1]))  # one step matrix per slot holding u
+    M[0, :, :, :e] = M[1, :, :, e : 2 * e] = keep
+    M[0, :, :, e : 2 * e] = M[1, :, :, :e] = -mu * np.eye(e)
+    M[:, :, :, 2 * e : -1] = P1.transpose(0, 2, 1) * (-lr / k)
+    M[:, :, :, -1] = (M[0, :, :, 2 * e : -1] @ (1.0 - 2.0 * y)[:, :, None])[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in (np.arange(DEFAULT_DISC.epochs) % 2).tolist():
+            np.matmul(half, u[p], out=t)
+            np.tanh(t, out=t)
+            np.matmul(M[p], z, out=u[1 - p])
+    w = u[DEFAULT_DISC.epochs % 2]
+    if not np.isfinite(w).all():
+        raise Divergence(DEFAULT_DISC.epochs - 1)
     X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)
-    return (X1[:, None, :] @ u)[:, 0, 0]
+    return (X1[:, None, :] @ w)[:, 0, 0]
 
 
 def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
@@ -332,8 +333,9 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
     splits, binaries (G, n), of the same pooled points features (n, d).
 
     Each query's k nearest pooled points are found once for all splits.
-    Unanimous neighbourhoods give +-inf; the discriminators of all mixed
-    (split, query) pairs are solved together, in chunks of _SOLVE_CHUNK.
+    Unanimous neighbourhoods give +-inf. A mixed (split, query) pair's margin
+    depends only on the query and its neighbours' labels, so each distinct
+    such problem is solved once, all together in chunks of _SOLVE_CHUNK.
     """
     k = min(k, len(features))
     idx = np.empty((len(X), k), dtype=np.int64)
@@ -342,11 +344,18 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
     nb_binary = binaries.astype(bool)[:, idx]
     easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
-    splits, queries = np.nonzero((easy_votes > 0) & (easy_votes < k))
-    for lo in range(0, len(queries), _SOLVE_CHUNK):
-        g = splits[lo : lo + _SOLVE_CHUNK]
-        q = queries[lo : lo + _SOLVE_CHUNK]
-        margins[g, q] = _discriminator_margins(features[idx[q]], nb_binary[g, q], X[q])
+    mixed = np.nonzero((easy_votes > 0) & (easy_votes < k))
+    queries, labels = mixed[1], nb_binary[mixed]
+    first = inverse = slice(None)
+    if len(binaries) > 1:  # one split has no repeats
+        _, first, inverse = np.unique(np.column_stack([queries, labels]), axis=0,
+                                      return_index=True, return_inverse=True)
+    q, y = queries[first], labels[first]
+    solved = np.empty(len(q))
+    for lo in range(0, len(q), _SOLVE_CHUNK):
+        c = slice(lo, lo + _SOLVE_CHUNK)
+        solved[c] = _discriminator_margins(features[idx[q[c]]], y[c], X[q[c]])
+    margins[mixed] = solved[inverse]
     return margins
 
 

@@ -124,13 +124,17 @@ class PipelineConfig:
     extractor: ExtractorConfig | None = None
 
     def __post_init__(self):
+        # every setting is checked here, before any preprocessing or fit
         if self.mode not in ("baseline", "cpc"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        clf_mod._validate(self.spec)
         if self.mode == "cpc":
             if self.cpc is None:
                 raise ConfigError("cpc mode needs a CpcConfig")
             check_theta(self.cpc.theta)
             check_disc(self.cpc.disc_k)
+            if self.cpc.k_folds < 2 or self.cpc.repetitions < 1:
+                raise ConfigError("cpc needs k_folds >= 2 and m >= 1")
 
 
 def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:

@@ -61,8 +61,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise BadArch("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise BadArch("learning_rate must be finite and positive")
         if not 0 <= self.momentum < 1:
             raise BadArch("momentum must lie in [0, 1)")
         if not 0 <= self.dropout < 1:

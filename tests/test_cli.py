@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: exit codes, file artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpckit.classifiers import fit, forest_spec, softmax_spec
 from cpckit.cli import _parse_grid, main
@@ -239,6 +244,36 @@ class TestNumericFlagsAndOverflow:
                else ["--folds", "3", "--epochs", "5", "--report", str(tmp / "cv.json")])
         assert main([argv[0], "--in", str(train), *argv[1:], *out]) == 1
         assert repr(float(argv[-1])) in capsys.readouterr().err  # names the value
+
+    @pytest.mark.parametrize(
+        "argv, scale",
+        [
+            (["baseline", "--lr", "nan"], 1.0),
+            (["baseline", "--lr", "inf"], 1.0),
+            (["baseline", "--clf", "svm", "--l2", "nan"], 1.0),
+            (["cpc", "--theta", "0.5", "--l2", "inf"], 1.0),
+            (["train-extractor", "--lr", "inf"], 1.0),
+            (["cv", "--zca", "--lr", "nan"], 1e300),
+            (["cv", "--mode", "cpc", "--zca", "--k-folds", "0"], 1e300),
+            (["cpc", "--theta", "0.5", "--seed", "-1"], 1.0),
+            (["sweep", "--seed", "-1"], 1.0),
+        ],
+        ids=["lr-nan", "lr-inf", "svm-l2-nan", "cpc-l2-inf", "extractor-lr-inf",
+             "cv-lr-nan-before-zca", "cv-k-folds-before-zca", "cpc-seed-negative",
+             "sweep-seed-negative"],
+    )
+    def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale, capsys):
+        # each exited 2 or 3 or raised out of main before it was refused
+        data = str(synth_file(tmp_path, scale))
+        files = {"cv": ["--in", data], "sweep": ["--train", data, "--val", data],
+                 "train-extractor": ["--in", data, "--arch", "in:8 fc:16 head:4"]}
+        out = (["--model-out", str(tmp_path / "m.json")] if argv[0] == "train-extractor"
+               else ["--report", str(tmp_path / "r.json")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, *files.get(argv[0], ["--train", data, "--test", data]), *out])
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) >= 1
 
     @pytest.mark.parametrize("command", ["preprocess", "cv"])
     def test_overflowing_zca_is_numerical_failure(self, tmp_path, command, capsys):
@@ -599,3 +634,132 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+# The exit-code contract as a property: each command, on small awkward
+# datasets, with every numeric flag it uses either valid or drawn from the
+# edge values below. A flag outside the domain its validation documents
+# must exit 1, whatever the data.
+EDGE_VALUES = ["0", "-1", "nan", "inf", "1e308"]
+
+
+def _int_at_least(low):
+    def domain(text):
+        try:
+            return int(text) >= low
+        except ValueError:
+            return False
+    return domain
+
+
+def _float_in(low, high, low_open=False, high_open=False):
+    def domain(text):
+        v = float(text)
+        return (v > low if low_open else v >= low) and (v < high if high_open else v <= high)
+    return domain
+
+
+FLAGS = {  # flag: (valid value, domain)
+    "--lr": ("0.05", _float_in(0, math.inf, low_open=True, high_open=True)),
+    "--l2": ("1e-4", _float_in(0, math.inf, high_open=True)),
+    "--epsilon": ("1e-6", _float_in(0, math.inf, low_open=True, high_open=True)),
+    "--eps-norm": ("1e-8", _float_in(0, math.inf, low_open=True, high_open=True)),
+    "--momentum": ("0.5", _float_in(0, 1, high_open=True)),
+    "--dropout": ("0.2", _float_in(0, 1, high_open=True)),
+    "--theta": ("0.5", _float_in(0, 2)),
+    "--epochs": ("3", _int_at_least(0)),
+    "--batch": ("16", _int_at_least(1)),
+    "--trees": ("3", _int_at_least(1)),
+    "--max-depth": ("3", _int_at_least(1)),
+    "--folds": ("3", _int_at_least(2)),
+    "--k-folds": ("3", _int_at_least(2)),
+    "--m": ("1", _int_at_least(1)),
+    "--disc-k": ("5", _int_at_least(1)),
+    "--seed": ("0", _int_at_least(0)),
+}
+
+COMMANDS = {  # name: (argv head, numeric flags the run uses, output flag)
+    "preprocess": (["preprocess", "--normalize", "--zca"], ["--eps-norm", "--epsilon"], "--out"),
+    "train-extractor": (["train-extractor", "--arch", "in:3 fc:8 head:3"],
+                        ["--lr", "--momentum", "--dropout", "--batch", "--epochs", "--seed"],
+                        "--model-out"),
+    "baseline": (["baseline"], ["--lr", "--l2", "--epochs", "--batch", "--seed"], "--report"),
+    "baseline-forest": (["baseline", "--clf", "forest"], ["--trees", "--max-depth", "--seed"],
+                        "--report"),
+    "cpc": (["cpc"], ["--lr", "--l2", "--epochs", "--k-folds", "--m", "--disc-k", "--theta",
+                      "--seed"], "--report"),
+    "sweep": (["sweep", "--grid", "0.0:1.0:0.25"],
+              ["--epochs", "--k-folds", "--m", "--disc-k", "--seed"], "--report"),
+    "cv": (["cv", "--mode", "cpc", "--zca"], ["--folds", "--epochs", "--k-folds", "--m",
+                                               "--disc-k", "--theta", "--epsilon", "--seed"],
+           "--report"),
+}
+
+DATASETS = ["normal", "constant column", "duplicate rows", "one class", "n = 4"]
+
+
+def awkward_dataset(kind, exponent):
+    rng = np.random.default_rng(0)
+    y = np.arange(24) % 3
+    X = rng.standard_normal((24, 3)) + 6.0 * np.eye(3)[y]
+    if kind == "constant column":
+        X[:, 1] = 2.0
+    elif kind == "duplicate rows":
+        X[1::2], y[1::2] = X[::2], y[::2]
+    elif kind == "one class":
+        y[:] = 0
+    elif kind == "n = 4":
+        X, y = X[:4], y[:4]
+    return LabeledDataset(X * 10.0**exponent, y, int(y.max()) + 1)
+
+
+def all_finite(obj):
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(map(all_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(all_finite, obj))
+    return True
+
+
+@pytest.fixture(scope="module")
+def awkward_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("awkward")
+
+
+class TestExitCodeContract:
+    @given(
+        command=st.sampled_from(sorted(COMMANDS)),
+        kind=st.sampled_from(DATASETS),
+        exponent=st.sampled_from([0, 100, 160, 200, 300]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exit_code_follows_the_contract(self, awkward_dir, command, kind, exponent, data):
+        head, flags, out_flag = COMMANDS[command]
+        edits = data.draw(st.dictionaries(st.sampled_from(flags), st.sampled_from(EDGE_VALUES),
+                                          max_size=2))
+        values = {flag: edits.get(flag, FLAGS[flag][0]) for flag in flags}
+        path = awkward_dir / f"{kind.replace(' ', '_')}_{exponent}.csv"
+        if not path.exists():
+            write_dataset(awkward_dataset(kind, exponent), path)
+        out = awkward_dir / ("out.csv" if command == "preprocess" else "out.json")
+        out.unlink(missing_ok=True)
+        inputs = {"preprocess": ["--in"], "train-extractor": ["--in"], "cv": ["--in"],
+                  "sweep": ["--train", str(path), "--val"]}.get(command, ["--train", str(path),
+                                                                            "--test"])
+        argv = [*head, *(x for item in values.items() for x in item), *inputs, str(path),
+                out_flag, str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            if command == "preprocess":
+                assert np.isfinite(np.loadtxt(out, delimiter=",", ndmin=2)).all()
+            else:
+                assert all_finite(json.loads(out.read_text()))
+        if not all(FLAGS[flag][1](v) for flag, v in values.items()):
+            assert code == 1

@@ -472,8 +472,8 @@ class TestCpcPredict:
     @given(
         seed=st.integers(0, 2**32 - 1),
         Q=st.integers(1, 4),
-        k=st.integers(2, 12),
-        d=st.integers(1, 5),
+        k=st.integers(2, 30),
+        d=st.integers(1, 9),
         scale=st.floats(0.1, 5.0),
     )
     @settings(max_examples=60, deadline=None)
@@ -494,12 +494,13 @@ class TestCpcPredict:
             assert (margins[q] > 0) == (disc.predict(X[q]) == 1)
             assert abs(margins[q] - (s[1] - s[0])) <= 1e-12
 
-    def test_diverging_discriminator_raises(self):
-        # on features of about 1e300 the per-query fits leave the finite
-        # range; routing on NaN margins would send every such query to the
+    @pytest.mark.parametrize("scale", [1e200, 1e250, 1e300])
+    def test_diverging_discriminator_raises(self, scale):
+        # on features this large the per-query fits leave the finite range;
+        # routing on NaN margins would send every such query to the
         # difficult expert. knn members and experts have no SGD to diverge.
         def huge(ds):
-            return LabeledDataset(ds.features * 1e299, ds.labels, ds.class_count)
+            return LabeledDataset(ds.features * scale, ds.labels, ds.class_count)
 
         train = huge(generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=3))
         test = huge(generate_two_regime(50, 50, 4, 8, 6.0, 0.8, seed=4))
@@ -519,6 +520,41 @@ class TestCpcPredict:
         whole = cpc_predict_many(model, Q)
         monkeypatch.setattr(cpc_mod, "_SOLVE_CHUNK", 7)
         assert cpc_predict_many(model, Q) == whole
+
+    def test_grid_solves_each_distinct_problem_once(self, monkeypatch):
+        # splits at nearby thresholds give many queries the same neighbour
+        # labels; each (query, labels) problem is fitted once for the grid
+        import cpckit.cpc as cpc_mod
+        from cpckit.classifiers import _nearest_indices
+
+        ds = small_ds(n=60, d=2, C=3, seed=6)
+        ease = manual_ease(np.random.default_rng(6).integers(0, 17, 60) / 16)
+        models = [fit_cpc(partition(ds, ease, theta), knn_spec(k=3), disc_k=7)
+                  for theta in (0.3, 0.35, 0.55, 0.6)]
+        Q = np.random.default_rng(7).standard_normal((40, 2)) * 4.0
+        want = set()
+        for model in models:
+            for i, q in enumerate(Q):
+                nb = model.pooled_binary[_nearest_indices(ds.features, q, 7)]
+                if nb.min() != nb.max():
+                    want.add((i, nb.astype(bool).tobytes()))
+        seen = []
+        real = cpc_mod._discriminator_margins
+
+        def spy(P, y, X):
+            rows = [np.flatnonzero((Q == x).all(axis=1)) for x in X]
+            seen.extend((int(r[0]), labels.tobytes()) for r, labels in zip(rows, y))
+            return real(P, y, X)
+
+        monkeypatch.setattr(cpc_mod, "_discriminator_margins", spy)
+        margins, _ = cpc_predict_grid(models, Q)
+        assert sorted(seen) == sorted(want)
+        mixed_pairs = np.isfinite(margins).sum()
+        assert len(want) < mixed_pairs  # the grid repeats problems
+        monkeypatch.setattr(cpc_mod, "_discriminator_margins", real)
+        for model, m_row in zip(models, margins):
+            alone = [r.discriminator_margin for r in cpc_predict_many(model, Q)]
+            assert m_row.tobytes() == np.array(alone).tobytes()
 
     def test_grid_routing_matches_each_model(self):
         # one neighbour search and one stacked solve for several splits of
