@@ -292,8 +292,8 @@ def two_regime_centers(
         raise BadSpec("need at least two classes")
     if d < 2:
         raise BadSpec("need at least two feature dimensions")
-    if hard_margin <= 0 or easy_margin <= hard_margin:
-        raise BadSpec("margins must satisfy easy_margin > hard_margin > 0")
+    if not np.inf > easy_margin > hard_margin > 0:
+        raise BadSpec("margins must satisfy inf > easy_margin > hard_margin > 0")
 
     def circle(margin: float, offset: float) -> np.ndarray:
         radius = margin / (2.0 * np.sin(np.pi / C))

@@ -83,6 +83,19 @@ class TestSynth:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "margins",
+        [["--easy-margin", "inf"], ["--easy-margin", "nan"], ["--hard-margin", "nan"]],
+        ids=["easy-inf", "easy-nan", "hard-nan"],
+    )
+    def test_non_finite_margin_is_config_error(self, tmp_path, margins):
+        # exited 2 ("row 0, column 0 is nan") after numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", "--n-easy", "5", "--n-hard", "5", *margins,
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+
     def test_bad_spec_is_config_error(self, tmp_path):
         code = main(
             [
@@ -262,7 +275,7 @@ class TestNumericFlagsAndOverflow:
              "cv-lr-nan-before-zca", "cv-k-folds-before-zca", "cpc-seed-negative",
              "sweep-seed-negative"],
     )
-    def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale, capsys):
+    def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale):
         # each exited 2 or 3 or raised out of main before it was refused
         data = str(synth_file(tmp_path, scale))
         files = {"cv": ["--in", data], "sweep": ["--train", data, "--val", data],
@@ -273,7 +286,6 @@ class TestNumericFlagsAndOverflow:
             warnings.simplefilter("error")
             code = main([*argv, *files.get(argv[0], ["--train", data, "--test", data]), *out])
         assert code == 1
-        assert len(capsys.readouterr().err.splitlines()) >= 1
 
     @pytest.mark.parametrize("command", ["preprocess", "cv"])
     def test_overflowing_zca_is_numerical_failure(self, tmp_path, command, capsys):
@@ -652,21 +664,14 @@ def _int_at_least(low):
     return domain
 
 
-def _float_in(low, high, low_open=False, high_open=False):
-    def domain(text):
-        v = float(text)
-        return (v > low if low_open else v >= low) and (v < high if high_open else v <= high)
-    return domain
-
-
 FLAGS = {  # flag: (valid value, domain)
-    "--lr": ("0.05", _float_in(0, math.inf, low_open=True, high_open=True)),
-    "--l2": ("1e-4", _float_in(0, math.inf, high_open=True)),
-    "--epsilon": ("1e-6", _float_in(0, math.inf, low_open=True, high_open=True)),
-    "--eps-norm": ("1e-8", _float_in(0, math.inf, low_open=True, high_open=True)),
-    "--momentum": ("0.5", _float_in(0, 1, high_open=True)),
-    "--dropout": ("0.2", _float_in(0, 1, high_open=True)),
-    "--theta": ("0.5", _float_in(0, 2)),
+    "--lr": ("0.05", lambda t: 0 < float(t) < math.inf),
+    "--l2": ("1e-4", lambda t: 0 <= float(t) < math.inf),
+    "--epsilon": ("1e-6", lambda t: 0 < float(t) < math.inf),
+    "--eps-norm": ("1e-8", lambda t: 0 < float(t) < math.inf),
+    "--momentum": ("0.5", lambda t: 0 <= float(t) < 1),
+    "--dropout": ("0.2", lambda t: 0 <= float(t) < 1),
+    "--theta": ("0.5", lambda t: 0 <= float(t) <= 2),
     "--epochs": ("3", _int_at_least(0)),
     "--batch": ("16", _int_at_least(1)),
     "--trees": ("3", _int_at_least(1)),
@@ -747,9 +752,9 @@ class TestExitCodeContract:
         out = awkward_dir / ("out.csv" if command == "preprocess" else "out.json")
         out.unlink(missing_ok=True)
         inputs = {"preprocess": ["--in"], "train-extractor": ["--in"], "cv": ["--in"],
-                  "sweep": ["--train", str(path), "--val"]}.get(command, ["--train", str(path),
-                                                                            "--test"])
-        argv = [*head, *(x for item in values.items() for x in item), *inputs, str(path),
+                  "sweep": ["--train", str(path), "--val"]}
+        argv = [*head, *(x for item in values.items() for x in item),
+                *inputs.get(command, ["--train", str(path), "--test"]), str(path),
                 out_flag, str(out)]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
