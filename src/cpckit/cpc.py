@@ -50,8 +50,8 @@ ROUTE_DIFFICULT = "-"
 DEFAULT_DISC = SoftmaxParams(learning_rate=0.05, epochs=200, l2=1e-2, momentum=0.5)
 
 
-# Discriminator problems per stacked solve; bounds the step matrices (0.9 MB at k=25, d=9).
-_SOLVE_CHUNK = 128
+# Step-matrix bytes per stacked solve: 165 problems at k=25, d=8, 32 at k=25, d=784.
+_SOLVE_BYTES = 1 << 20
 
 
 def _derive_seed(*parts: int) -> int:
@@ -285,6 +285,7 @@ def fit_cpc_many(
     return models
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Fit one discriminator per query on its own neighbours, all at once.
 
@@ -296,35 +297,41 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     logistic regression with gradient g(u) = 2 (sigma(u.x) - y) x / k + l2 u,
     where 2 sigma(m) - 1 = tanh(m / 2). The bias rides as a last weight on a
     constant-one feature, exempt from l2. That SGD is the heavy-ball
-    recursion u+ = u + mu (u - u-) - lr g(u), linear in z = [u, u-, t, 1]
-    with t = tanh(half margins), so each query's step matrix M holds it, one
-    copy per slot of z that holds u: an epoch is three numpy calls. Returns
-    each query's margin u.x = s1 - s0 toward the easy side; raises
-    Divergence when the final weights are not finite (overflow on the way).
+    recursion u+ = u + mu (u - u-) - lr g(u), which never leaves the span of
+    the neighbours P1 and the bias: its state v is u when d <= k, else the
+    k + 1 coefficients of u = P1^T a + b e_bias, so an epoch costs
+    O(k min(d, k)) per query. It is linear in z = [v, v-, t, 1], t = tanh(half
+    margins), so a step matrix M per slot of z that holds v makes an epoch
+    three numpy calls. Returns each query's margin u.x = s1 - s0 toward the
+    easy side; raises Divergence when one is not finite (overflow on the way).
     """
     Q, k, d = P.shape
-    e, lr, mu = d + 1, DEFAULT_DISC.learning_rate, DEFAULT_DISC.momentum
-    P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, e)
-    half = 0.5 * P1  # exact: half margins come out bit for bit
-    z = np.zeros((Q, 2 * e + k + 1, 1))  # per query [u_a, u_b, t, 1], bias last in u
+    lr, mu, l2 = DEFAULT_DISC.learning_rate, DEFAULT_DISC.momentum, DEFAULT_DISC.l2
+    P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, d + 1)
+    X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)[:, :, None]
+    H, grad, read, coef = P1, P1.transpose(0, 2, 1), X1, k < d
+    if coef:  # neighbour margins P1 u = K a + b, the query's (P1 x1).a + b
+        H = np.concatenate([P1 @ grad, np.ones((Q, k, 1))], axis=2)
+        grad, read = np.eye(k + 1, k), np.concatenate([P1 @ X1, np.ones((Q, 1, 1))], axis=1)
+    half, r = 0.5 * H, H.shape[2]  # exact: half margins come out bit for bit
+    z = np.zeros((Q, 2 * r + k + 1, 1))  # per query [v_a, v_b, t, 1]
     z[:, -1] = 1.0
-    u, t = (z[:, :e], z[:, e : 2 * e]), z[:, 2 * e : -1]
-    keep = np.diag(1.0 + mu - lr * np.append(np.full(d, DEFAULT_DISC.l2), 0.0))
-    M = np.empty((2, Q, e, z.shape[1]))  # one step matrix per slot holding u
-    M[0, :, :, :e] = M[1, :, :, e : 2 * e] = keep
-    M[0, :, :, e : 2 * e] = M[1, :, :, :e] = -mu * np.eye(e)
-    M[:, :, :, 2 * e : -1] = P1.transpose(0, 2, 1) * (-lr / k)
-    M[:, :, :, -1] = (M[0, :, :, 2 * e : -1] @ (1.0 - 2.0 * y)[:, :, None])[:, :, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in (np.arange(DEFAULT_DISC.epochs) % 2).tolist():
-            np.matmul(half, u[p], out=t)
-            np.tanh(t, out=t)
-            np.matmul(M[p], z, out=u[1 - p])
-    w = u[DEFAULT_DISC.epochs % 2]
-    if not np.isfinite(w).all():
+    v, t = (z[:, :r], z[:, r : 2 * r]), z[:, 2 * r : -1]
+    keep = np.diag(np.full(r, 1.0 + mu - lr * l2))
+    keep[-1, :-1], keep[-1, -1] = lr * l2 * coef, 1.0 + mu  # the bias is exempt from l2
+    M = np.empty((2, Q, r, z.shape[1]))  # one step matrix per slot holding v
+    M[0, :, :, :r] = M[1, :, :, r : 2 * r] = keep
+    M[0, :, :, r : 2 * r] = M[1, :, :, :r] = -mu * np.eye(r)
+    M[:, :, :, 2 * r : -1] = grad * (-lr / k)
+    M[:, :, :, -1] = (M[0, :, :, 2 * r : -1] @ (1.0 - 2.0 * y)[:, :, None])[:, :, 0]
+    for p in (np.arange(DEFAULT_DISC.epochs) % 2).tolist():
+        np.matmul(half, v[p], out=t)
+        np.tanh(t, out=t)
+        np.matmul(M[p], z, out=v[1 - p])
+    margins = (read.transpose(0, 2, 1) @ v[DEFAULT_DISC.epochs % 2])[:, 0, 0]
+    if not np.isfinite(margins).all():  # as is each from a non-finite state
         raise Divergence(DEFAULT_DISC.epochs - 1)
-    X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)
-    return (X1[:, None, :] @ w)[:, 0, 0]
+    return margins
 
 
 def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
@@ -335,7 +342,7 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
     Each query's k nearest pooled points are found once for all splits.
     Unanimous neighbourhoods give +-inf. A mixed (split, query) pair's margin
     depends only on the query and its neighbours' labels, so each distinct
-    such problem is solved once, all together in chunks of _SOLVE_CHUNK.
+    such problem is solved once, in stacks of about _SOLVE_BYTES of step matrices.
     """
     k = min(k, len(features))
     idx = np.empty((len(X), k), dtype=np.int64)
@@ -352,10 +359,12 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
                                       return_index=True, return_inverse=True)
     q, y = queries[first], labels[first]
     solved = np.empty(len(q))
-    for lo in range(0, len(q), _SOLVE_CHUNK):
-        c = slice(lo, lo + _SOLVE_CHUNK)
+    r = min(k, features.shape[1]) + 1  # _discriminator_margins' state size
+    chunk = max(1, _SOLVE_BYTES // (16 * r * (2 * r + k + 1)))
+    for lo in range(0, len(q), chunk):
+        c = slice(lo, lo + chunk)
         solved[c] = _discriminator_margins(features[idx[q[c]]], y[c], X[q[c]])
-    margins[mixed] = solved[inverse]
+    margins[mixed] = solved[inverse].reshape(-1)  # numpy 2.0.0's inverse is 2-D
     return margins
 
 
@@ -404,12 +413,8 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
     ):
         raise BadSpec("grid models must share their pooled points and disc_k")
     X = _as_queries(X, first.input_dim)
-    margins = _route_margins(
-        first.pooled_features,
-        np.stack([m.pooled_binary for m in models]),
-        X,
-        first.discriminator_k,
-    )
+    binaries = np.stack([m.pooled_binary for m in models])
+    margins = _route_margins(first.pooled_features, binaries, X, first.discriminator_k)
     labels = np.zeros(margins.shape, dtype=np.int64)
     for g, m in enumerate(models):
         easy = margins[g] > 0

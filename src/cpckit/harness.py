@@ -124,7 +124,6 @@ class PipelineConfig:
     extractor: ExtractorConfig | None = None
 
     def __post_init__(self):
-        # every setting is checked here, before any preprocessing or fit
         if self.mode not in ("baseline", "cpc"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         clf_mod._validate(self.spec)

@@ -473,13 +473,14 @@ class TestCpcPredict:
         seed=st.integers(0, 2**32 - 1),
         Q=st.integers(1, 4),
         k=st.integers(2, 30),
-        d=st.integers(1, 9),
+        d=st.one_of(st.integers(1, 9), st.integers(10, 60)),
         scale=st.floats(0.1, 5.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_stacked_margins_match_per_query_softmax(self, seed, Q, k, d, scale):
         # random mixed neighbourhoods, each refitted alone as a binary
-        # softmax through the classifier API
+        # softmax through the classifier API; d > k solves in the k + 1
+        # neighbour coefficients instead of the d + 1 weights
         from cpckit.cpc import _discriminator_margins
 
         rng = np.random.default_rng(seed)
@@ -512,13 +513,24 @@ class TestCpcPredict:
         assert err.value.loss is None
         assert "loss" not in str(err.value)
 
+    def test_diverging_wide_discriminator_raises(self):
+        # d > k: the neighbour Gram matrix overflows before any weight does
+        from cpckit.cpc import _discriminator_margins
+
+        rng = np.random.default_rng(0)
+        P = rng.standard_normal((2, 5, 40)) * 1e200
+        y = np.tile([0, 1, 0, 1, 1], (2, 1))
+        with pytest.raises(Divergence) as err:
+            _discriminator_margins(P, y, rng.standard_normal((2, 40)))
+        assert err.value.loss is None
+
     def test_chunked_discriminator_solve_is_exact(self, monkeypatch):
         import cpckit.cpc as cpc_mod
 
         model = TestDiscriminate().mixed_line_model()
         Q = np.column_stack([np.linspace(-1.0, 20.0, 30), np.zeros(30)])
         whole = cpc_predict_many(model, Q)
-        monkeypatch.setattr(cpc_mod, "_SOLVE_CHUNK", 7)
+        monkeypatch.setattr(cpc_mod, "_SOLVE_BYTES", 1)  # one problem per solve
         assert cpc_predict_many(model, Q) == whole
 
     def test_grid_solves_each_distinct_problem_once(self, monkeypatch):
@@ -573,6 +585,15 @@ class TestCpcPredict:
             alone = cpc_predict_many(model, Q)
             assert m_row.tolist() == [r.discriminator_margin for r in alone]
             assert l_row.tolist() == [r.label for r in alone]
+        real_unique = np.unique
+
+        def unique_2d_inverse(*args, **kwargs):  # what numpy 2.0.0 returns
+            *rest, inverse = real_unique(*args, **kwargs)
+            return (*rest, inverse.reshape(-1, 1))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "unique", unique_2d_inverse)
+            assert cpc_predict_grid(models, Q)[0].tobytes() == margins.tobytes()
         other = fit_cpc(partition(take(ds, np.arange(60)), ease, 0.5), knn_spec(k=3), disc_k=7)
         with pytest.raises(BadSpec):
             cpc_predict_grid([models[1], other], Q)
