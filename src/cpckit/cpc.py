@@ -12,7 +12,7 @@ full-batch fits from zero weights, so identical queries route identically.
 From zero weights a binary softmax is a logistic regression on the
 difference of its two weight columns, and it is fitted in that form; the
 discriminators of all mixed-neighbourhood queries of one call are solved
-together, each as a heavy-ball recursion over its own fixed step matrix.
+together, each a fixed-matrix heavy-ball recursion in min(d, k) + 1 numbers.
 Models that split the same pooled points at different thresholds, as the
 grid of a theta sweep does, route a batch of queries with one neighbour
 search and solve each distinct (query, neighbour labels) problem once.
@@ -50,8 +50,8 @@ ROUTE_DIFFICULT = "-"
 DEFAULT_DISC = SoftmaxParams(learning_rate=0.05, epochs=200, l2=1e-2, momentum=0.5)
 
 
-# Step-matrix bytes per stacked solve: 165 problems at k=25, d=8, 32 at k=25, d=784.
-_SOLVE_BYTES = 1 << 20
+# Step-matrix bytes per stacked solve: 124 problems at k=25, d=8, 24 at k=25, d=784.
+_SOLVE_BYTES = 3 << 18
 
 
 def _derive_seed(*parts: int) -> int:
