@@ -68,7 +68,8 @@ class KnnParams:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """A classifier kind plus its kind-specific hyperparameters."""
+    """A classifier kind plus its kind-specific hyperparameters, checked
+    when built: a bad kind raises BadSpec, a bad value BadHyperparams."""
 
     kind: str
     hyperparams: SoftmaxParams | SvmParams | ForestParams | KnnParams
@@ -82,6 +83,7 @@ class ClassifierSpec:
                 f"{self.kind} expects {expected.__name__}, "
                 f"got {type(self.hyperparams).__name__}"
             )
+        _validate(self)
 
 
 _PARAM_TYPES = {
@@ -193,14 +195,13 @@ def fit_many(specs, datasets) -> list[TrainedClassifier]:
     stacked momentum-SGD run, forests grown in lockstep. Linear jobs with a
     single class or a single feature train alone: numpy sums and multiplies
     their one-column arrays in a float order that depends on the batch
-    width. Knn jobs run one by one. Every spec and dataset is checked before
-    anything trains.
+    width. Knn jobs run one by one. Every dataset is checked before
+    anything trains; each spec checked itself when it was built.
     """
     if len(specs) != len(datasets):
         raise LengthMismatch(f"{len(specs)} specs for {len(datasets)} datasets")
     jobs = []
     for spec, ds in zip(specs, datasets):
-        _validate(spec)
         if ds.n == 0:
             raise EmptyDataset("cannot fit on an empty dataset")
         classes_seen = np.unique(ds.labels)

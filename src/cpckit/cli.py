@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .classifiers import forest_spec, softmax_spec, svm_spec
+from .classifiers import ClassifierSpec, forest_spec, softmax_spec, svm_spec
 from .cpc import (
     EXCLUDE_IN_FOLD,
     INCLUDE_ALL,
@@ -68,26 +68,12 @@ def _echo(args: argparse.Namespace, spec) -> dict:
     return {**echo, "spec": asdict(spec.hyperparams)}
 
 
-def _clf_spec(args) -> object:
-    if args.clf == "softmax":
-        return softmax_spec(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            l2=args.l2,
-            seed=args.seed,
-        )
-    if args.clf == "svm":
-        return svm_spec(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            l2=args.l2,
-            seed=args.seed,
-        )
-    return forest_spec(
-        tree_count=args.trees, max_depth=args.max_depth, seed=args.seed
-    )
+def _clf_spec(args) -> ClassifierSpec:
+    if args.clf == "forest":
+        return forest_spec(tree_count=args.trees, max_depth=args.max_depth, seed=args.seed)
+    linear_spec = softmax_spec if args.clf == "softmax" else svm_spec
+    return linear_spec(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+                       l2=args.l2, seed=args.seed)
 
 
 def _add_clf_flags(p: argparse.ArgumentParser) -> None:
@@ -163,27 +149,18 @@ def _cpc_config(args, spec) -> CpcConfig:
 
 def _pipeline_config(args, spec) -> PipelineConfig:
     """cv's pipeline; baseline and cpc name their mode by their command and
-    have no preprocessing or extractor flags."""
+    have no preprocessing or extractor flags. The cpc mode's learner is a
+    CpcConfig around spec, the baseline's is spec itself."""
     mode = getattr(args, "mode", args.command)
-    cpc = _cpc_config(args, spec) if mode == "cpc" else None
+    learner = _cpc_config(args, spec) if mode == "cpc" else spec
     if args.command != "cv":
-        return PipelineConfig(mode=mode, spec=spec, cpc=cpc)
-    return PipelineConfig(
-        mode=mode,
-        spec=spec,
-        cpc=cpc,
-        preprocess=PreprocessConfig(
-            normalize=args.normalize, zca=args.zca, epsilon=args.epsilon
-        ),
-        extractor=(
-            ExtractorConfig(
-                arch=args.arch,
-                train=TrainConfig(epochs=args.extractor_epochs, seed=args.seed),
-            )
-            if args.arch
-            else None
-        ),
-    )
+        return PipelineConfig(learner)
+    extractor = None
+    if args.arch:
+        train = TrainConfig(epochs=args.extractor_epochs, seed=args.seed)
+        extractor = ExtractorConfig(args.arch, train)
+    preprocess = PreprocessConfig(normalize=args.normalize, zca=args.zca, epsilon=args.epsilon)
+    return PipelineConfig(learner, preprocess, extractor)
 
 
 # handlers ----------------------------------------------------------------

@@ -428,6 +428,9 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class CpcConfig:
+    """The routed pipeline's settings, checked when built; k_folds above
+    the training set's size is refused when the ensemble trains."""
+
     base_spec: ClassifierSpec
     expert_spec: ClassifierSpec
     k_folds: int = 5
@@ -437,6 +440,14 @@ class CpcConfig:
     ease_mode: str = INCLUDE_ALL
     fold_training: str = SINGLE_FOLD
     seed: int = 0
+
+    def __post_init__(self):
+        if self.k_folds < 2:
+            raise BadK(f"k_folds={self.k_folds} must be at least 2")
+        if self.repetitions < 1:
+            raise BadSpec(f"repetitions={self.repetitions} must be at least 1")
+        check_theta(self.theta)
+        check_disc(self.disc_k)
 
 
 def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:

@@ -8,7 +8,7 @@ to rows by the positions defined here.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class LabeledDataset:
     records the original-to-dense label mapping applied by the CSV loader.
     Instances are treated as immutable after construction. Features must
     be finite. Loaders reject empty input; index subsets (splits, folds,
-    subspaces) may be empty.
+    subspaces) may be empty. Derived datasets are dataclasses.replace
+    copies, which carry every other field along and are checked again.
     """
 
     features: np.ndarray
@@ -83,13 +84,7 @@ def take(ds: LabeledDataset, indices) -> LabeledDataset:
     tags = None
     if ds.regime_tags is not None:
         tags = tuple(ds.regime_tags[i] for i in idx)
-    return LabeledDataset(
-        features=ds.features[idx],
-        labels=ds.labels[idx],
-        class_count=ds.class_count,
-        regime_tags=tags,
-        label_map=ds.label_map,
-    )
+    return replace(ds, features=ds.features[idx], labels=ds.labels[idx], regime_tags=tags)
 
 
 # CSV wire format: one sample per row, "f0,f1,...,f{d-1},label" ---------

@@ -2,8 +2,11 @@
 
 Three families, mirrored by the CLI exit codes: ConfigError for bad flags or
 hyperparameters (exit 1), DataError for malformed or mismatched data (exit 2),
-NumericalError for runaway numerics (exit 3).
+NumericalError for runaway numerics (exit 3). load_json reads the toolkit's
+JSON files, mapping whatever is wrong with one to DataError.
 """
+
+import json
 
 
 class ConfigError(ValueError):
@@ -16,6 +19,17 @@ class DataError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A numerical procedure failed to produce finite results."""
+
+
+def load_json(path, decode):
+    """decode(the JSON value in path). A file that is not JSON, or a value
+    decode refuses (a missing key, a wrong type or shape, a bad setting),
+    raises DataError."""
+    with open(path) as fh:
+        try:
+            return decode(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: malformed file: {e!r}") from None
 
 
 # dataset --------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Evaluation harness: confusion counts, reports, cross-validation,
 threshold sweeps, and baseline-vs-routed comparisons.
 
+A PipelineConfig's learner picks the pipeline: a ClassifierSpec is the
+plain classifier, a CpcConfig the routed one. Both refuse bad values when
+built, so every stage trusts the settings it is given.
+
 Reports are plain dicts, written as JSON as they are: sorted keys and no
 timestamps, so identical configurations and seeds give identical bytes.
 """
@@ -18,7 +22,6 @@ from .classifiers import ClassifierSpec
 from .cpc import (
     ROUTE_EASY,
     CpcConfig,
-    check_disc,
     check_theta,
     cpc_predict_grid,
     cpc_predict_many,
@@ -115,25 +118,17 @@ class ExtractorConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to train and score one model end to end."""
+    """Everything needed to train and score one model end to end. A
+    CpcConfig learner trains with its own base and expert specs."""
 
-    mode: str  # "baseline" | "cpc"
-    spec: ClassifierSpec
-    cpc: CpcConfig | None = None
+    learner: ClassifierSpec | CpcConfig
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     extractor: ExtractorConfig | None = None
 
     def __post_init__(self):
-        if self.mode not in ("baseline", "cpc"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        clf_mod._validate(self.spec)
-        if self.mode == "cpc":
-            if self.cpc is None:
-                raise ConfigError("cpc mode needs a CpcConfig")
-            check_theta(self.cpc.theta)
-            check_disc(self.cpc.disc_k)
-            if self.cpc.k_folds < 2 or self.cpc.repetitions < 1:
-                raise ConfigError("cpc needs k_folds >= 2 and m >= 1")
+        if not isinstance(self.learner, (ClassifierSpec, CpcConfig)):
+            raise ConfigError(f"learner must be a ClassifierSpec or a CpcConfig, "
+                              f"got {type(self.learner).__name__}")
 
 
 def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
@@ -141,15 +136,15 @@ def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
     test side. Returns one (preds, routes-or-None) per pair.
 
     Stage by stage: each pair is preprocessed and its extractor trained,
-    then all pairs' baseline classifiers train in one fit_many call; cpc
-    mode partitions each pair at theta and fits all pairs' experts in one
-    fit_cpc_many call. Preprocessing and the extractor are fit on training
-    data only and applied to the test side."""
+    then a ClassifierSpec learner trains on all pairs in one fit_many call;
+    a CpcConfig learner partitions each pair at its theta and fits all
+    pairs' experts in one fit_cpc_many call. Preprocessing and the
+    extractor are fit on training data only and applied to the test side."""
     pairs = [_prepare(train_ds, test_ds, cfg) for train_ds, test_ds in pairs]
-    if cfg.mode == "baseline":
-        fitted = clf_mod.fit_many([cfg.spec] * len(pairs), [train for train, _ in pairs])
+    c = cfg.learner
+    if isinstance(c, ClassifierSpec):
+        fitted = clf_mod.fit_many([c] * len(pairs), [train for train, _ in pairs])
         return [(clf.predict_many(test.features), None) for clf, (_, test) in zip(fitted, pairs)]
-    c = cfg.cpc
     parts = [partition(train, ease_scores(train, c), c.theta) for train, _ in pairs]
     out = []
     for model, (_, test) in zip(fit_cpc_many(parts, c.expert_spec, c.disc_k), pairs):
@@ -219,7 +214,7 @@ def theta_sweep(
     """Validation accuracy across thresholds.
 
     The base ensemble and ease scores are computed once and shared by every
-    grid point; the grid and disc_k are checked before anything trains.
+    grid point; the grid is checked before anything trains, cfg when built.
     Thresholds between the same two distinct ease ratios split the same
     rows, so one model is fitted and routed per distinct easy set among
     theta 0 and the grid, and its accuracy is copied to each such point.
@@ -236,7 +231,6 @@ def theta_sweep(
         raise ConfigError("theta grid must be strictly ascending")
     for theta in grid:
         check_theta(theta)
-    check_disc(cfg.disc_k)
     ease = ease_scores(train_ds, cfg)
     thetas = [0.0, *grid]
     # ratios >= theta depends only on how many distinct ratios lie below theta
@@ -287,12 +281,12 @@ def compare(
     """For each spec: plain accuracy vs routed accuracy with that spec as
     both the base and expert learner, each a run_pipeline run."""
 
-    def accuracy(mode, spec):
-        cpc_cfg = replace(cfg, base_spec=spec, expert_spec=spec)
-        [(preds, _)] = run_pipeline([(train_ds, test_ds)], PipelineConfig(mode, spec, cpc_cfg))
+    def accuracy(learner):
+        [(preds, _)] = run_pipeline([(train_ds, test_ds)], PipelineConfig(learner))
         return float(np.mean(preds == test_ds.labels))
 
     return [
-        ComparisonRow(spec.kind, accuracy("baseline", spec), accuracy("cpc", spec))
+        ComparisonRow(spec.kind, accuracy(spec),
+                      accuracy(replace(cfg, base_spec=spec, expert_spec=spec)))
         for spec in specs
     ]

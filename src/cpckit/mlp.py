@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classifiers import _momentum_sgd
 from .dataset import LabeledDataset
-from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError
+from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError, load_json
 
 PLAIN = "plain"
 RESIDUAL_ADD = "residual_add"
@@ -328,13 +328,7 @@ def extract_features(m: MlpModel, ds: LabeledDataset) -> LabeledDataset:
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise NumericalError(f"extractor output row {row}, column {col} is {features[row, col]}")
-    return LabeledDataset(
-        features=features,
-        labels=ds.labels,
-        class_count=ds.class_count,
-        regime_tags=ds.regime_tags,
-        label_map=ds.label_map,
-    )
+    return replace(ds, features=features)
 
 
 # serialization ------------------------------------------------------------
@@ -352,18 +346,17 @@ def mlp_to_json(m: MlpModel) -> dict:
 
 
 def mlp_from_json(obj: dict) -> MlpModel:
-    input_dim, blocks, class_count = parse_arch(obj["arch"])
-    return MlpModel(
-        input_dim=input_dim,
-        block_specs=blocks,
-        class_count=class_count,
-        weights=[np.asarray(w, dtype=np.float64) for w in obj["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in obj["biases"]],
-        head_w=np.asarray(obj["head_w"], dtype=np.float64),
-        head_b=np.asarray(obj["head_b"], dtype=np.float64),
-        feature_tap=int(obj["feature_tap"]),
-        activation=obj.get("activation", RELU),
-    )
+    """The model of mlp_to_json's dict. A bad arch, tap or activation raises
+    BadArch, as in build_mlp; an array whose shape disagrees, DimMismatch."""
+    m = build_mlp(*parse_arch(obj["arch"]), feature_tap=int(obj["feature_tap"]),
+                  activation=obj.get("activation", RELU))
+    arrays = [np.asarray(a, dtype=np.float64)
+              for a in (*obj["weights"], *obj["biases"], obj["head_w"], obj["head_b"])]
+    if [a.shape for a in arrays] != [p.shape for p in _params(m)]:
+        raise DimMismatch(f"model arrays do not fit arch {obj['arch']!r}")
+    n = len(m.weights)
+    m.weights, m.biases, m.head_w, m.head_b = arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1]
+    return m
 
 
 def save_mlp(m: MlpModel, path) -> None:
@@ -373,5 +366,5 @@ def save_mlp(m: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
-    with open(path) as fh:
-        return mlp_from_json(json.load(fh))
+    """Raises DataError unless path holds a model of save_mlp's form."""
+    return load_json(path, mlp_from_json)

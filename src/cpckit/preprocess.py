@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ConfigError, DimMismatch, NumericalError, TooFewSamples
+from .errors import ConfigError, DimMismatch, NonFinite, NumericalError, TooFewSamples, load_json
 
 
 def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledDataset:
@@ -40,26 +40,28 @@ def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledData
         floor = np.maximum(eps_norm / m, np.finfo(np.float64).smallest_subnormal)
         sd = np.maximum(x.std(axis=1, keepdims=True), floor)
         out[huge] = (x - x.mean(axis=1, keepdims=True)) / sd
-    return LabeledDataset(
-        features=out,
-        labels=ds.labels,
-        class_count=ds.class_count,
-        regime_tags=ds.regime_tags,
-        label_map=ds.label_map,
-    )
+    return replace(ds, features=out)
 
 
 @dataclass(frozen=True)
 class WhiteningTransform:
-    """Column mean plus a symmetric rotation W = U (L + eps I)^(-1/2) U^T."""
+    """Column mean plus a symmetric rotation W = U (L + eps I)^(-1/2) U^T.
+    Raises DimMismatch unless the mean is a d-vector and W is d x d, and
+    NonFinite unless both are finite."""
 
     mean: np.ndarray
     rotation: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
+        mean = np.asarray(self.mean, dtype=np.float64)
+        rotation = np.asarray(self.rotation, dtype=np.float64)
+        if mean.ndim != 1 or rotation.shape != (len(mean), len(mean)):
+            raise DimMismatch(f"mean {mean.shape}, rotation {rotation.shape}: not d, d x d")
+        if not (np.isfinite(mean).all() and np.isfinite(rotation).all()):
+            raise NonFinite("transform mean or rotation is not finite")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "rotation", rotation)
 
     @property
     def d(self) -> int:
@@ -100,13 +102,7 @@ def apply_whitening(t: WhiteningTransform, ds: LabeledDataset) -> LabeledDataset
     if ds.d != t.d:
         raise DimMismatch(f"transform expects d={t.d}, dataset has d={ds.d}")
     out = (ds.features - t.mean) @ t.rotation  # W symmetric, so x W^T = x W
-    return LabeledDataset(
-        features=out,
-        labels=ds.labels,
-        class_count=ds.class_count,
-        regime_tags=ds.regime_tags,
-        label_map=ds.label_map,
-    )
+    return replace(ds, features=out)
 
 
 def transform_to_json(t: WhiteningTransform) -> dict:
@@ -118,11 +114,7 @@ def transform_to_json(t: WhiteningTransform) -> dict:
 
 
 def transform_from_json(obj: dict) -> WhiteningTransform:
-    return WhiteningTransform(
-        mean=np.asarray(obj["mean"], dtype=np.float64),
-        rotation=np.asarray(obj["rotation"], dtype=np.float64),
-        epsilon=float(obj["epsilon"]),
-    )
+    return WhiteningTransform(obj["mean"], obj["rotation"], float(obj["epsilon"]))
 
 
 def save_transform(t: WhiteningTransform, path) -> None:
@@ -132,5 +124,5 @@ def save_transform(t: WhiteningTransform, path) -> None:
 
 
 def load_transform(path) -> WhiteningTransform:
-    with open(path) as fh:
-        return transform_from_json(json.load(fh))
+    """Raises DataError unless path holds a transform of save_transform's form."""
+    return load_json(path, transform_from_json)

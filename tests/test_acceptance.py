@@ -345,10 +345,7 @@ def test_criterion_11_five_fold_protocol():
     tested = np.concatenate([fa.indices_of(f) for f in range(5)])
     assert np.array_equal(np.sort(tested), np.arange(ds.n))
 
-    cfg = PipelineConfig(
-        mode="baseline",
-        spec=ClassifierSpec(SOFTMAX, SoftmaxParams(epochs=30, seed=0)),
-    )
+    cfg = PipelineConfig(ClassifierSpec(SOFTMAX, SoftmaxParams(epochs=30, seed=0)))
     res = cross_validate(ds, cfg, folds=5, seed=7)
     assert sum(np.sum(r["confusion"]) for r in res["folds"]) == ds.n
     accs = [r["accuracy"] for r in res["folds"]]

@@ -66,20 +66,19 @@ class TestSpecValidation:
             ClassifierSpec("boosting", KnnParams(k=3))
 
     def test_bad_hyperparams(self):
-        ds = blobs(30)
-        for spec in (
-            softmax_spec(learning_rate=0.0),
-            softmax_spec(epochs=-1),
-            softmax_spec(batch_size=0),
-            softmax_spec(l2=-0.1),
-            softmax_spec(momentum=1.0),
-            svm_spec(hinge_margin=0.0),
-            forest_spec(tree_count=0),
-            forest_spec(max_depth=0),
-            knn_spec(k=0),
+        for make, kw in (
+            (softmax_spec, {"learning_rate": 0.0}),
+            (softmax_spec, {"epochs": -1}),
+            (softmax_spec, {"batch_size": 0}),
+            (softmax_spec, {"l2": -0.1}),
+            (softmax_spec, {"momentum": 1.0}),
+            (svm_spec, {"hinge_margin": 0.0}),
+            (forest_spec, {"tree_count": 0}),
+            (forest_spec, {"max_depth": 0}),
+            (knn_spec, {"k": 0}),
         ):
             with pytest.raises(BadHyperparams):
-                fit(spec, ds)
+                make(**kw)
 
     def test_with_seed(self):
         assert with_seed(softmax_spec(seed=0), 7).hyperparams.seed == 7

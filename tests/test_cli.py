@@ -149,6 +149,16 @@ class TestPreprocess:
         )
         assert code == 2
 
+    def test_transform_rotation_not_d_by_d_is_data_error(self, data_files, capsys):
+        tmp, train, _ = data_files
+        transform = tmp / "t.json"
+        transform.write_text(json.dumps({"mean": [0.0, 0.0], "rotation": [[1.0, 0.0, 0.0]] * 3,
+                                         "epsilon": 1e-6}))
+        code = main(["preprocess", "--in", str(train), "--transform-in", str(transform),
+                     "--out", str(tmp / "out.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestExtractorCommands:
     def test_train_then_extract(self, data_files):
@@ -169,6 +179,28 @@ class TestExtractorCommands:
         rows = feats.read_text().strip().splitlines()
         assert len(rows) == 60
         assert len(rows[0].split(",")) == 11  # concat width 8 + 2, plus label
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text, obj: "not json {",
+            lambda text, obj: json.dumps({k: v for k, v in obj.items() if k != "weights"}),
+            lambda text, obj: json.dumps({**obj, "weights": [w[:-1] for w in obj["weights"]]}),
+        ],
+        ids=["not-json", "no-weights", "weights-wrong-shape"],
+    )
+    def test_malformed_model_is_data_error(self, data_files, edit, capsys):
+        tmp, train, _ = data_files
+        model = tmp / "m.json"
+        assert main(["train-extractor", "--in", str(train), "--arch", "in:2 fc:8 head:3",
+                     "--epochs", "1", "--model-out", str(model)]) == 0
+        text = model.read_text()
+        model.write_text(edit(text, json.loads(text)))
+        capsys.readouterr()
+        code = main(["extract", "--model", str(model), "--in", str(train),
+                     "--out", str(tmp / "f.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_arch_width_mismatch_is_config_error(self, data_files):
         tmp, train, _ = data_files
@@ -618,10 +650,8 @@ class TestCvCommand:
         del got["config"]
         spec = softmax_spec(epochs=20, seed=4)
         cfg = PipelineConfig(
-            mode=mode,
-            spec=spec,
-            cpc=CpcConfig(base_spec=spec, expert_spec=spec, theta=0.5, disc_k=5, seed=4)
-            if mode == "cpc" else None,
+            CpcConfig(base_spec=spec, expert_spec=spec, theta=0.5, disc_k=5, seed=4)
+            if mode == "cpc" else spec,
             preprocess=PreprocessConfig(zca=True),
         )
         want = cross_validate(load_dataset(train), cfg, folds=3, seed=4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cpckit.classifiers as clf_mod
-from cpckit.classifiers import forest_spec, knn_spec, softmax_spec
+from cpckit.classifiers import ClassifierSpec, forest_spec, knn_spec, softmax_spec
 from cpckit.cpc import (
     CpcConfig,
     compute_ease,
@@ -156,18 +156,18 @@ class TestReportJson:
 class TestPipeline:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(mode="ensemble", spec=knn_spec())
+            PipelineConfig("ensemble")
         with pytest.raises(ConfigError):
-            PipelineConfig(mode="cpc", spec=knn_spec())
+            PipelineConfig(None)
+        spec = knn_spec()
+        for bad in ({"k_folds": 1}, {"repetitions": 0}, {"disc_k": 0}, {"theta": 3.0}):
+            with pytest.raises(ConfigError):
+                CpcConfig(base_spec=spec, expert_spec=spec, **bad)
 
     def test_baseline_with_preprocessing(self):
         train = blobs(seed=0)
         test = blobs(seed=1)
-        cfg = PipelineConfig(
-            mode="baseline",
-            spec=knn_spec(k=3),
-            preprocess=PreprocessConfig(zca=True),
-        )
+        cfg = PipelineConfig(knn_spec(k=3), preprocess=PreprocessConfig(zca=True))
         [(preds, routes)] = run_pipeline([(train, test)], cfg)
         assert routes is None
         assert float(np.mean(preds == test.labels)) >= 0.95
@@ -175,18 +175,10 @@ class TestPipeline:
     def test_extractor_arch_must_match_data(self):
         train = blobs(seed=2)
         test = blobs(seed=3)
-        bad_width = PipelineConfig(
-            mode="baseline",
-            spec=knn_spec(),
-            extractor=ExtractorConfig(arch="in:5 fc:8 head:4"),
-        )
+        bad_width = PipelineConfig(knn_spec(), extractor=ExtractorConfig(arch="in:5 fc:8 head:4"))
         with pytest.raises(ConfigError):
             run_pipeline([(train, test)], bad_width)
-        bad_head = PipelineConfig(
-            mode="baseline",
-            spec=knn_spec(),
-            extractor=ExtractorConfig(arch="in:2 fc:8 head:3"),
-        )
+        bad_head = PipelineConfig(knn_spec(), extractor=ExtractorConfig(arch="in:2 fc:8 head:3"))
         with pytest.raises(ConfigError):
             run_pipeline([(train, test)], bad_head)
 
@@ -194,8 +186,7 @@ class TestPipeline:
         train = blobs(seed=4)
         test = blobs(seed=5)
         cfg = PipelineConfig(
-            mode="baseline",
-            spec=knn_spec(k=3),
+            knn_spec(k=3),
             extractor=ExtractorConfig(
                 arch="in:2 concat:8 head:4",
                 train=TrainConfig(epochs=15, dropout=0.0, seed=0),
@@ -210,7 +201,7 @@ class TestPipeline:
         cpc_cfg = CpcConfig(
             base_spec=knn_spec(k=1), expert_spec=knn_spec(k=3), theta=0.5, disc_k=5
         )
-        cfg = PipelineConfig(mode="cpc", spec=knn_spec(), cpc=cpc_cfg)
+        cfg = PipelineConfig(cpc_cfg)
         [(preds, routes)] = run_pipeline([(train, test)], cfg)
         assert len(routes) == test.n
         assert set(routes) <= {"+", "-"}
@@ -219,7 +210,7 @@ class TestPipeline:
 class TestCrossValidate:
     def test_mean_is_arithmetic_mean_and_samples_partition(self):
         ds = blobs(n=83, seed=8)
-        cfg = PipelineConfig(mode="baseline", spec=knn_spec(k=3))
+        cfg = PipelineConfig(knn_spec(k=3))
         res = cross_validate(ds, cfg, folds=5, seed=0)
         accs = [r["accuracy"] for r in res["folds"]]
         assert abs(res["mean_accuracy"] - sum(accs) / len(accs)) <= 1e-12
@@ -229,7 +220,7 @@ class TestCrossValidate:
 
     def test_fold_config_recorded(self):
         ds = blobs(n=40, seed=9)
-        cfg = PipelineConfig(mode="baseline", spec=knn_spec(k=1))
+        cfg = PipelineConfig(knn_spec(k=1))
         res = cross_validate(ds, cfg, folds=4, seed=1)
         assert [r["config"]["fold"] for r in res["folds"]] == [0, 1, 2, 3]
 
@@ -238,7 +229,7 @@ class TestCrossValidate:
         cpc_cfg = CpcConfig(
             base_spec=knn_spec(k=1), expert_spec=knn_spec(k=3), theta=0.5, disc_k=5
         )
-        cfg = PipelineConfig(mode="cpc", spec=knn_spec(), cpc=cpc_cfg)
+        cfg = PipelineConfig(cpc_cfg)
         res = cross_validate(ds, cfg, folds=3, seed=2)
         assert all(r["routes"] is not None for r in res["folds"])
 
@@ -264,11 +255,11 @@ def _ref_cross_validate(ds, cfg, folds, seed):
             model, _ = train(model, train_ds, cfg.extractor.train)
             train_ds = extract_features(model, train_ds)
             test_ds = extract_features(model, test_ds)
-        if cfg.mode == "baseline":
-            preds = clf_mod.fit(cfg.spec, train_ds).predict_many(test_ds.features)
+        if isinstance(cfg.learner, ClassifierSpec):
+            preds = clf_mod.fit(cfg.learner, train_ds).predict_many(test_ds.features)
             routes = None
         else:
-            routed = cpc_predict_many(train_cpc(train_ds, cfg.cpc), test_ds.features)
+            routed = cpc_predict_many(train_cpc(train_ds, cfg.learner), test_ds.features)
             preds = np.array([r.label for r in routed], dtype=np.int64)
             routes = [r.route for r in routed]
         reports.append(evaluate(preds, truth, ds.class_count, routes=routes,
@@ -282,10 +273,8 @@ class TestStagedCrossValidate:
         ds = blobs(n=90, seed=13, margin=3.0)
         forest = forest_spec(tree_count=6, seed=3)
         cfg = PipelineConfig(
-            mode=mode,
-            spec=forest,
-            cpc=CpcConfig(base_spec=softmax_spec(epochs=10, seed=0), expert_spec=forest,
-                          disc_k=7) if mode == "cpc" else None,
+            CpcConfig(base_spec=softmax_spec(epochs=10, seed=0), expert_spec=forest, disc_k=7)
+            if mode == "cpc" else forest,
             preprocess=PreprocessConfig(zca=True),
             extractor=ExtractorConfig(arch="in:2 concat:8 head:4",
                                       train=TrainConfig(epochs=4, seed=2)),
