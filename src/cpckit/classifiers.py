@@ -649,12 +649,17 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows by Euclidean distance, ascending.
 
     Distance ties break toward the lower index; k larger than the row count
-    clamps to all rows. Rows whose squared distance overflows (above about
-    1e154 away) come after every other row, ordered by a scaled norm.
+    clamps to all rows. Only the rows within the k-th smallest distance are
+    sorted, which is the full stable sort's first k. Rows whose squared
+    distance overflows (above about 1e154 away) come after every other row,
+    ordered by a scaled norm.
     """
     with np.errstate(over="ignore"):
         dist = np.sum((features - x) ** 2, axis=1)
     far = ~np.isfinite(dist)
+    if k < len(dist) and not far.any():  # only rows within the k-th distance need sorting
+        near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+        return near[np.argsort(dist[near], kind="stable")[:k]]
     order = np.argsort(dist, kind="stable")
     if far.any():
         # halved differences cannot overflow; m * sqrt(mean((diff / m)^2))

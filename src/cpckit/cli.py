@@ -150,9 +150,11 @@ def _cpc_config(args, spec) -> CpcConfig:
 def _pipeline_config(args, spec) -> PipelineConfig:
     """cv's pipeline; baseline and cpc name their mode by their command and
     have no preprocessing or extractor flags. The cpc mode's learner is a
-    CpcConfig around spec, the baseline's is spec itself."""
+    CpcConfig around spec, the baseline's is spec itself. cv builds that
+    CpcConfig in either mode, so its cpc flags are checked in either mode."""
     mode = getattr(args, "mode", args.command)
-    learner = _cpc_config(args, spec) if mode == "cpc" else spec
+    cpc = _cpc_config(args, spec) if args.command != "baseline" else None
+    learner = cpc if mode == "cpc" else spec
     if args.command != "cv":
         return PipelineConfig(learner)
     extractor = None

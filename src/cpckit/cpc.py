@@ -302,8 +302,10 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     k + 1 coefficients of u = P1^T a + b e_bias, so an epoch costs
     O(k min(d, k)) per query. It is linear in z = [v, v-, t, 1], t = tanh(half
     margins), so a step matrix M per slot of z that holds v makes an epoch
-    three numpy calls. Returns each query's margin u.x = s1 - s0 toward the
-    easy side; raises Divergence when one is not finite (overflow on the way).
+    three numpy calls, the step written to scratch, not into the z it reads.
+    A lone query runs them as 2-D np.dot calls, bit for bit a stacked row.
+    Returns each query's margin u.x = s1 - s0 toward the easy side; raises
+    Divergence when one is not finite (overflow on the way).
     """
     Q, k, d = P.shape
     lr, mu, l2 = DEFAULT_DISC.learning_rate, DEFAULT_DISC.momentum, DEFAULT_DISC.l2
@@ -316,7 +318,6 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     half, r = 0.5 * H, H.shape[2]  # exact: half margins come out bit for bit
     z = np.zeros((Q, 2 * r + k + 1, 1))  # per query [v_a, v_b, t, 1]
     z[:, -1] = 1.0
-    v, t = (z[:, :r], z[:, r : 2 * r]), z[:, 2 * r : -1]
     keep = np.diag(np.full(r, 1.0 + mu - lr * l2))
     keep[-1, :-1], keep[-1, -1] = lr * l2 * coef, 1.0 + mu  # the bias is exempt from l2
     M = np.empty((2, Q, r, z.shape[1]))  # one step matrix per slot holding v
@@ -324,10 +325,15 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     M[0, :, :, r : 2 * r] = M[1, :, :, :r] = -mu * np.eye(r)
     M[:, :, :, 2 * r : -1] = grad * (-lr / k)
     M[:, :, :, -1] = (M[0, :, :, 2 * r : -1] @ (1.0 - 2.0 * y)[:, :, None])[:, :, 0]
+    # a lone query runs on 2-D views, where np.dot skips matmul's gufunc dispatch
+    h, S, w, prod = (half[0], M[:, 0], z[0], np.dot) if Q == 1 else (half, M, z, np.matmul)
+    v, t = (w[..., :r, :], w[..., r : 2 * r, :]), w[..., 2 * r : -1, :]
+    step = np.empty(v[0].shape)
     for p in (np.arange(DEFAULT_DISC.epochs) % 2).tolist():
-        np.matmul(half, v[p], out=t)
+        prod(h, v[p], out=t)
         np.tanh(t, out=t)
-        np.matmul(M[p], z, out=v[1 - p])
+        prod(S[p], w, out=step)
+        v[1 - p][...] = step
     margins = (read.transpose(0, 2, 1) @ v[DEFAULT_DISC.epochs % 2])[:, 0, 0]
     if not np.isfinite(margins).all():  # as is each from a non-finite state
         raise Divergence(DEFAULT_DISC.epochs - 1)

@@ -4,7 +4,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cpckit.classifiers as clf_mod
@@ -756,19 +756,26 @@ class TestKnn:
         assert np.array_equal(got, want)
 
     @given(
-        n=st.integers(1, 40),
-        k=st.integers(1, 50),
+        n=st.integers(1, 300),
+        k=st.integers(1, 320),
+        far_share=st.sampled_from([0.0, 0.0, 0.1]),
         seed=st.integers(0, 10_000),
     )
+    @example(n=300, k=290, far_share=0.1, seed=0)  # the k-th neighbour is far
+    @example(n=300, k=20, far_share=0.1, seed=1)
     @settings(max_examples=80, deadline=None)
-    def test_neighbors_match_brute_force(self, n, k, seed):
-        # integer grid coordinates make distance ties common and exact
+    def test_neighbors_match_brute_force(self, n, k, far_share, seed):
+        # integer grid coordinates make distance ties common and exact, also
+        # at the k-th distance; far rows sit 1e200 to 3e200 along the first
+        # axis, where squared distances overflow, and rank by that coordinate
         rng = np.random.default_rng(seed)
         X = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+        far = rng.random(n) < far_share
+        X[far, 0] = rng.integers(1, 4, size=far.sum()) * 1e200
         q = rng.integers(-3, 4, size=2).astype(np.float64)
         ds = LabeledDataset(X, np.zeros(n, dtype=int), class_count=1)
         got = neighbors(ds, q, k)
-        d2 = np.sum((X - q) ** 2, axis=1)
-        want = sorted(range(n), key=lambda i: (d2[i], i))[: min(k, n)]
-        assert got.tolist() == want
+        d2 = np.sum((np.where(far[:, None], 0.0, X) - q) ** 2, axis=1)
+        want = sorted(range(n), key=lambda i: (far[i], X[i, 0] * far[i], d2[i], i))
+        assert got.tolist() == want[: min(k, n)]
 

@@ -639,6 +639,20 @@ class TestCvCommand:
         obj = json.loads(report.read_text())
         assert all(f["routes"] is not None for f in obj["folds"])
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param(["--theta", "3"], id="theta"),
+        pytest.param(["--k-folds", "1"], id="k-folds"),
+        pytest.param(["--disc-k", "0"], id="disc-k"),
+        pytest.param(["--m", "0"], id="m"),
+    ])
+    def test_baseline_mode_checks_cpc_flags(self, data_files, bad):
+        # cv accepts the cpc flags in either mode, so it checks them in either
+        tmp, train, _ = data_files
+        report = tmp / "cv.json"
+        assert main(["cv", "--in", str(train), "--folds", "3", "--mode", "baseline",
+                     "--epochs", "5", *bad, "--report", str(report)]) == 1
+        assert not report.exists()
+
     @pytest.mark.parametrize("mode", ["baseline", "cpc"])
     def test_report_matches_library(self, data_files, mode):
         tmp, train, _ = data_files

@@ -370,10 +370,11 @@ class TestDiscriminate:
         agreement = float(np.mean([r == t for r, t in zip(routes, truth)]))
         assert agreement >= 0.95
 
-    def mixed_line_model(self, k=6):
+    def mixed_line_model(self, k=6, d=2):
         # alternating subspace membership along a line guarantees any
-        # neighborhood of size >= 2 is mixed
-        X = np.column_stack([np.arange(20.0), np.zeros(20)])
+        # neighborhood of size >= 2 is mixed; columns past two are noise
+        noise = np.random.default_rng(8).standard_normal((20, d - 2))
+        X = np.column_stack([np.arange(20.0), np.zeros(20), noise])
         y = np.tile([0, 1], 10)
         ds = LabeledDataset(X, y, class_count=2)
         part = SubspacePartition(
@@ -513,23 +514,39 @@ class TestCpcPredict:
         assert err.value.loss is None
         assert "loss" not in str(err.value)
 
-    def test_diverging_wide_discriminator_raises(self):
-        # d > k: the neighbour Gram matrix overflows before any weight does
+    @pytest.mark.parametrize("Q", [1, 2])
+    def test_diverging_wide_discriminator_raises(self, Q):
+        # d > k: the neighbour Gram matrix overflows before any weight does;
+        # one query alone runs the 2-D products and must fail the same way
         from cpckit.cpc import _discriminator_margins
 
         rng = np.random.default_rng(0)
-        P = rng.standard_normal((2, 5, 40)) * 1e200
-        y = np.tile([0, 1, 0, 1, 1], (2, 1))
+        P = rng.standard_normal((Q, 5, 40)) * 1e200
+        y = np.tile([0, 1, 0, 1, 1], (Q, 1))
         with pytest.raises(Divergence) as err:
-            _discriminator_margins(P, y, rng.standard_normal((2, 40)))
+            _discriminator_margins(P, y, rng.standard_normal((Q, 40)))
         assert err.value.loss is None
 
-    def test_chunked_discriminator_solve_is_exact(self, monkeypatch):
+    def test_diverging_one_query_raises(self):
+        # weight state (d <= k), one query through cpc_predict
+        line = TestDiscriminate().mixed_line_model()
+        model = replace(line, pooled_features=line.pooled_features * 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Divergence) as err:
+                cpc_predict(model, [9.5e300, 0.0])
+        assert err.value.loss is None
+
+    @pytest.mark.parametrize("d", [2, 12], ids=["weights", "span"])
+    def test_chunked_discriminator_solve_is_exact(self, monkeypatch, d):
+        # one-query solves run on 2-D products; they equal the stacked
+        # solve bit for bit, in the weight state (d <= k) and the span state
         import cpckit.cpc as cpc_mod
 
-        model = TestDiscriminate().mixed_line_model()
-        Q = np.column_stack([np.linspace(-1.0, 20.0, 30), np.zeros(30)])
+        model = TestDiscriminate().mixed_line_model(d=d)
+        noise = np.random.default_rng(9).standard_normal((30, d - 2))
+        Q = np.column_stack([np.linspace(-1.0, 20.0, 30), np.zeros(30), noise])
         whole = cpc_predict_many(model, Q)
+        assert np.isfinite([r.discriminator_margin for r in whole]).all()
         monkeypatch.setattr(cpc_mod, "_SOLVE_BYTES", 1)  # one problem per solve
         assert cpc_predict_many(model, Q) == whole
 
