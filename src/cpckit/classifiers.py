@@ -657,7 +657,7 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         dist = np.sum((features - x) ** 2, axis=1)
     far = ~np.isfinite(dist)
-    if k < len(dist) and not far.any():  # only rows within the k-th distance need sorting
+    if k < len(dist) and not far.any():
         near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
         return near[np.argsort(dist[near], kind="stable")[:k]]
     order = np.argsort(dist, kind="stable")
