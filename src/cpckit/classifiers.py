@@ -437,24 +437,26 @@ _SPLIT_CHUNK = 1 << 14  # about the most (row, feature) pairs sorted at once
 _DRAW_BLOCK = 32  # feature subsets a tree draws at once
 
 
-def _split_nodes(buf, a, m, feats, counts, ranks, y):
-    """Split node i, the rows buf[a[i]:a[i] + m[i]] with class counts
-    counts[i], at its best cut by weighted Gini over the features feats[i],
-    and partition its rows in place, left rows first. Returns per node the
-    slot of the best feature, whether any feature has a cut, the rows (2, K)
-    with the values either side of it, and the class counts left of it. Ties
-    go to the first cut, then to the first feature. Nodes are searched in
-    chunks of whole nodes; a node with no cut is a leaf, so its rows may move.
+def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
+    """Split node i, the distinct rows buf[a[i]:a[i] + m[i]] drawn wt times
+    each, with weighted class counts counts[i], at its best cut by weighted
+    Gini over the features feats[i], and partition buf and wt in place, left
+    rows first. Returns per node the slot of the best feature, whether any
+    feature has a cut, the rows (2, K) with the values either side of it, and
+    the weighted class counts and the distinct rows left of it. Ties go to the
+    first cut, then to the first feature. Nodes are searched in chunks of
+    whole nodes; a node with no cut is a leaf, so its rows may move.
     """
     K, n_sub = feats.shape
     C, n = counts.shape[1], ranks.shape[1]
-    rb = n.bit_length()  # bits of a row, and of a rank
-    if 2 * rb + (n_sub * K).bit_length() > 63:  # sort keys are segment | rank | row
+    rb, sb = n.bit_length(), (n + _SPLIT_CHUNK).bit_length()  # a rank; an entry's slot
+    if rb + sb + (n_sub * K).bit_length() > 63:  # sort keys are segment | rank | slot
         raise DataError(f"{n} rows are too many for one forest group")
-    n_mask = (1 << rb) - 1
+    s_mask = (1 << sb) - 1
     best = np.full((n_sub, K), np.inf)
     cut = np.zeros((2, n_sub, K), dtype=np.int64)
     left = np.zeros((K, C), dtype=np.int64)
+    n_left = np.zeros(K, dtype=np.int64)
     chunk = (np.cumsum(m) - m) * n_sub // _SPLIT_CHUNK
     bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), K]
     for k0, k1 in zip(bounds, bounds[1:]):
@@ -462,12 +464,13 @@ def _split_nodes(buf, a, m, feats, counts, ranks, y):
         run = np.cumsum(mc) - mc
         node = np.repeat(np.arange(len(k)), mc)
         pos = np.arange(len(node)) - run[node]  # within the node
-        r = buf[a[k][node] + pos]
+        idx = a[k][node] + pos
+        r, w = buf[idx], wt[idx].astype(np.int64)
         # segment slot * len(k) + node: the node's rows sorted by the slot's feature
-        key = ranks.reshape(-1)[(feats[k].T * n)[:, node] + r].astype(np.int64) << rb
-        key += (node.astype(np.int64) << 2 * rb) + r
-        key = np.sort(key + (np.arange(n_sub) * len(k) << 2 * rb)[:, None], axis=None)
-        at, s, cost = _cut_costs(key, rb, np.tile(mc, n_sub), counts[k], y)
+        key = ranks.reshape(-1)[(feats[k].T * n)[:, node] + r].astype(np.int64) << sb
+        key += (node.astype(np.int64) << rb + sb) + np.arange(len(node))
+        key = np.sort(key + (np.arange(n_sub) * len(k) << rb + sb)[:, None], axis=None)
+        at, s, cost = _cut_costs(key, rb, sb, np.tile(mc, n_sub), counts[k], y[r], w)
         if not at.size:
             continue
         cuts = np.bincount(s, minlength=n_sub * len(k))
@@ -477,59 +480,69 @@ def _split_nodes(buf, a, m, feats, counts, ranks, y):
         first = np.where(cost == np.repeat(low, cuts[has]), np.arange(len(at)), len(at))
         i = at[np.minimum.reduceat(first, runs)]
         best[has // len(k), k0 + has % len(k)] = low
-        cut[:, has // len(k), k0 + has % len(k)] = key[i] & n_mask, key[i + 1] & n_mask
+        cut[:, has // len(k), k0 + has % len(k)] = r[key[i] & s_mask], r[key[i + 1] & s_mask]
         # partition the chunk's rows at each node's best cut
         slot = best[:, k].argmin(axis=0)
         f = feats[k, slot]
         go_left = ranks[f[node], r] <= ranks[f, cut[0, slot, k]][node]
-        left[k] = np.bincount(node[go_left] * C + y[r[go_left]],
+        left[k] = np.bincount(node[go_left] * C + y[r[go_left]], w[go_left],
                               minlength=len(k) * C).reshape(-1, C)
+        n_left[k] = np.bincount(node[go_left], minlength=len(k))
         nl = np.cumsum(go_left)
         nl -= np.concatenate(([0], nl))[run][node]  # rows left so far in the node
-        buf[a[k][node] + np.where(go_left, nl - 1, left[k].sum(axis=1)[node] + pos - nl)] = r
+        to = idx + np.where(go_left, nl - 1 - pos, n_left[k][node] - nl)
+        buf[to], wt[to] = r, w
     slot = best.argmin(axis=0)
-    return slot, best.min(axis=0) < np.inf, cut[:, slot, np.arange(K)], left
+    return slot, best.min(axis=0) < np.inf, cut[:, slot, np.arange(K)], left, n_left
 
 
-def _cut_costs(key, rb, sizes, counts, y):
+def _cut_costs(key, rb, sb, sizes, counts, label, wt):
     """(at, segment, cost) of the cuts between distinct values, after key[at],
     in the sorted segments of key of the given sizes, segment s holding rows
-    of the node with class counts counts[s % len(counts)]. Class counts are
-    exact integers, so the costs match a one-node search bit for bit."""
+    of the node with weighted class counts counts[s % len(counts)]. The low
+    sb bits of a key are its entry's slot in label and wt, the next rb its
+    rank. Class counts are exact integers, so the costs match a one-node
+    search of the drawn copies bit for bit."""
     C = counts.shape[1]
     start = np.cumsum(sizes) - sizes
-    at = (key[:-1] >> rb) != (key[1:] >> rb)
+    at = (key[:-1] >> sb) != (key[1:] >> sb)
     at[start[1:] - 1] = False  # a segment's last row
     at = np.flatnonzero(at)
-    s = key[at] >> 2 * rb
-    label = y[key & (1 << rb) - 1]
+    s = key[at] >> rb + sb
+    slot = key & (1 << sb) - 1
+    label, wt = label[slot], wt[slot]
+    del slot
 
     def within(x):  # running sum of x within its segment, at the cuts
         total = np.zeros(len(x) + 1, dtype=np.int64)
         np.cumsum(x, out=total[1:])
         return total[at + 1] - total[start[s]]
 
-    # sum_c left_c**2 grows by 2 * own - 1, own counting the rows of the
-    # row's class up to it. Class c counts in a w-bit field of int64 word
-    # c // (63 // w); a field holds any count, so none carries into the next.
-    w = (len(key) + 1).bit_length()
+    # a row drawn wt times grows sum_c left_c**2 by wt * (2 * own - wt), own
+    # counting the drawn rows of its class up to and with it. Class c counts in
+    # a w-bit field of int64 word c // (63 // w); a field holds the chunk's
+    # total weight, so none carries into the next.
+    w = (len(sizes) // len(counts) * int(counts.sum()) + 1).bit_length()
     word, shift = np.divmod(np.arange(C), 63 // w)
     mine = word == np.arange(word[-1] + 1)[:, None]  # (words, C)
     shift = np.where(mine, shift * w, 63)  # shifted by 63, a word reads 0
-    left = np.zeros((len(mine), len(key) + 1), dtype=np.int64)
-    np.cumsum((mine.astype(np.int64) << shift)[:, label], axis=1, out=left[:, 1:])
+    left = np.zeros((len(mine), len(label) + 1), dtype=np.int64)
+    drawn = (mine.astype(np.int64) << shift)[:, label]
+    drawn *= wt
+    np.cumsum(drawn, axis=1, out=left[:, 1:])
+    del drawn
     own = (left[:, 1:] - left[:, np.repeat(start, sizes)]) >> shift[:, label]
     own &= (1 << w) - 1
     own = own.sum(axis=0)
     del left  # the chunk's largest arrays go as soon as they are used
-    sq_left = within(2 * own - 1)
+    sq_left = within(wt * (2 * own - wt))
     del own
     segment = np.repeat(np.arange(len(sizes)) % len(counts) * C, sizes)
-    toward = within(counts.reshape(-1)[segment + label])  # sum_c counts_c * left_c
+    toward = within(wt * counts.reshape(-1)[segment + label])  # sum_c counts_c * left_c
     del segment, label
     sq_right = np.einsum("kc,kc->k", counts, counts)[s % len(counts)] - 2 * toward + sq_left
-    nl = (at + 1 - start[s]).astype(np.float64)
-    n = sizes[s].astype(np.float64)
+    nl = within(wt).astype(np.float64)
+    n = counts.sum(axis=1)[s % len(counts)].astype(np.float64)
     return at, s, (nl * (1.0 - sq_left / nl**2) + (n - nl) * (1.0 - sq_right / (n - nl)**2)) / n
 
 
@@ -540,9 +553,10 @@ def _fit_forest_group(fits, C):
     Tree i of job j draws from its own SeedSequence([seed_j, i]) generator
     its bag, then one feature subset per split node in DFS preorder, left
     subtree first, and keeps its own DFS stack, so it comes out node for
-    node as grown alone. Each step pops one node from every tree that still
-    has one and splits them together. Each job's node table is a view of
-    the group's.
+    node as grown alone. It grows on the bag's distinct rows, each weighted
+    by its draw count, which gives the splits of the drawn copies. Each step
+    pops one node from every tree that still has one and splits them
+    together. Each job's node table is a view of the group's.
     """
     hp, T0 = fits[0][0], fits[0][0].tree_count
     d = fits[0][1].shape[1]
@@ -555,18 +569,23 @@ def _fit_forest_group(fits, C):
         ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
     n_job = np.array([len(Xj) for _, Xj, _ in fits])
     row0 = np.cumsum(n_job) - n_job
-    sizes = np.repeat(n_job, T0)
-    start = np.cumsum(sizes) - sizes
-    # the bags, partitioned in place as the trees grow: a node holds buf[a:b]
-    buf = np.empty(sizes.sum(), dtype=np.min_scalar_type(len(y)))
-    # stack entries: a, b, depth, parent if a right child else -1, class counts
-    stack = np.zeros((len(sizes), 16, 4 + C), dtype=np.int32)
     rngs = [np.random.default_rng(np.random.SeedSequence([hpj.seed, i]))
             for hpj, _, _ in fits for i in range(T0)]
-    for t, rng in enumerate(rngs):
-        bag = rng.integers(0, sizes[t], size=sizes[t]) + row0[t // T0]
-        buf[start[t] : start[t] + sizes[t]] = bag
-        stack[t, 0] = [start[t], start[t] + sizes[t], 0, -1, *np.bincount(y[bag], minlength=C)]
+    mult = [np.bincount(rng.integers(0, nt, size=nt), minlength=nt)
+            for nt, rng in zip(np.repeat(n_job, T0), rngs)]
+    sizes = np.array([np.count_nonzero(mt) for mt in mult])
+    start = np.cumsum(sizes) - sizes
+    # the bags, partitioned in place as the trees grow: a node holds the rows
+    # buf[a:b], drawn wt[a:b] times
+    buf = np.empty(sizes.sum(), dtype=np.min_scalar_type(len(y)))
+    wt = np.empty_like(buf)
+    # stack entries: a, b, depth, parent if a right child else -1, class counts
+    stack = np.zeros((len(sizes), 16, 4 + C), dtype=np.int32)
+    for t, mt in enumerate(mult):
+        rows, bag = np.flatnonzero(mt), slice(start[t], start[t] + sizes[t])
+        buf[bag], wt[bag] = rows + row0[t // T0], mt[rows]
+        stack[t, 0] = [bag.start, bag.stop, 0, -1, *np.bincount(y[buf[bag]], wt[bag], minlength=C)]
+    del mult
     # each tree's next feature subsets, drawn _DRAW_BLOCK at a time: the rows of
     # rng.permuted(deck, axis=1) are the permutations rng.permutation(d) would give
     deck = np.tile(np.arange(d), (_DRAW_BLOCK, 1))
@@ -582,7 +601,7 @@ def _fit_forest_group(fits, C):
         node = grown[live]
         grown[live] += 1
         code = ~counts.argmax(axis=1)  # a leaf's class; ties fall to the lower id
-        c = np.flatnonzero((counts[np.arange(len(live)), ~code] < b - a)
+        c = np.flatnonzero((counts[np.arange(len(live)), ~code] < counts.sum(axis=1))
                            & (depth < (hp.max_depth or np.inf)))
         threshold = np.zeros(len(live))
         if c.size:
@@ -591,7 +610,8 @@ def _fit_forest_group(fits, C):
                 draws[u], drawn[u] = rngs[u].permuted(deck, axis=1)[:, :n_sub], 0
             feats = draws[t, drawn[t]]
             drawn[t] += 1
-            slot, found, rows, nl = _split_nodes(buf, a[c], (b - a)[c], feats, counts[c], ranks, y)
+            slot, found, rows, nl, m_left = _split_nodes(buf, wt, a[c], (b - a)[c], feats,
+                                                         counts[c], ranks, y)
             c, f, nl, rows = c[found], feats[found, slot[found]], nl[found], rows[:, found]
             code[c], t = f, live[c]
             x = X[rows, f]  # the values either side of the cut
@@ -601,13 +621,13 @@ def _fit_forest_group(fits, C):
             threshold[c] = np.where((x[0] <= mid) & (mid < x[1]), mid, x[0])
             if len(t) and sp[t].max() + 2 > stack.shape[1]:
                 stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-            at = a[c] + nl.sum(axis=1)
+            at = a[c] + m_left[found]
             stack[t, sp[t]] = np.column_stack([at, b[c], depth[c] + 1, node[c], counts[c] - nl])
             stack[t, sp[t] + 1] = np.column_stack([a[c], at, depth[c] + 1, -np.ones_like(t), nl])
             sp[t] += 2
         steps.append((live.astype(np.min_scalar_type(len(sp))), code.astype(np.int32),
                       parent.copy(), threshold))
-    del X, buf, stack, ranks, rngs, draws
+    del X, buf, wt, stack, ranks, rngs, draws
     tree, code, parent, threshold = (np.concatenate(col) for col in zip(*steps))
     order = np.argsort(tree, kind="stable")  # each tree's nodes were popped in preorder
     code, parent, threshold = code[order], parent[order], threshold[order]

@@ -55,11 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed(text: str) -> int:
-    """A --seed value; numpy seeds are non-negative integers."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
-    return int(text)
+def _domain(cast, ok, what: str):
+    """An argparse type= that refuses a value outside the domain its config
+    checks, so a bad flag exits 1 whether or not the run uses it."""
+    def parse(text):
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _at_least(low: int):
+    return _domain(int, lambda v: v >= low, f"an integer of at least {low}")
+
+
+_seed = _at_least(0)  # numpy seeds are non-negative integers
 
 
 def _echo(args: argparse.Namespace, spec) -> dict:
@@ -78,12 +89,14 @@ def _clf_spec(args) -> ClassifierSpec:
 
 def _add_clf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clf", choices=["softmax", "svm", "forest"], default="softmax")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--lr", default=0.05,
+                   type=_domain(float, lambda v: 0 < v < math.inf, "finite and positive"))
+    p.add_argument("--epochs", type=_at_least(0), default=100)
+    p.add_argument("--batch", type=_at_least(1), default=128)
+    p.add_argument("--l2", default=1e-4,
+                   type=_domain(float, lambda v: 0 <= v < math.inf, "finite and non-negative"))
+    p.add_argument("--trees", type=_at_least(1), default=100)
+    p.add_argument("--max-depth", type=_at_least(1), default=None)
 
 
 def _add_cpc_flags(p: argparse.ArgumentParser) -> None:

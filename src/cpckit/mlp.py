@@ -265,7 +265,8 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None):
         g_z = g_a * (z > 0) if m.activation == RELU else g_a
         gws[i] = g_z.T @ x_in
         gbs[i] = g_z.sum(axis=0)
-        g_x = g_z @ m.weights[i] + g_skip
+        if i:  # nothing reads the gradient of the network's input
+            g_x = g_z @ m.weights[i] + g_skip
     return loss, gws + gbs + [gh_w, gh_b]
 
 

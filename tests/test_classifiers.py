@@ -516,13 +516,14 @@ class TestForest:
         assert done.stdout.split() == ["True", "True"]
 
     def test_group_too_large_for_the_sort_keys_is_refused(self):
-        # 2**31 rows leave no bits for the segment in a 63-bit key; a
-        # broadcast view gives the row count without the memory
+        # 2**31 rows need 32 bits for a rank and 32 for a slot, which leaves
+        # no bits for the segment in a 63-bit key; a broadcast view gives the
+        # row count without the memory
         ranks = np.broadcast_to(np.zeros(1, dtype=np.uint32), (1, 1 << 31))
         with pytest.raises(DataError):
-            clf_mod._split_nodes(np.zeros(2, dtype=np.uint32), np.array([0]), np.array([2]),
-                                 np.zeros((1, 1), dtype=np.int64), np.array([[1, 1]]), ranks,
-                                 np.array([0, 1]))
+            clf_mod._split_nodes(np.zeros(2, dtype=np.uint32), np.ones(2, dtype=np.uint32),
+                                 np.array([0]), np.array([2]), np.zeros((1, 1), dtype=np.int64),
+                                 np.array([[1, 1]]), ranks, np.array([0, 1]))
 
     def test_vote_counts_sum_to_tree_count(self):
         ds = blobs(40, 2, 2, seed=9)
@@ -684,6 +685,28 @@ class TestForestMatchesReference:
         spec = forest_spec(tree_count=3, max_depth=max_depth,
                            feature_subsample=subsample, seed=seed)
         assert_matches_reference(ds, spec)
+
+
+class TestWeightedBagsMatchReference:
+    """A tree grows on its bag's distinct rows, weighted by how often the bag
+    drew each; at 300 rows some are drawn 4 or more times, which the small
+    cases above seldom reach. 7 of 40 features a split, the default."""
+
+    def test_realistic_size(self):
+        bag = np.random.default_rng(np.random.SeedSequence([3, 0])).integers(0, 300, size=300)
+        assert np.bincount(bag).max() >= 4
+        assert_matches_reference(blobs(300, 40, 4, seed=11, margin=1.0),
+                                 forest_spec(tree_count=10, seed=3))
+
+    def test_ragged_group(self):
+        # equal hyperparameters but the seed, equal d and C: one lockstep group
+        datasets = [blobs(n, 40, 2, seed=n, margin=1.0) for n in (300, 299, 3, 2)]
+        specs = [forest_spec(tree_count=10, seed=40 + i) for i in range(len(datasets))]
+        for ds, spec, got in zip(datasets, specs, fit_many(specs, datasets)):
+            want_table, want_votes = _ref_forest(ds, spec.hyperparams)
+            for name, want in want_table.items():
+                assert getattr(got.state, name).tolist() == want
+            assert np.array_equal(got.decision_scores(ds.features), want_votes)
 
 
 class TestKnn:

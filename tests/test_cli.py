@@ -302,13 +302,18 @@ class TestNumericFlagsAndOverflow:
             (["cv", "--mode", "cpc", "--zca", "--k-folds", "0"], 1e300),
             (["cpc", "--theta", "0.5", "--seed", "-1"], 1.0),
             (["sweep", "--seed", "-1"], 1.0),
+            (["baseline", "--clf", "softmax", "--trees", "-4", "--max-depth", "-2"], 1.0),
+            (["cv", "--clf", "softmax", "--trees", "0"], 1.0),
+            (["cv", "--clf", "forest", "--trees", "3", "--lr", "nan"], 1.0),
         ],
         ids=["lr-nan", "lr-inf", "svm-l2-nan", "cpc-l2-inf", "extractor-lr-inf",
              "cv-lr-nan-before-zca", "cv-k-folds-before-zca", "cpc-seed-negative",
-             "sweep-seed-negative"],
+             "sweep-seed-negative", "softmax-baseline-trees-and-max-depth",
+             "softmax-cv-trees", "forest-cv-lr"],
     )
     def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale):
-        # each exited 2 or 3 or raised out of main before it was refused
+        # each exited 0, 2 or 3 or raised out of main before it was refused;
+        # a flag of another --clf is read by no spec, so only its parser refuses it
         data = str(synth_file(tmp_path, scale))
         files = {"cv": ["--in", data], "sweep": ["--train", data, "--val", data],
                  "train-extractor": ["--in", data, "--arch", "in:8 fc:16 head:4"]}
