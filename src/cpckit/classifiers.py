@@ -250,9 +250,11 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     of its batch and -1 where it is shorter than the widest; it returns
     (losses, grads) for those fits, evaluated before the update. The grads
     are scratch arrays the loop may overwrite. A fit's trace holds its mean
-    batch loss per epoch. lr is multiplied by lr_decay after every epoch.
-    Raises Divergence at the first non-finite epoch loss, or when the final
-    params are not finite.
+    batch loss per epoch: the mean of its row of batch losses, which numpy
+    sums pairwise as it sums any row, taken for every epoch at once when the
+    run ends. lr is multiplied by lr_decay after every epoch. Raises
+    Divergence at the first non-finite epoch loss, or when the final params
+    are not finite; a non-finite batch loss ends the run early.
     """
     ns = np.asarray(ns, dtype=np.int64)
     G = len(ns)
@@ -270,9 +272,8 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
         width = min(batch, int(ns[:a].max()) - j * batch)
         moving = [(p, v) if a == G else (p[:a], v[:a]) for p, v in zip(params, vel)]
         plan.append((a, order[:a, j * batch : j * batch + width], moving))
-    runs = [(steps == s, s) for s in np.unique(steps)]  # fits by batches per epoch
-    losses = np.empty((G, len(plan)))
-    traces = np.empty((epochs, G))
+    losses = np.zeros((epochs, G, len(plan)))  # a fit's steps past its last stay 0
+    done = epochs
     lr = learning_rate
     # overflow surfaces as a non-finite epoch loss or final param: Divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -280,18 +281,24 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
             for i, n, rng in shuffled:
                 order[i, :n] = rng.permutation(n)
             for j, (a, rows, moving) in enumerate(plan):
-                losses[:a, j], grads = grad(rows)
+                losses[epoch, :a, j], grads = grad(rows)
                 for (p, v), g in zip(moving, grads):
                     v *= momentum
                     g *= lr
                     v -= g
                     p += v
-            for fits, s in runs:
-                traces[epoch, fits] = losses[fits, :s].mean(axis=1)
-            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
-            if bad.size:
-                raise Divergence(epoch, float(traces[epoch, bad[0]]))
+            if not np.isfinite(losses[epoch]).all():
+                done = epoch + 1
+                break
             lr *= lr_decay
+        # an epoch's mean may also overflow from finite batch losses
+        traces = np.empty((done, G))
+        for s in np.unique(steps):  # fits by batches per epoch
+            traces[:, steps == s] = losses[:done, steps == s, :s].mean(axis=2)
+    bad = np.argwhere(~np.isfinite(traces))
+    if bad.size:
+        epoch, i = bad[0]
+        raise Divergence(int(epoch), float(traces[epoch, i]))
     if not all(np.isfinite(p).all() for p in params):
         raise Divergence(epochs - 1)
     return traces.T.tolist()
@@ -350,14 +357,15 @@ def _fit_linear_group(kind, fits, C):
     return states
 
 
-def _batch_scores(W, b, X, nb):
-    """X @ W.T + b for each fit of a stack of batches X (a, w, d). A one-row
-    batch padded wider is scored alone, because numpy multiplies a lone row
-    as a vector, in another float order than a matrix product."""
-    S = X @ W.transpose(0, 2, 1) + b[:, None, :]
+def _batch_scores(W, X, nb):
+    """X @ W.T for each fit of a stack of batches X (a, w, d), without the
+    bias, which each step adds in its own layout. A one-row batch padded
+    wider is scored alone, because numpy multiplies a lone row as a vector,
+    in another float order than a matrix product."""
+    S = X @ W.transpose(0, 2, 1)
     if X.shape[1] > 1:
         for i in np.flatnonzero(nb == 1):
-            S[i, :1] = X[i, :1] @ W[i].T + b[i]
+            S[i, :1] = X[i, :1] @ W[i].T
     return S
 
 
@@ -369,6 +377,13 @@ def _batch_means(T, nb):
     for i in np.flatnonzero(nb < T.shape[1]):
         out[i] = T[i, : nb[i]].mean()
     return out
+
+
+def _batch_sums(T):
+    """T.sum(axis=1) of an (a, w, C) stack, bit for bit: numpy adds the w
+    rows in order there, as it does down the leading axis of a (w, a, C)
+    copy, where one add covers every fit and class."""
+    return np.ascontiguousarray(T.transpose(1, 0, 2)).sum(axis=0)
 
 
 def _sq_norms(W):
@@ -386,33 +401,46 @@ def _label_index(y, C):
 
 def _softmax_step(hp: SoftmaxParams, W, b, X, y, pad, nb):
     """Objectives and gradients of a stack of softmax batches; rows marked
-    in pad are zero padding and weigh nothing."""
-    S = _batch_scores(W, b, X, nb)
-    # a max is exact in any order; over a leading axis it is much faster
-    S -= np.ascontiguousarray(S.transpose(2, 0, 1)).max(axis=0)[..., None]
+    in pad are zero padding and weigh nothing.
+
+    Scores are held class-major, (C, a, w), so the max, exp and class sum
+    run down the leading axis. numpy sums a row of fewer than 8 values in
+    order, as it sums a leading axis; a longer row it sums pairwise, so from
+    C = 8 on the class sum runs along the rows of an (a, w, C) copy, a lone
+    fit's own layout. Batch sums keep their order through _batch_sums, and
+    the weight gradients get an (a, w, C) operand, the layout their
+    product's bits depend on."""
+    S = np.ascontiguousarray(_batch_scores(W, X, nb).transpose(2, 0, 1))
+    S += b.T[:, :, None]
+    S -= S.max(axis=0)
     expS = np.exp(S)
-    z = expS.sum(axis=2)
-    at = _label_index(y, W.shape[1])
+    if W.shape[1] < 8:
+        z = expS.sum(axis=0)
+    else:
+        z = np.ascontiguousarray(expS.transpose(1, 2, 0)).sum(axis=2)
+    at = y * y.size + np.arange(y.size).reshape(y.shape)  # label entries of (C, a, w)
     ce = _batch_means(np.log(z) - S.reshape(-1)[at], nb)
     loss = ce + 0.5 * hp.l2 * _sq_norms(W)
-    delta = expS / z[..., None]
+    delta = expS / z
     delta.reshape(-1)[at] -= 1.0
-    delta[pad] = 0.0
-    return loss, _weight_grads(delta, X, nb, hp.l2, W), delta.sum(axis=1) / nb[:, None]
+    delta[:, pad] = 0.0
+    delta = np.ascontiguousarray(delta.transpose(1, 2, 0))
+    return loss, _weight_grads(delta, X, nb, hp.l2, W), _batch_sums(delta) / nb[:, None]
 
 
 def _svm_step(hp: SvmParams, W, b, X, y, pad, nb):
     """Objectives and gradients of a stack of one-vs-rest hinge batches;
-    rows marked in pad are zero padding and weigh nothing."""
+    rows marked in pad are zero padding and weigh nothing. Batch sums keep
+    numpy's order through _batch_sums."""
     T = np.full(y.shape + (W.shape[1],), -1.0)
     T.reshape(-1)[_label_index(y, W.shape[1])] = 1.0
-    margins = hp.hinge_margin - T * _batch_scores(W, b, X, nb)
+    margins = hp.hinge_margin - T * (_batch_scores(W, X, nb) + b[:, None, :])
     hinge = np.maximum(margins, 0.0)
     coef = -((margins > 0) * T)
     hinge[pad] = 0.0
     coef[pad] = 0.0
-    loss = (hinge.sum(axis=1) / nb[:, None]).sum(axis=1) + 0.5 * hp.l2 * _sq_norms(W)
-    return loss, _weight_grads(coef, X, nb, hp.l2, W), coef.sum(axis=1) / nb[:, None]
+    loss = (_batch_sums(hinge) / nb[:, None]).sum(axis=1) + 0.5 * hp.l2 * _sq_norms(W)
+    return loss, _weight_grads(coef, X, nb, hp.l2, W), _batch_sums(coef) / nb[:, None]
 
 
 def _scores_linear(clf, X):

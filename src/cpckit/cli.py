@@ -60,7 +60,7 @@ def _domain(cast, ok, what: str):
     checks, so a bad flag exits 1 whether or not the run uses it."""
     def parse(text):
         if not ok(value := cast(text)):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
         return value
     parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
     return parse
@@ -71,6 +71,7 @@ def _at_least(low: int):
 
 
 _seed = _at_least(0)  # numpy seeds are non-negative integers
+_positive = _domain(float, lambda v: 0 < v < math.inf, "finite and positive")
 
 
 def _echo(args: argparse.Namespace, spec) -> dict:
@@ -89,8 +90,7 @@ def _clf_spec(args) -> ClassifierSpec:
 
 def _add_clf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clf", choices=["softmax", "svm", "forest"], default="softmax")
-    p.add_argument("--lr", default=0.05,
-                   type=_domain(float, lambda v: 0 < v < math.inf, "finite and positive"))
+    p.add_argument("--lr", type=_positive, default=0.05)
     p.add_argument("--epochs", type=_at_least(0), default=100)
     p.add_argument("--batch", type=_at_least(1), default=128)
     p.add_argument("--l2", default=1e-4,
@@ -313,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--eps-norm", type=float, default=1e-8)
+    p.add_argument("--eps-norm", type=_positive, default=1e-8)
     p.add_argument("--zca", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=_positive, default=1e-6)
     p.add_argument("--transform-in", default=None)
     p.add_argument("--transform-out", default=None)
     p.add_argument("--out", required=True)
@@ -384,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--zca", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=_positive, default=1e-6)
     p.add_argument("--arch", default=None)
-    p.add_argument("--extractor-epochs", type=int, default=10)
+    p.add_argument("--extractor-epochs", type=_at_least(0), default=10)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_cv)

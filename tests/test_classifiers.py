@@ -203,6 +203,21 @@ class TestSgd:
                 fit(spec, ds)
         assert 0 <= err.value.epoch < spec.hyperparams.epochs
 
+    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    @pytest.mark.parametrize("batch_size", [16, 4096], ids=["minibatch", "fullbatch"])
+    @pytest.mark.parametrize("lr", [1e6, 1e50])  # minibatch at 1e50 ends in a NaN loss
+    def test_divergence_reports_the_first_non_finite_epoch(self, make, batch_size, lr):
+        ds = blobs(60, 2, 3, seed=4, margin=20.0)
+        spec = make(learning_rate=lr, momentum=0.9, l2=1.0, batch_size=batch_size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Divergence) as err:
+                fit(spec, ds)
+            _, _, trace = _ref_sgd(ds.features, ds.labels, 3, spec.hyperparams,
+                                   _REF_STEPS[spec.kind](spec.hyperparams, 3))
+        epoch = int(np.flatnonzero(~np.isfinite(trace))[0])
+        assert err.value.epoch == epoch
+        np.testing.assert_equal(err.value.loss, trace[epoch])  # NaN matches NaN
+
     def test_l2_shrinks_weights(self):
         ds = blobs(100, 2, 2, seed=3)
         w_free = fit(softmax_spec(l2=0.0, seed=0), ds).state.weights
@@ -276,6 +291,45 @@ def _ref_svm_step(hp, C):
         return loss, coef.T @ Xb / nb + hp.l2 * W, coef.mean(axis=0)
 
     return step
+
+
+_REF_STEPS = {"softmax": _ref_softmax_step, "linear_svm": _ref_svm_step}
+
+
+def assert_linear_fit_matches_reference(got, ds, spec):
+    C = len(got.classes_seen)
+    y = np.searchsorted(got.classes_seen, ds.labels)
+    W, b, trace = _ref_sgd(ds.features, y, C, spec.hyperparams,
+                           _REF_STEPS[spec.kind](spec.hyperparams, C))
+    assert np.array_equal(got.state.weights, W)
+    assert np.array_equal(got.state.bias, b)
+    assert got.state.loss_trace == trace
+
+
+class TestClassSumPaths:
+    """Softmax sums its classes down a leading axis below C = 8 and along a
+    row from C = 8 on; fits on either side of that switch, lone and stacked,
+    match the reference bit for bit, and so do SVM fits."""
+
+    @pytest.mark.parametrize("C", [2, 9])
+    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    @pytest.mark.parametrize("batch_size", [16, 4096], ids=["minibatch", "fullbatch"])
+    def test_lone_fit_bitwise(self, make, batch_size, C):
+        ds = blobs(145, 3, C, seed=8)  # 145 = 9 * 16 + 1: a lone-row last batch
+        spec = make(epochs=15, batch_size=batch_size, momentum=0.7, l2=1e-3, seed=5)
+        assert_linear_fit_matches_reference(fit(spec, ds), ds, spec)
+
+    @pytest.mark.parametrize("C", [2, 9])
+    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    def test_ragged_group_bitwise(self, make, C):
+        # batch 16: n % 16 == 1 (a lone last row), == 0, other, and n < 16
+        sizes = [33, 32, 41, 17, 9]
+        datasets = [blobs(n, 3, C, seed=40 + i) for i, n in enumerate(sizes)]
+        specs = [make(epochs=6, batch_size=16, momentum=0.7, l2=1e-3, seed=200 + i)
+                 for i in range(len(datasets))]
+        for spec, ds, got in zip(specs, datasets, fit_many(specs, datasets)):
+            assert len(got.classes_seen) == C
+            assert_linear_fit_matches_reference(got, ds, spec)
 
 
 class TestLinearMatchesReference:

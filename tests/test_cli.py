@@ -279,9 +279,16 @@ class TestNumericFlagsAndOverflow:
             ["preprocess", "--zca", "--epsilon", "-1"],
             ["cv", "--zca", "--epsilon", "-1"],
             ["cv", "--zca", "--epsilon", "inf"],
+            # each exited 0 while the stage that reads the flag was off
+            ["preprocess", "--eps-norm", "-1"],
+            ["preprocess", "--epsilon", "-1"],
+            ["cv", "--epsilon", "-1"],
+            ["cv", "--epsilon", "nan"],
         ],
         ids=["eps-norm-nan", "eps-norm-zero", "eps-norm-negative", "epsilon-nan", "epsilon-negative", "cv-epsilon-negative",
-             "cv-epsilon-inf"],
+             "cv-epsilon-inf", "eps-norm-negative-without-normalize",
+             "epsilon-negative-without-zca", "cv-epsilon-negative-without-zca",
+             "cv-epsilon-nan-without-zca"],
     )
     def test_flag_outside_its_domain_is_config_error(self, data_files, argv, capsys):
         tmp, train, _ = data_files
@@ -305,11 +312,12 @@ class TestNumericFlagsAndOverflow:
             (["baseline", "--clf", "softmax", "--trees", "-4", "--max-depth", "-2"], 1.0),
             (["cv", "--clf", "softmax", "--trees", "0"], 1.0),
             (["cv", "--clf", "forest", "--trees", "3", "--lr", "nan"], 1.0),
+            (["cv", "--extractor-epochs", "-1"], 1.0),
         ],
         ids=["lr-nan", "lr-inf", "svm-l2-nan", "cpc-l2-inf", "extractor-lr-inf",
              "cv-lr-nan-before-zca", "cv-k-folds-before-zca", "cpc-seed-negative",
              "sweep-seed-negative", "softmax-baseline-trees-and-max-depth",
-             "softmax-cv-trees", "forest-cv-lr"],
+             "softmax-cv-trees", "forest-cv-lr", "cv-extractor-epochs-without-arch"],
     )
     def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale):
         # each exited 0, 2 or 3 or raised out of main before it was refused;
