@@ -12,7 +12,7 @@ import numpy as np
 
 from cpckit.classifiers import ClassifierSpec, KnnParams, SoftmaxParams, fit
 from cpckit.dataset import LabeledDataset
-from cpckit.mlp import TrainConfig, build_mlp, extract_features, format_arch, parse_arch, train
+from cpckit.mlp import TrainConfig, extract_features, fit_extractor, format_arch
 
 
 def make_rings(n: int, seed: int) -> LabeledDataset:
@@ -44,9 +44,8 @@ def main() -> None:
     train_ds = make_rings(args.n_train, seed=args.seed)
     test_ds = make_rings(args.n_test, seed=args.seed + 1)
 
-    model = build_mlp(*parse_arch(args.arch), seed=args.seed)
     cfg = TrainConfig(epochs=args.epochs, dropout=args.dropout, seed=args.seed)
-    model, losses = train(model, train_ds, cfg)
+    model, losses = fit_extractor(train_ds, args.arch, cfg)
     print(f"extractor {format_arch(model)}: final epoch loss {losses[-1]:.4f}")
 
     train_feat = extract_features(model, train_ds)

@@ -371,11 +371,11 @@ def _batch_scores(W, X, nb):
 
 def _batch_means(T, nb):
     """Mean of row i of T over its first nb[i] entries. A padded row is
-    averaged on its own slice, so its pairwise sum runs as in an unpadded
-    batch."""
+    summed on its own slice, so its pairwise sum runs as in an unpadded
+    batch, then divided by nb[i], as .mean() would divide it."""
     out = T.sum(axis=1) / nb
     for i in np.flatnonzero(nb < T.shape[1]):
-        out[i] = T[i, : nb[i]].mean()
+        out[i] = T[i, : nb[i]].sum() / nb[i]
     return out
 
 

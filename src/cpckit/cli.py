@@ -51,8 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _domain(cast, ok, what: str):
@@ -72,6 +71,7 @@ def _at_least(low: int):
 
 _seed = _at_least(0)  # numpy seeds are non-negative integers
 _positive = _domain(float, lambda v: 0 < v < math.inf, "finite and positive")
+_theta = _domain(float, lambda v: 0 <= v <= 2, "in [0, 2]")  # check_theta's domain
 
 
 def _echo(args: argparse.Namespace, spec) -> dict:
@@ -86,29 +86,6 @@ def _clf_spec(args) -> ClassifierSpec:
     linear_spec = softmax_spec if args.clf == "softmax" else svm_spec
     return linear_spec(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
                        l2=args.l2, seed=args.seed)
-
-
-def _add_clf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clf", choices=["softmax", "svm", "forest"], default="softmax")
-    p.add_argument("--lr", type=_positive, default=0.05)
-    p.add_argument("--epochs", type=_at_least(0), default=100)
-    p.add_argument("--batch", type=_at_least(1), default=128)
-    p.add_argument("--l2", default=1e-4,
-                   type=_domain(float, lambda v: 0 <= v < math.inf, "finite and non-negative"))
-    p.add_argument("--trees", type=_at_least(1), default=100)
-    p.add_argument("--max-depth", type=_at_least(1), default=None)
-
-
-def _add_cpc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-folds", type=int, default=5)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--disc-k", type=int, default=25)
-    p.add_argument(
-        "--ease-mode", choices=[INCLUDE_ALL, EXCLUDE_IN_FOLD], default=INCLUDE_ALL
-    )
-    p.add_argument(
-        "--fold-training", choices=[SINGLE_FOLD, COMPLEMENT], default=SINGLE_FOLD
-    )
 
 
 MAX_GRID_POINTS = 10**6
@@ -163,11 +140,9 @@ def _cpc_config(args, spec) -> CpcConfig:
 def _pipeline_config(args, spec) -> PipelineConfig:
     """cv's pipeline; baseline and cpc name their mode by their command and
     have no preprocessing or extractor flags. The cpc mode's learner is a
-    CpcConfig around spec, the baseline's is spec itself. cv builds that
-    CpcConfig in either mode, so its cpc flags are checked in either mode."""
+    CpcConfig around spec, the baseline's is spec itself."""
     mode = getattr(args, "mode", args.command)
-    cpc = _cpc_config(args, spec) if args.command != "baseline" else None
-    learner = cpc if mode == "cpc" else spec
+    learner = _cpc_config(args, spec) if mode == "cpc" else spec
     if args.command != "cv":
         return PipelineConfig(learner)
     extractor = None
@@ -268,17 +243,8 @@ def _cmd_sweep(args) -> int:
     if args.curve_out:
         write_sweep_curve(result, args.curve_out)
     if args.report:
-        write_report(
-            {
-                "thetas": result.thetas,
-                "accuracies": result.accuracies,
-                "baseline_accuracy": result.baseline_accuracy,
-                "best_theta": result.best_theta,
-                "config": _echo(args, spec),
-                "seed": args.seed,
-            },
-            args.report,
-        )
+        write_report({**asdict(result), "config": _echo(args, spec), "seed": args.seed},
+                     args.report)
     print(f"best theta {result.best_theta}")
     return 0
 
@@ -298,32 +264,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cpckit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("synth", help="generate two-regime Gaussian data")
+    # flag groups that several commands share, each declared once
+    header, seed, prep, clf, cpc = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    header.add_argument("--has-header", action="store_true")
+    seed.add_argument("--seed", type=_seed, default=0)
+    prep.add_argument("--normalize", action="store_true")
+    prep.add_argument("--zca", action="store_true")
+    prep.add_argument("--epsilon", type=_positive, default=1e-6)
+    clf.add_argument("--clf", choices=["softmax", "svm", "forest"], default="softmax")
+    clf.add_argument("--lr", type=_positive, default=0.05)
+    clf.add_argument("--epochs", type=_at_least(0), default=100)
+    clf.add_argument("--batch", type=_at_least(1), default=128)
+    clf.add_argument("--l2", default=1e-4,
+                     type=_domain(float, lambda v: 0 <= v < math.inf, "finite and non-negative"))
+    clf.add_argument("--trees", type=_at_least(1), default=100)
+    clf.add_argument("--max-depth", type=_at_least(1), default=None)
+    cpc.add_argument("--k-folds", type=_at_least(2), default=5)
+    cpc.add_argument("--m", type=_at_least(1), default=3)
+    cpc.add_argument("--disc-k", type=_at_least(1), default=25)
+    cpc.add_argument("--ease-mode", choices=[INCLUDE_ALL, EXCLUDE_IN_FOLD], default=INCLUDE_ALL)
+    cpc.add_argument("--fold-training", choices=[SINGLE_FOLD, COMPLEMENT], default=SINGLE_FOLD)
+
+    p = sub.add_parser("synth", parents=[seed], help="generate two-regime Gaussian data")
     p.add_argument("--n-easy", type=int, required=True)
     p.add_argument("--n-hard", type=int, required=True)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--easy-margin", type=float, default=6.0)
     p.add_argument("--hard-margin", type=float, default=0.8)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("preprocess", help="normalize and whiten a dataset CSV")
+    p = sub.add_parser("preprocess", parents=[header, prep],
+                       help="normalize and whiten a dataset CSV")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--eps-norm", type=_positive, default=1e-8)
-    p.add_argument("--zca", action="store_true")
-    p.add_argument("--epsilon", type=_positive, default=1e-6)
     p.add_argument("--transform-in", default=None)
     p.add_argument("--transform-out", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
-    p = sub.add_parser("train-extractor", help="train the residual MLP extractor")
+    p = sub.add_parser("train-extractor", parents=[header, seed],
+                       help="train the residual MLP extractor")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--has-header", action="store_true")
     p.add_argument("--arch", required=True)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.5)
@@ -331,63 +314,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--feature-tap", type=int, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train_extractor)
 
-    p = sub.add_parser("extract", help="export tap-layer features to CSV")
+    p = sub.add_parser("extract", parents=[header], help="export tap-layer features to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--has-header", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("baseline", help="train and score a single classifier")
+    p = sub.add_parser("baseline", parents=[header, clf, seed],
+                       help="train and score a single classifier")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--has-header", action="store_true")
-    _add_clf_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_train_test)
 
-    p = sub.add_parser("cpc", help="train and score the routed model")
+    p = sub.add_parser("cpc", parents=[header, clf, cpc, seed],
+                       help="train and score the routed model")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--has-header", action="store_true")
-    _add_clf_flags(p)
-    _add_cpc_flags(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--theta", type=_theta, required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_train_test)
 
-    p = sub.add_parser("sweep", help="validation sweep over the ease threshold")
+    p = sub.add_parser("sweep", parents=[header, clf, cpc, seed],
+                       help="validation sweep over the ease threshold")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--has-header", action="store_true")
     p.add_argument("--grid", default="0.0:1.0:0.1")
-    _add_clf_flags(p)
-    _add_cpc_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--curve-out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("cv", help="k-fold cross-validation of a pipeline")
+    p = sub.add_parser("cv", parents=[header, prep, clf, cpc, seed],
+                       help="k-fold cross-validation of a pipeline")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--has-header", action="store_true")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--mode", choices=["baseline", "cpc"], default="baseline")
-    _add_clf_flags(p)
-    _add_cpc_flags(p)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--zca", action="store_true")
-    p.add_argument("--epsilon", type=_positive, default=1e-6)
+    p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--arch", default=None)
     p.add_argument("--extractor-epochs", type=_at_least(0), default=10)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_cv)
 
@@ -408,10 +375,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"cpckit: configuration error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"cpckit: data error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"cpckit: data error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

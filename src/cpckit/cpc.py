@@ -100,8 +100,6 @@ def train_base_ensemble(
         raise BadSpec(f"m={m} must be at least 1")
     if fold_training not in (SINGLE_FOLD, COMPLEMENT):
         raise BadSpec(f"unknown fold_training {fold_training!r}")
-    if not (2 <= K <= train.n):
-        raise BadK(f"K={K} outside [2, n={train.n}]")
     specs, trained_on = [], []
     for rep in range(m):
         fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))

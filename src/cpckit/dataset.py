@@ -230,9 +230,9 @@ def split(
         va_parts.append(shuffled[:v])
         te_parts.append(shuffled[v : v + t])
         tr_parts.append(shuffled[v + t :])
-    tr = np.concatenate(tr_parts) if tr_parts else np.empty(0, dtype=np.int64)
-    va = np.concatenate(va_parts) if va_parts else np.empty(0, dtype=np.int64)
-    te = np.concatenate(te_parts) if te_parts else np.empty(0, dtype=np.int64)
+    tr = np.concatenate(tr_parts)
+    va = np.concatenate(va_parts)
+    te = np.concatenate(te_parts)
     return take(ds, np.sort(tr)), take(ds, np.sort(va)), take(ds, np.sort(te))
 
 
@@ -290,8 +290,7 @@ def two_regime_centers(
     if not np.inf > easy_margin > hard_margin > 0:
         raise BadSpec("margins must satisfy inf > easy_margin > hard_margin > 0")
 
-    def circle(margin: float, offset: float) -> np.ndarray:
-        radius = margin / (2.0 * np.sin(np.pi / C))
+    def circle(radius: float, offset: float) -> np.ndarray:
         angles = 2.0 * np.pi * np.arange(C) / C
         centers = np.zeros((C, d))
         centers[:, 0] = offset + radius * np.cos(angles)
@@ -301,7 +300,7 @@ def two_regime_centers(
     r_easy = easy_margin / (2.0 * np.sin(np.pi / C))
     r_hard = hard_margin / (2.0 * np.sin(np.pi / C))
     shift = (r_easy + r_hard + 8.0) / 2.0
-    return circle(easy_margin, -shift), circle(hard_margin, +shift)
+    return circle(r_easy, -shift), circle(r_hard, +shift)
 
 
 def generate_two_regime(
@@ -327,7 +326,7 @@ def generate_two_regime(
     labels = np.concatenate([np.arange(n_easy) % C, np.arange(n_hard) % C])
     centers = np.concatenate(
         [easy_centers[labels[:n_easy]], hard_centers[labels[n_easy:]]]
-    ) if labels.size else np.zeros((0, d))
+    )
     feats = rng.standard_normal((n_easy + n_hard, d)) + centers
     tags = [EASY_TAG] * n_easy + [HARD_TAG] * n_hard
 

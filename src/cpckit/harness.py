@@ -31,7 +31,7 @@ from .cpc import (
 )
 from .dataset import LabeledDataset, kfold, take
 from .errors import ConfigError, LabelOutOfRange, LengthMismatch
-from .mlp import TrainConfig, extract_features, fit_extractor
+from .mlp import TrainConfig, check_arch, extract_features, fit_extractor, parse_arch
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
 
@@ -109,11 +109,18 @@ class PreprocessConfig:
     zca: bool = False
     epsilon: float = 1e-6
 
+    def __post_init__(self):
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+
 
 @dataclass(frozen=True)
 class ExtractorConfig:
     arch: str
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        check_arch(*parse_arch(self.arch))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Fully-connected feature extractor with optional residual blocks.
 
-Blocks come in three kinds. With H(x) = act(W x + b):
+Blocks come in three kinds. With H(x) = relu(W x + b):
 
     plain            x -> H(x)
     residual_add     x -> H(x) + x        (hidden width must equal input width)
@@ -33,8 +33,7 @@ RESIDUAL_CONCAT = "residual_concat"
 _KIND_TO_TOKEN = {PLAIN: "fc", RESIDUAL_ADD: "add", RESIDUAL_CONCAT: "concat"}
 _TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
 
-RELU = "relu"
-IDENTITY = "identity"  # linear variant, for gradient-check builds only
+RELU = "relu"  # the one activation; model files name it
 
 LR_DECAY_PER_EPOCH = 0.95  # training multiplies the learning rate by this each epoch
 
@@ -80,14 +79,9 @@ class MlpModel:
     class_count: int
     weights: list[np.ndarray]  # per block, (hidden, in_width)
     biases: list[np.ndarray]
-    head_w: np.ndarray  # (class_count, feature_width)
+    head_w: np.ndarray  # (class_count, last block's output width)
     head_b: np.ndarray
     feature_tap: int  # block index whose output is exported as features
-    activation: str = RELU
-
-    @property
-    def feature_width(self) -> int:
-        return self.head_w.shape[1]
 
 
 def block_widths(input_dim: int, blocks: list[BlockSpec]) -> list[int]:
@@ -109,25 +103,27 @@ def block_widths(input_dim: int, blocks: list[BlockSpec]) -> list[int]:
     return out
 
 
-def build_mlp(
-    input_dim: int,
-    blocks: list[BlockSpec],
-    class_count: int,
-    seed: int = 0,
-    feature_tap: int | None = None,
-    activation: str = RELU,
-) -> MlpModel:
-    """Construct a model with uniform +/- sqrt(6 / (fan_in + fan_out)) weights
-    and zero biases. feature_tap defaults to the last block."""
+def check_arch(input_dim: int, blocks: list[BlockSpec], class_count: int) -> list[int]:
+    """block_widths of an arch build_mlp accepts, whatever the tap; else BadArch."""
     if input_dim < 1:
         raise BadArch("input_dim must be at least 1")
     if class_count < 2:
         raise BadArch("need at least two classes")
     if not blocks:
         raise BadArch("need at least one block")
-    if activation not in (RELU, IDENTITY):
-        raise BadArch(f"unknown activation {activation!r}")
-    widths = block_widths(input_dim, blocks)
+    return block_widths(input_dim, blocks)
+
+
+def build_mlp(
+    input_dim: int,
+    blocks: list[BlockSpec],
+    class_count: int,
+    seed: int = 0,
+    feature_tap: int | None = None,
+) -> MlpModel:
+    """Construct a model with uniform +/- sqrt(6 / (fan_in + fan_out)) weights
+    and zero biases. feature_tap defaults to the last block."""
+    widths = check_arch(input_dim, blocks, class_count)
     if feature_tap is None:
         feature_tap = len(blocks) - 1
     if not 0 <= feature_tap < len(blocks):
@@ -156,7 +152,6 @@ def build_mlp(
         head_w=head_w,
         head_b=head_b,
         feature_tap=feature_tap,
-        activation=activation,
     )
 
 
@@ -193,10 +188,6 @@ def format_arch(m: MlpModel) -> str:
 
 # forward / backward ------------------------------------------------------
 
-def _act(m: MlpModel, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if m.activation == RELU else z
-
-
 def _forward_batch(m, X, dropout=0.0, rng=None):
     """Returns (scores, block_outputs, caches). A positive dropout with an
     rng is training and draws masks; scaling is inverted so evaluation
@@ -206,7 +197,7 @@ def _forward_batch(m, X, dropout=0.0, rng=None):
     x = X
     for spec, W, b in zip(m.block_specs, m.weights, m.biases):
         z = x @ W.T + b
-        a = _act(m, z)
+        a = np.maximum(z, 0.0)
         mask = None
         if dropout > 0.0 and rng is not None:
             mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
@@ -262,7 +253,7 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None):
             g_a, g_skip = g_x[:, :h], g_x[:, h:]
         if mask is not None:
             g_a = g_a * mask
-        g_z = g_a * (z > 0) if m.activation == RELU else g_a
+        g_z = g_a * (z > 0)
         gws[i] = g_z.T @ x_in
         gbs[i] = g_z.sum(axis=0)
         if i:  # nothing reads the gradient of the network's input
@@ -338,7 +329,7 @@ def mlp_to_json(m: MlpModel) -> dict:
     return {
         "arch": format_arch(m),
         "feature_tap": m.feature_tap,
-        "activation": m.activation,
+        "activation": RELU,
         "weights": [w.tolist() for w in m.weights],
         "biases": [b.tolist() for b in m.biases],
         "head_w": m.head_w.tolist(),
@@ -347,10 +338,11 @@ def mlp_to_json(m: MlpModel) -> dict:
 
 
 def mlp_from_json(obj: dict) -> MlpModel:
-    """The model of mlp_to_json's dict. A bad arch, tap or activation raises
-    BadArch, as in build_mlp; an array whose shape disagrees, DimMismatch."""
-    m = build_mlp(*parse_arch(obj["arch"]), feature_tap=int(obj["feature_tap"]),
-                  activation=obj.get("activation", RELU))
+    """The model of mlp_to_json's dict. An arch or tap build_mlp refuses, or an
+    activation other than relu, raises BadArch; a misshapen array, DimMismatch."""
+    if obj.get("activation", RELU) != RELU:
+        raise BadArch(f"unknown activation {obj['activation']!r}")
+    m = build_mlp(*parse_arch(obj["arch"]), feature_tap=int(obj["feature_tap"]))
     arrays = [np.asarray(a, dtype=np.float64)
               for a in (*obj["weights"], *obj["biases"], obj["head_w"], obj["head_b"])]
     if [a.shape for a in arrays] != [p.shape for p in _params(m)]:

@@ -186,8 +186,9 @@ class TestExtractorCommands:
             lambda text, obj: "not json {",
             lambda text, obj: json.dumps({k: v for k, v in obj.items() if k != "weights"}),
             lambda text, obj: json.dumps({**obj, "weights": [w[:-1] for w in obj["weights"]]}),
+            lambda text, obj: json.dumps({**obj, "activation": "identity"}),
         ],
-        ids=["not-json", "no-weights", "weights-wrong-shape"],
+        ids=["not-json", "no-weights", "weights-wrong-shape", "identity-activation"],
     )
     def test_malformed_model_is_data_error(self, data_files, edit, capsys):
         tmp, train, _ = data_files
@@ -313,11 +314,18 @@ class TestNumericFlagsAndOverflow:
             (["cv", "--clf", "softmax", "--trees", "0"], 1.0),
             (["cv", "--clf", "forest", "--trees", "3", "--lr", "nan"], 1.0),
             (["cv", "--extractor-epochs", "-1"], 1.0),
+            # each exited 3 when the whitening before the extractor overflowed
+            (["cv", "--zca", "--arch", "in:8 bogus:4 head:4"], 1e300),
+            (["cv", "--zca", "--arch", "in:8 fc:0 head:4"], 1e300),
+            (["cv", "--zca", "--arch", "in:8 fc:4 head:1"], 1e300),
+            (["cv", "--zca", "--arch", "in:8 add:4 head:4"], 1e300),
         ],
         ids=["lr-nan", "lr-inf", "svm-l2-nan", "cpc-l2-inf", "extractor-lr-inf",
              "cv-lr-nan-before-zca", "cv-k-folds-before-zca", "cpc-seed-negative",
              "sweep-seed-negative", "softmax-baseline-trees-and-max-depth",
-             "softmax-cv-trees", "forest-cv-lr", "cv-extractor-epochs-without-arch"],
+             "softmax-cv-trees", "forest-cv-lr", "cv-extractor-epochs-without-arch",
+             "cv-arch-unknown-block", "cv-arch-zero-width", "cv-arch-one-class",
+             "cv-arch-add-width"],
     )
     def test_rate_l2_seed_and_folds_outside_their_domain(self, tmp_path, argv, scale):
         # each exited 0, 2 or 3 or raised out of main before it was refused;
@@ -706,55 +714,71 @@ class TestTopLevel:
 
 
 # The exit-code contract as a property: each command, on small awkward
-# datasets, with every numeric flag it uses either valid or drawn from the
-# edge values below. A flag outside the domain its validation documents
-# must exit 1, whatever the data.
+# datasets, with every numeric flag it accepts, used by the run or not,
+# either valid or drawn from the edge values below. A flag outside the
+# domain its validation documents must exit 1, whatever the data.
 EDGE_VALUES = ["0", "-1", "nan", "inf", "1e308"]
 
 
-def _int_at_least(low):
+def _int_in(low, high=math.inf):
     def domain(text):
         try:
-            return int(text) >= low
+            return low <= int(text) < high
         except ValueError:
             return False
     return domain
 
 
+def _positive(text):
+    return 0 < float(text) < math.inf
+
+
 FLAGS = {  # flag: (valid value, domain)
-    "--lr": ("0.05", lambda t: 0 < float(t) < math.inf),
+    "--lr": ("0.05", _positive),
     "--l2": ("1e-4", lambda t: 0 <= float(t) < math.inf),
-    "--epsilon": ("1e-6", lambda t: 0 < float(t) < math.inf),
-    "--eps-norm": ("1e-8", lambda t: 0 < float(t) < math.inf),
+    "--epsilon": ("1e-6", _positive),
+    "--eps-norm": ("1e-8", _positive),
     "--momentum": ("0.5", lambda t: 0 <= float(t) < 1),
     "--dropout": ("0.2", lambda t: 0 <= float(t) < 1),
     "--theta": ("0.5", lambda t: 0 <= float(t) <= 2),
-    "--epochs": ("3", _int_at_least(0)),
-    "--batch": ("16", _int_at_least(1)),
-    "--trees": ("3", _int_at_least(1)),
-    "--max-depth": ("3", _int_at_least(1)),
-    "--folds": ("3", _int_at_least(2)),
-    "--k-folds": ("3", _int_at_least(2)),
-    "--m": ("1", _int_at_least(1)),
-    "--disc-k": ("5", _int_at_least(1)),
-    "--seed": ("0", _int_at_least(0)),
+    "--epochs": ("3", _int_in(0)),
+    "--batch": ("16", _int_in(1)),
+    "--trees": ("3", _int_in(1)),
+    "--max-depth": ("3", _int_in(1)),
+    "--folds": ("3", _int_in(2)),
+    "--k-folds": ("3", _int_in(2)),
+    "--m": ("1", _int_in(1)),
+    "--disc-k": ("5", _int_in(1)),
+    "--extractor-epochs": ("3", _int_in(0)),
+    "--feature-tap": ("0", _int_in(0, 1)),  # the one block of the arch below
+    "--seed": ("0", _int_in(0)),
+    # synth's margins must also satisfy easy > hard, and its counts sum to 1 or more
+    "--n-easy": ("6", _int_in(0)),
+    "--n-hard": ("6", _int_in(0)),
+    "--classes": ("3", _int_in(2)),
+    "--dim": ("3", _int_in(2)),
+    "--easy-margin": ("6.0", _positive),
+    "--hard-margin": ("0.8", _positive),
 }
 
-COMMANDS = {  # name: (argv head, numeric flags the run uses, output flag)
+CLF_FLAGS = ["--lr", "--epochs", "--batch", "--l2", "--trees", "--max-depth"]
+CPC_FLAGS = ["--k-folds", "--m", "--disc-k"]
+CV_FLAGS = ["--folds", *CLF_FLAGS, *CPC_FLAGS, "--theta", "--epsilon", "--extractor-epochs",
+            "--seed"]
+
+COMMANDS = {  # name: (argv head, numeric flags the command accepts, output flag)
+    "synth": (["synth"], ["--n-easy", "--n-hard", "--classes", "--dim", "--easy-margin",
+                          "--hard-margin", "--seed"], "--out"),
     "preprocess": (["preprocess", "--normalize", "--zca"], ["--eps-norm", "--epsilon"], "--out"),
     "train-extractor": (["train-extractor", "--arch", "in:3 fc:8 head:3"],
-                        ["--lr", "--momentum", "--dropout", "--batch", "--epochs", "--seed"],
-                        "--model-out"),
-    "baseline": (["baseline"], ["--lr", "--l2", "--epochs", "--batch", "--seed"], "--report"),
-    "baseline-forest": (["baseline", "--clf", "forest"], ["--trees", "--max-depth", "--seed"],
-                        "--report"),
-    "cpc": (["cpc"], ["--lr", "--l2", "--epochs", "--k-folds", "--m", "--disc-k", "--theta",
-                      "--seed"], "--report"),
-    "sweep": (["sweep", "--grid", "0.0:1.0:0.25"],
-              ["--epochs", "--k-folds", "--m", "--disc-k", "--seed"], "--report"),
-    "cv": (["cv", "--mode", "cpc", "--zca"], ["--folds", "--epochs", "--k-folds", "--m",
-                                               "--disc-k", "--theta", "--epsilon", "--seed"],
-           "--report"),
+                        ["--lr", "--momentum", "--dropout", "--batch", "--epochs",
+                         "--feature-tap", "--seed"], "--model-out"),
+    "baseline": (["baseline"], [*CLF_FLAGS, "--seed"], "--report"),
+    "baseline-forest": (["baseline", "--clf", "forest"], [*CLF_FLAGS, "--seed"], "--report"),
+    "cpc": (["cpc"], [*CLF_FLAGS, *CPC_FLAGS, "--theta", "--seed"], "--report"),
+    "sweep": (["sweep", "--grid", "0.0:1.0:0.25"], [*CLF_FLAGS, *CPC_FLAGS, "--seed"], "--report"),
+    "cv": (["cv", "--mode", "cpc", "--zca"], CV_FLAGS, "--report"),
+    "cv-baseline": (["cv", "--mode", "baseline", "--zca"], CV_FLAGS, "--report"),
 }
 
 DATASETS = ["normal", "constant column", "duplicate rows", "one class", "n = 4"]
@@ -797,7 +821,7 @@ class TestExitCodeContract:
         exponent=st.sampled_from([0, 100, 160, 200, 300]),
         data=st.data(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_exit_code_follows_the_contract(self, awkward_dir, command, kind, exponent, data):
         head, flags, out_flag = COMMANDS[command]
         edits = data.draw(st.dictionaries(st.sampled_from(flags), st.sampled_from(EDGE_VALUES),
@@ -806,20 +830,21 @@ class TestExitCodeContract:
         path = awkward_dir / f"{kind.replace(' ', '_')}_{exponent}.csv"
         if not path.exists():
             write_dataset(awkward_dataset(kind, exponent), path)
-        out = awkward_dir / ("out.csv" if command == "preprocess" else "out.json")
+        writes_csv = head[0] in ("synth", "preprocess")
+        out = awkward_dir / ("out.csv" if writes_csv else "out.json")
         out.unlink(missing_ok=True)
-        inputs = {"preprocess": ["--in"], "train-extractor": ["--in"], "cv": ["--in"],
-                  "sweep": ["--train", str(path), "--val"]}
+        inputs = {"synth": [], "baseline": ["--train", str(path), "--test", str(path)],
+                  "cpc": ["--train", str(path), "--test", str(path)],
+                  "sweep": ["--train", str(path), "--val", str(path)]}
         argv = [*head, *(x for item in values.items() for x in item),
-                *inputs.get(command, ["--train", str(path), "--test"]), str(path),
-                out_flag, str(out)]
+                *inputs.get(head[0], ["--in", str(path)]), out_flag, str(out)]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main
             code = main(argv)
         assert code in (0, 1, 2, 3)
         if code == 0:
-            if command == "preprocess":
+            if writes_csv:
                 assert np.isfinite(np.loadtxt(out, delimiter=",", ndmin=2)).all()
             else:
                 assert all_finite(json.loads(out.read_text()))

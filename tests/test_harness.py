@@ -163,6 +163,15 @@ class TestPipeline:
         for bad in ({"k_folds": 1}, {"repetitions": 0}, {"disc_k": 0}, {"theta": 3.0}):
             with pytest.raises(ConfigError):
                 CpcConfig(base_spec=spec, expert_spec=spec, **bad)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                PreprocessConfig(zca=False, epsilon=epsilon)
+        # arches refused without data: a bad token, a zero width, one class,
+        # an add block whose width is not its input's, no input
+        for arch in ("in:8 bogus:4 head:4", "in:8 fc:0 head:4", "in:8 fc:4 head:1",
+                     "in:8 add:4 head:4", "in:0 fc:4 head:4"):
+            with pytest.raises(ConfigError):
+                ExtractorConfig(arch)
 
     def test_baseline_with_preprocessing(self):
         train = blobs(seed=0)
