@@ -495,10 +495,13 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
         idx = a[k][node] + pos
         r, w = buf[idx], wt[idx].astype(np.int64)
         # segment slot * len(k) + node: the node's rows sorted by the slot's feature
-        key = ranks.reshape(-1)[(feats[k].T * n)[:, node] + r].astype(np.int64) << sb
+        key = ranks.reshape(-1)[(feats[k].T * n).take(node, axis=1) + r].astype(np.int64)
+        key <<= sb
         key += (node.astype(np.int64) << rb + sb) + np.arange(len(node))
-        key = np.sort(key + (np.arange(n_sub) * len(k) << rb + sb)[:, None], axis=None)
-        at, s, cost = _cut_costs(key, rb, sb, np.tile(mc, n_sub), counts[k], y[r], w)
+        key += (np.arange(n_sub) * len(k) << rb + sb)[:, None]
+        key = key.reshape(-1)
+        key.sort()
+        at, s, cost = _cut_costs(key, rb, sb, np.tile(mc, n_sub), counts[k], node, y[r], w)
         if not at.size:
             continue
         cuts = np.bincount(s, minlength=n_sub * len(k))
@@ -524,54 +527,48 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
     return slot, best.min(axis=0) < np.inf, cut[:, slot, np.arange(K)], left, n_left
 
 
-def _cut_costs(key, rb, sb, sizes, counts, label, wt):
+def _cut_costs(key, rb, sb, sizes, counts, node, label, wt):
     """(at, segment, cost) of the cuts between distinct values, after key[at],
     in the sorted segments of key of the given sizes, segment s holding rows
-    of the node with weighted class counts counts[s % len(counts)]. The low
-    sb bits of a key are its entry's slot in label and wt, the next rb its
-    rank. Class counts are exact integers, so the costs match a one-node
-    search of the drawn copies bit for bit."""
-    C = counts.shape[1]
+    of the node with weighted class counts counts[s % len(counts)]. A key's
+    low sb bits are its entry's slot, the index of its row's node, label and
+    weight in node, label and wt; the next rb bits are its rank. What a row
+    adds to the running sums is worked out once per row and gathered per
+    entry through the slot; the sums restart at each segment and are read
+    only at the cuts. Class counts are exact integers, summed in any order,
+    so the costs match a one-node search of the drawn copies bit for bit."""
+    K, C = counts.shape
     start = np.cumsum(sizes) - sizes
-    at = (key[:-1] >> sb) != (key[1:] >> sb)
+    hi = key >> sb
+    at = hi[:-1] != hi[1:]
     at[start[1:] - 1] = False  # a segment's last row
     at = np.flatnonzero(at)
-    s = key[at] >> rb + sb
-    slot = key & (1 << sb) - 1
-    label, wt = label[slot], wt[slot]
-    del slot
-
-    def within(x):  # running sum of x within its segment, at the cuts
-        total = np.zeros(len(x) + 1, dtype=np.int64)
-        np.cumsum(x, out=total[1:])
-        return total[at + 1] - total[start[s]]
-
-    # a row drawn wt times grows sum_c left_c**2 by wt * (2 * own - wt), own
-    # counting the drawn rows of its class up to and with it. Class c counts in
-    # a w-bit field of int64 word c // (63 // w); a field holds the chunk's
-    # total weight, so none carries into the next.
-    w = (len(sizes) // len(counts) * int(counts.sum()) + 1).bit_length()
+    s = hi[at] >> rb
+    del hi  # the chunk's largest arrays go as soon as they are used
+    # Per row: its weight in the w-bit field of its class c, in int64 word
+    # c // (63 // w), and its weight times its node's count of its class. A
+    # field holds a node's total weight, so none carries into the next.
+    w = (int(counts.sum(axis=1).max()) + 1).bit_length()
     word, shift = np.divmod(np.arange(C), 63 // w)
-    mine = word == np.arange(word[-1] + 1)[:, None]  # (words, C)
-    shift = np.where(mine, shift * w, 63)  # shifted by 63, a word reads 0
-    left = np.zeros((len(mine), len(label) + 1), dtype=np.int64)
-    drawn = (mine.astype(np.int64) << shift)[:, label]
-    drawn *= wt
-    np.cumsum(drawn, axis=1, out=left[:, 1:])
-    del drawn
-    own = (left[:, 1:] - left[:, np.repeat(start, sizes)]) >> shift[:, label]
-    own &= (1 << w) - 1
-    own = own.sum(axis=0)
-    del left  # the chunk's largest arrays go as soon as they are used
-    sq_left = within(wt * (2 * own - wt))
-    del own
-    segment = np.repeat(np.arange(len(sizes)) % len(counts) * C, sizes)
-    toward = within(wt * counts.reshape(-1)[segment + label])  # sum_c counts_c * left_c
-    del segment, label
-    sq_right = np.einsum("kc,kc->k", counts, counts)[s % len(counts)] - 2 * toward + sq_left
-    nl = within(wt).astype(np.float64)
-    n = counts.sum(axis=1)[s % len(counts)].astype(np.float64)
-    return at, s, (nl * (1.0 - sq_left / nl**2) + (n - nl) * (1.0 - sq_right / (n - nl)**2)) / n
+    shift *= w
+    per_row = np.zeros((word[-1] + 2, len(label)), dtype=np.int64)
+    per_row[word[label], np.arange(len(label))] = wt << shift[label]
+    per_row[-1] = counts[node, label] * wt
+    run = per_row.take(key & (1 << sb) - 1, axis=1)  # .take: far faster than [:, idx]
+    run[:, start[1:]] -= np.add.reduceat(run, start, axis=1)[:, :-1]  # restart per segment
+    np.cumsum(run, axis=1, out=run)
+    run = run.take(at, axis=1)  # the sums left of each cut
+    left = run[word]  # (C, cuts): the weighted class counts left of each cut
+    left >>= shift[:, None]
+    left &= (1 << w) - 1
+    k = s % K
+    sq_left = np.einsum("ca,ca->a", left, left)
+    sq_right = np.einsum("kc,kc->k", counts, counts)[k] - 2 * run[-1] + sq_left
+    nl = left.sum(axis=0).astype(np.float64)
+    del run, left
+    n = counts.sum(axis=1)[k].astype(np.float64)
+    nr = n - nl
+    return at, s, (nl * (1.0 - sq_left / nl**2) + nr * (1.0 - sq_right / nr**2)) / n
 
 
 def _fit_forest_group(fits, C):

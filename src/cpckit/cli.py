@@ -35,7 +35,8 @@ from .harness import (
     write_report,
     write_sweep_curve,
 )
-from .mlp import TrainConfig, extract_features, fit_extractor, load_mlp, save_mlp
+from .mlp import (TrainConfig, check_arch, extract_features, fit_extractor, load_mlp,
+                  parse_arch, save_mlp)
 from .preprocess import (
     apply_whitening,
     fit_zca,
@@ -186,7 +187,6 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train_extractor(args) -> int:
-    ds = load_dataset(args.input, has_header=args.has_header)
     cfg = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
@@ -195,6 +195,8 @@ def _cmd_train_extractor(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
+    check_arch(*parse_arch(args.arch), feature_tap=args.feature_tap)  # before the data
+    ds = load_dataset(args.input, has_header=args.has_header)
     model, trace = fit_extractor(ds, args.arch, cfg, feature_tap=args.feature_tap)
     save_mlp(model, args.model_out)
     if trace:
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", parents=[header, prep, clf, cpc, seed],
                        help="k-fold cross-validation of a pipeline")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_at_least(2), default=5)
     p.add_argument("--mode", choices=["baseline", "cpc"], default="baseline")
     p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--arch", default=None)

@@ -58,6 +58,11 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _check_choice(what: str, value: str, choices) -> None:
+    if value not in choices:
+        raise BadSpec(f"unknown {what} {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainedOn:
     repetition: int
@@ -98,8 +103,7 @@ def train_base_ensemble(
     """
     if m < 1:
         raise BadSpec(f"m={m} must be at least 1")
-    if fold_training not in (SINGLE_FOLD, COMPLEMENT):
-        raise BadSpec(f"unknown fold_training {fold_training!r}")
+    _check_choice("fold_training", fold_training, (SINGLE_FOLD, COMPLEMENT))
     specs, trained_on = [], []
     for rep in range(m):
         fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))
@@ -147,8 +151,7 @@ def compute_ease(
     correctly. Exact integer counting; ratios are counts over the mode's
     denominator. Raises LengthMismatch unless train has the size and digest
     of the set the ensemble was built on."""
-    if mode not in (INCLUDE_ALL, EXCLUDE_IN_FOLD):
-        raise BadSpec(f"unknown ease mode {mode!r}")
+    _check_choice("ease mode", mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))
     n = train.n
     if n != ens.n or _digest(train) != ens.digest:
         raise LengthMismatch("ensemble was built on a different training set")
@@ -452,6 +455,8 @@ class CpcConfig:
             raise BadSpec(f"repetitions={self.repetitions} must be at least 1")
         check_theta(self.theta)
         check_disc(self.disc_k)
+        _check_choice("ease mode", self.ease_mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))
+        _check_choice("fold_training", self.fold_training, (SINGLE_FOLD, COMPLEMENT))
 
 
 def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:

@@ -16,7 +16,6 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, replace
 
@@ -103,14 +102,17 @@ def block_widths(input_dim: int, blocks: list[BlockSpec]) -> list[int]:
     return out
 
 
-def check_arch(input_dim: int, blocks: list[BlockSpec], class_count: int) -> list[int]:
-    """block_widths of an arch build_mlp accepts, whatever the tap; else BadArch."""
+def check_arch(input_dim: int, blocks: list[BlockSpec], class_count: int,
+               feature_tap: int | None = None) -> list[int]:
+    """block_widths of an arch and tap build_mlp accepts; else BadArch."""
     if input_dim < 1:
         raise BadArch("input_dim must be at least 1")
     if class_count < 2:
         raise BadArch("need at least two classes")
     if not blocks:
         raise BadArch("need at least one block")
+    if feature_tap is not None and not 0 <= feature_tap < len(blocks):
+        raise BadArch(f"feature_tap {feature_tap} outside [0, {len(blocks)})")
     return block_widths(input_dim, blocks)
 
 
@@ -123,11 +125,9 @@ def build_mlp(
 ) -> MlpModel:
     """Construct a model with uniform +/- sqrt(6 / (fan_in + fan_out)) weights
     and zero biases. feature_tap defaults to the last block."""
-    widths = check_arch(input_dim, blocks, class_count)
+    widths = check_arch(input_dim, blocks, class_count, feature_tap)
     if feature_tap is None:
         feature_tap = len(blocks) - 1
-    if not 0 <= feature_tap < len(blocks):
-        raise BadArch(f"feature_tap {feature_tap} outside [0, {len(blocks)})")
 
     rng = np.random.default_rng(seed)
 
@@ -196,22 +196,24 @@ def _forward_batch(m, X, dropout=0.0, rng=None):
     outputs = []
     x = X
     for spec, W, b in zip(m.block_specs, m.weights, m.biases):
-        z = x @ W.T + b
-        a = np.maximum(z, 0.0)
+        z = x @ W.T
+        z += b
+        h = z.shape[1]
+        out = np.empty((len(x), h + x.shape[1]) if spec.kind == RESIDUAL_CONCAT else z.shape)
+        a = np.maximum(z, 0.0, out=out[:, :h])
         mask = None
         if dropout > 0.0 and rng is not None:
             mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
-            a = a * mask
-        if spec.kind == PLAIN:
-            out = a
-        elif spec.kind == RESIDUAL_ADD:
-            out = a + x
-        else:
-            out = np.concatenate([a, x], axis=1)
+            a *= mask
+        if spec.kind == RESIDUAL_ADD:
+            out += x
+        elif spec.kind == RESIDUAL_CONCAT:
+            out[:, h:] = x
         caches.append({"x": x, "z": z, "mask": mask})
         outputs.append(out)
         x = out
-    scores = x @ m.head_w.T + m.head_b
+    scores = x @ m.head_w.T
+    scores += m.head_b
     return scores, outputs, caches
 
 
@@ -220,28 +222,45 @@ def _params(m: MlpModel) -> list[np.ndarray]:
     return m.weights + m.biases + [m.head_w, m.head_b]
 
 
-def loss_and_gradients(m, X, y, dropout=0.0, rng=None):
+def _with_params(m: MlpModel, arrays) -> MlpModel:
+    """A copy of m holding arrays, in the order of _params(m)."""
+    n = len(m.weights)
+    return replace(m, weights=list(arrays[:n]), biases=list(arrays[n:2 * n]),
+                   head_w=arrays[-2], head_b=arrays[-1])
+
+
+def _views(flat, like):
+    """Arrays shaped as those of like, in order, viewing consecutive parts of flat."""
+    ends = np.cumsum([p.size for p in like])
+    return [part.reshape(p.shape) for part, p in zip(np.split(flat, ends[:-1]), like)]
+
+
+def loss_and_gradients(m, X, y, dropout=0.0, rng=None, out=None):
     """Mean cross-entropy over the batch and its exact parameter gradients,
-    both from one softmax of the scores. The gradients come as a list in
-    the order of _params(m)."""
+    both from one softmax of the scores, run in place. The gradients come as
+    a list in the order of _params(m): out, written in place, when given
+    (train passes views of its flat gradient vector), else fresh arrays.
+    Either way every product and sum runs on the same operands in the same
+    order, so they hold the same bits."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     scores, outputs, caches = _forward_batch(m, X, dropout=dropout, rng=rng)
-    n = len(y)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expl = np.exp(shifted)
-    rowsum = expl.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(rowsum[:, 0]) - shifted[np.arange(n), y]))
-    P = expl / rowsum
-    P[np.arange(n), y] -= 1.0
-    g = P / n  # d loss / d scores
+    n, rows = len(y), np.arange(len(y))
+    scores -= scores.max(axis=1, keepdims=True)
+    picked = scores[rows, y]
+    g = np.exp(scores, out=scores)
+    rowsum = g.sum(axis=1, keepdims=True)
+    loss = float((np.log(rowsum[:, 0]) - picked).sum() / n)  # np.mean's bits
+    g /= rowsum
+    g[rows, y] -= 1.0
+    g /= n  # d loss / d scores
 
-    gh_w = g.T @ outputs[-1]
-    gh_b = g.sum(axis=0)
+    out = out or [np.empty_like(p) for p in _params(m)]
+    L = len(caches)
+    np.matmul(g.T, outputs[-1], out=out[-2])
+    g.sum(axis=0, out=out[-1])
     g_x = g @ m.head_w
-
-    gws, gbs = [None] * len(caches), [None] * len(caches)
-    for i in range(len(caches) - 1, -1, -1):
+    for i in range(L - 1, -1, -1):
         spec = m.block_specs[i]
         x_in, z, mask = caches[i]["x"], caches[i]["z"], caches[i]["mask"]
         h = z.shape[1]
@@ -254,34 +273,42 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None):
         if mask is not None:
             g_a = g_a * mask
         g_z = g_a * (z > 0)
-        gws[i] = g_z.T @ x_in
-        gbs[i] = g_z.sum(axis=0)
+        np.matmul(g_z.T, x_in, out=out[i])
+        g_z.sum(axis=0, out=out[L + i])
         if i:  # nothing reads the gradient of the network's input
             g_x = g_z @ m.weights[i] + g_skip
-    return loss, gws + gbs + [gh_w, gh_b]
+    return loss, out
 
 
 def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """SGD with momentum and per-epoch lr decay by LR_DECAY_PER_EPOCH.
     Returns a new model and the per-epoch mean batch loss; raises Divergence
     if the loss leaves the finite range and EmptyDataset on an empty
-    dataset. epochs=0 returns an unchanged copy."""
+    dataset. epochs=0 returns an unchanged copy.
+
+    The new model's weights, biases and head are views of one flat float64
+    vector, and the gradients are written into views of a second, so each
+    momentum step moves one array, elementwise, as it moved each alone."""
     if ds.d != m.input_dim:
         raise DimMismatch(f"model expects d={m.input_dim}, dataset has d={ds.d}")
     if ds.n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if ds.labels.max() >= m.class_count:
         raise DimMismatch("dataset labels exceed the model head width")
-    model = copy.deepcopy(m)
+    params = _params(m)
+    flat = np.concatenate([p.ravel() for p in params])
+    grads = np.empty_like(flat)
+    model, views = _with_params(m, _views(flat, params)), _views(grads, params)
     rng = np.random.default_rng(cfg.seed)
 
     def grad(rows):
-        return loss_and_gradients(
-            model, ds.features[rows[0]], ds.labels[rows[0]], cfg.dropout, rng
+        loss, _ = loss_and_gradients(
+            model, ds.features[rows[0]], ds.labels[rows[0]], cfg.dropout, rng, out=views
         )
+        return loss, [grads]
 
     [trace] = _momentum_sgd(
-        _params(model),
+        [flat],
         grad,
         [ds.n],
         cfg.epochs,
@@ -347,9 +374,7 @@ def mlp_from_json(obj: dict) -> MlpModel:
               for a in (*obj["weights"], *obj["biases"], obj["head_w"], obj["head_b"])]
     if [a.shape for a in arrays] != [p.shape for p in _params(m)]:
         raise DimMismatch(f"model arrays do not fit arch {obj['arch']!r}")
-    n = len(m.weights)
-    m.weights, m.biases, m.head_w, m.head_b = arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1]
-    return m
+    return _with_params(m, arrays)
 
 
 def save_mlp(m: MlpModel, path) -> None:

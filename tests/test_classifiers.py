@@ -752,6 +752,12 @@ class TestWeightedBagsMatchReference:
         assert_matches_reference(blobs(300, 40, 4, seed=11, margin=1.0),
                                  forest_spec(tree_count=10, seed=3))
 
+    def test_realistic_size_in_small_chunks(self, monkeypatch):
+        # about one node a chunk: many chunk bounds, each chunk's running
+        # counts restarting at every one of its segments
+        monkeypatch.setattr(clf_mod, "_SPLIT_CHUNK", 64)
+        self.test_realistic_size()
+
     def test_ragged_group(self):
         # equal hyperparameters but the seed, equal d and C: one lockstep group
         datasets = [blobs(n, 40, 2, seed=n, margin=1.0) for n in (300, 299, 3, 2)]

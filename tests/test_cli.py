@@ -340,6 +340,22 @@ class TestNumericFlagsAndOverflow:
             code = main([*argv, *files.get(argv[0], ["--train", data, "--test", data]), *out])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-extractor", "--arch", "in:8 fc:4 head:4", "--lr", "-1"],
+            ["train-extractor", "--arch", "in:8 bogus:4 head:4"],
+            ["train-extractor", "--arch", "in:8 fc:4 head:4", "--feature-tap", "1"],
+            ["cv", "--folds", "0"],
+        ],
+        ids=["extractor-lr", "extractor-arch", "extractor-feature-tap", "cv-folds"],
+    )
+    def test_flags_checked_before_the_data_is_read(self, tmp_path, argv):
+        # each exited 2, the missing file's data error, instead of 1
+        out = "--model-out" if argv[0] == "train-extractor" else "--report"
+        missing = str(tmp_path / "missing.csv")
+        assert main([*argv, "--in", missing, out, str(tmp_path / "o.json")]) == 1
+
     @pytest.mark.parametrize("command", ["preprocess", "cv"])
     def test_overflowing_zca_is_numerical_failure(self, tmp_path, command, capsys):
         big = tmp_path / "big.csv"

@@ -639,6 +639,33 @@ class TestTrainCpc:
         preds = cpc_predict_many(model, train.features[:20])
         assert len(preds) == 20
 
+    @pytest.mark.parametrize("bad", [{"ease_mode": "nope"}, {"fold_training": "bogus"}],
+                             ids=["ease-mode", "fold-training"])
+    def test_bad_mode_refused_when_built(self, monkeypatch, bad):
+        # a bad ease_mode built, and train_cpc ran all 15 ensemble fits
+        # before compute_ease refused it
+        import cpckit.classifiers as clf_mod
+
+        fits = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            fits.append(len(specs))
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        train = generate_two_regime(40, 40, 4, 8, 6.0, 0.8, seed=3)
+
+        def build():
+            return CpcConfig(base_spec=softmax_spec(epochs=5, seed=0),
+                             expert_spec=softmax_spec(seed=0), **bad)
+
+        with pytest.raises(BadSpec, match="unknown"):
+            build()
+        with pytest.raises(BadSpec, match="unknown"):
+            train_cpc(train, build())
+        assert fits == []
+
     def test_ease_scores_separate_the_regimes(self):
         train = generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=3)
         ens = train_base_ensemble(train, 5, 3, softmax_spec(seed=0), seed=0)

@@ -299,7 +299,60 @@ class TestTrain:
 
 
 # mlp.train's own momentum-SGD loop, before it moved onto the shared loop,
-# kept only as a reference: training must match it bit for bit.
+# and the forward and backward passes before the parameters became views of
+# one flat vector, kept only as a reference: training must match them bit
+# for bit.
+
+def _ref_forward(m, X, dropout, rng):
+    caches, x = [], X
+    for spec, W, b in zip(m.block_specs, m.weights, m.biases):
+        z = x @ W.T + b
+        a = np.maximum(z, 0.0)
+        mask = None
+        if dropout > 0.0 and rng is not None:
+            mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
+            a = a * mask
+        if spec.kind == PLAIN:
+            out = a
+        elif spec.kind == RESIDUAL_ADD:
+            out = a + x
+        else:
+            out = np.concatenate([a, x], axis=1)
+        caches.append((x, z, mask))
+        x = out
+    return x @ m.head_w.T + m.head_b, x, caches
+
+
+def _ref_loss_and_gradients(m, X, y, dropout, rng):
+    scores, last, caches = _ref_forward(m, X, dropout, rng)
+    n = len(y)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    expl = np.exp(shifted)
+    rowsum = expl.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(rowsum[:, 0]) - shifted[np.arange(n), y]))
+    P = expl / rowsum
+    P[np.arange(n), y] -= 1.0
+    g = P / n
+    gh_w, gh_b, g_x = g.T @ last, g.sum(axis=0), g @ m.head_w
+    gws, gbs = [None] * len(caches), [None] * len(caches)
+    for i in range(len(caches) - 1, -1, -1):
+        x_in, z, mask = caches[i]
+        h = z.shape[1]
+        kind = m.block_specs[i].kind
+        if kind == PLAIN:
+            g_a, g_skip = g_x, 0.0
+        elif kind == RESIDUAL_ADD:
+            g_a, g_skip = g_x, g_x
+        else:
+            g_a, g_skip = g_x[:, :h], g_x[:, h:]
+        if mask is not None:
+            g_a = g_a * mask
+        g_z = g_a * (z > 0)
+        gws[i], gbs[i] = g_z.T @ x_in, g_z.sum(axis=0)
+        if i:
+            g_x = g_z @ m.weights[i] + g_skip
+    return loss, gws + gbs + [gh_w, gh_b]
+
 
 def _ref_train(m, ds, cfg):
     model = copy.deepcopy(m)
@@ -316,8 +369,8 @@ def _ref_train(m, ds, cfg):
         losses = []
         for start in range(0, ds.n, batch):
             sel = perm[start : start + batch]
-            loss, g = loss_and_gradients(
-                model, ds.features[sel], ds.labels[sel], dropout=cfg.dropout, rng=rng,
+            loss, g = _ref_loss_and_gradients(
+                model, ds.features[sel], ds.labels[sel], cfg.dropout, rng
             )
             losses.append(loss)
             L = len(model.weights)
@@ -352,6 +405,26 @@ class TestTrainMatchesReference:
             assert np.array_equal(a, b)
         assert np.array_equal(got.head_w, want.head_w)
         assert np.array_equal(got.head_b, want.head_b)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_gradients_into_views_match_fresh_arrays(self, dropout):
+        ds = blobs(40, 4, 3, seed=6)
+        blocks = [BlockSpec(RESIDUAL_CONCAT, 6), BlockSpec(RESIDUAL_ADD, 10), BlockSpec(PLAIN, 5)]
+        m = build_mlp(4, blocks, 3, seed=2)
+        params = _params(m)
+        flat = np.full(sum(p.size for p in params), np.nan)
+        ends = np.cumsum([p.size for p in params])[:-1]
+        views = [part.reshape(p.shape) for part, p in zip(np.split(flat, ends), params)]
+        runs = [
+            loss_and_gradients(m, ds.features, ds.labels, dropout, np.random.default_rng(1),
+                               out=views),
+            loss_and_gradients(m, ds.features, ds.labels, dropout, np.random.default_rng(1)),
+            _ref_loss_and_gradients(m, ds.features, ds.labels, dropout, np.random.default_rng(1)),
+        ]
+        assert runs[0][1] is views
+        for loss, grads in runs[1:]:
+            assert loss == runs[0][0]
+            assert all(np.array_equal(a, b) for a, b in zip(grads, views))
 
 
 class TestExtractFeatures:
