@@ -16,7 +16,6 @@ from .classifiers import (
     fit,
     forest_spec,
     knn_spec,
-    neighbors,
     softmax_spec,
     svm_spec,
     with_seed,
@@ -52,7 +51,6 @@ from .dataset import (
 from .harness import (
     PipelineConfig,
     SweepResult,
-    compare,
     confusion,
     cross_validate,
     evaluate,

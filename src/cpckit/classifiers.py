@@ -146,15 +146,12 @@ def _validate(spec: ClassifierSpec) -> None:
 
 @dataclass
 class TrainedClassifier:
-    """Fitted state for any kind. predict only returns classes seen in training."""
+    """Fitted state for any kind. Predictions are classes seen in training."""
 
     spec: ClassifierSpec
     classes_seen: np.ndarray
     input_dim: int
     state: object
-
-    def predict(self, x) -> int:
-        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_many(self, X) -> np.ndarray:
         """The class of the top score, ties to the lower class id; knn
@@ -714,14 +711,6 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         norm = m[:, 0] * np.sqrt(np.mean((diff / m) ** 2, axis=1))
         order[len(order) - len(norm):] = np.flatnonzero(far)[np.argsort(norm, kind="stable")]
     return order[: min(k, len(features))]
-
-
-def neighbors(ds: LabeledDataset, x, k: int) -> np.ndarray:
-    """k nearest sample positions in ds for query x, nearest first."""
-    x = _as_queries(np.reshape(x, (1, -1)), ds.d)[0]
-    if k < 1:
-        raise BadHyperparams("k must be at least 1")
-    return _nearest_indices(ds.features, x, k)
 
 
 def _fit_knn(hp: KnnParams, X, y, C):

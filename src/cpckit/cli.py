@@ -171,17 +171,18 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    if args.transform_in and (args.zca or args.transform_out):
+        raise ConfigError("--transform-in takes neither --zca nor --transform-out")
+    if args.transform_out and not args.zca:
+        raise ConfigError("--transform-out needs --zca")
     ds = load_dataset(args.input, has_header=args.has_header)
     if args.normalize:
         ds = normalize_samples(ds, args.eps_norm)
-    if args.transform_in:
-        t = load_transform(args.transform_in)
+    if args.transform_in or args.zca:
+        t = load_transform(args.transform_in) if args.transform_in else fit_zca(ds, args.epsilon)
         ds = apply_whitening(t, ds)
-    elif args.zca:
-        t = fit_zca(ds, args.epsilon)
-        ds = apply_whitening(t, ds)
-        if args.transform_out:
-            save_transform(t, args.transform_out)
+    if args.transform_out:
+        save_transform(t, args.transform_out)
     write_dataset(ds, args.out)
     return 0
 

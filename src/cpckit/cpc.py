@@ -63,19 +63,10 @@ def _check_choice(what: str, value: str, choices) -> None:
         raise BadSpec(f"unknown {what} {value!r}")
 
 
-@dataclass(frozen=True)
-class TrainedOn:
-    repetition: int
-    fold: int
-    indices: np.ndarray
-
-
 @dataclass
 class BaseEnsemble:
     members: list[TrainedClassifier]
-    K: int
-    m: int
-    trained_on: list[TrainedOn]
+    trained_on: list[np.ndarray]  # member rep * K + fold's training rows
     n: int  # size of the training set
     digest: str  # of its features and labels, see _digest
 
@@ -104,20 +95,15 @@ def train_base_ensemble(
     if m < 1:
         raise BadSpec(f"m={m} must be at least 1")
     _check_choice("fold_training", fold_training, (SINGLE_FOLD, COMPLEMENT))
+    single = fold_training == SINGLE_FOLD
     specs, trained_on = [], []
     for rep in range(m):
         fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))
         for fold in range(K):
-            if fold_training == SINGLE_FOLD:
-                idx = fa.indices_of(fold)
-            else:
-                idx = fa.complement_of(fold)
+            trained_on.append(fa.indices_of(fold) if single else fa.complement_of(fold))
             specs.append(with_seed(base_spec, _derive_seed(seed, 1, rep, fold)))
-            trained_on.append(TrainedOn(repetition=rep, fold=fold, indices=idx))
-    members = clf_mod.fit_many(specs, [take(train, rec.indices) for rec in trained_on])
-    return BaseEnsemble(
-        members=members, K=K, m=m, trained_on=trained_on, n=train.n, digest=_digest(train)
-    )
+    members = clf_mod.fit_many(specs, [take(train, rows) for rows in trained_on])
+    return BaseEnsemble(members=members, trained_on=trained_on, n=train.n, digest=_digest(train))
 
 
 def _digest(ds: LabeledDataset) -> str:
@@ -137,7 +123,6 @@ class EaseScores:
     correct_counts: np.ndarray
     ratios: np.ndarray
     N: int
-    exclusion_mode: str
 
     @property
     def n(self) -> int:
@@ -163,18 +148,13 @@ def compute_ease(
         denom = np.full(n, ens.N, dtype=np.int64)
     else:
         included = np.ones((ens.N, n), dtype=bool)
-        for j, rec in enumerate(ens.trained_on):
-            included[j, rec.indices] = False
+        for j, rows in enumerate(ens.trained_on):
+            included[j, rows] = False
         counts = (correct & included).sum(axis=0)
         denom = included.sum(axis=0)
         if np.any(denom <= 0):
             raise BadSpec("exclusion leaves no members for some sample")
-    return EaseScores(
-        correct_counts=counts.astype(np.int64),
-        ratios=counts / denom,
-        N=ens.N,
-        exclusion_mode=mode,
-    )
+    return EaseScores(correct_counts=counts.astype(np.int64), ratios=counts / denom, N=ens.N)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Evaluation harness: confusion counts, reports, cross-validation,
-threshold sweeps, and baseline-vs-routed comparisons.
+"""Evaluation harness: confusion counts, reports, the train-and-score
+pipeline, cross-validation and threshold sweeps.
 
 A PipelineConfig's learner picks the pipeline: a ClassifierSpec is the
 plain classifier, a CpcConfig the routed one. Both refuse bad values when
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .cpc import (
     partition,
 )
 from .dataset import LabeledDataset, kfold, take
-from .errors import ConfigError, LabelOutOfRange, LengthMismatch
+from .errors import ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
 from .mlp import TrainConfig, check_arch, extract_features, fit_extractor, parse_arch
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
@@ -221,7 +221,8 @@ def theta_sweep(
     """Validation accuracy across thresholds.
 
     The base ensemble and ease scores are computed once and shared by every
-    grid point; the grid is checked before anything trains, cfg when built.
+    grid point; the grid is checked and an empty validation set refused
+    before anything trains, cfg when built.
     Thresholds between the same two distinct ease ratios split the same
     rows, so one model is fitted and routed per distinct easy set among
     theta 0 and the grid, and its accuracy is copied to each such point.
@@ -238,6 +239,8 @@ def theta_sweep(
         raise ConfigError("theta grid must be strictly ascending")
     for theta in grid:
         check_theta(theta)
+    if val_ds.n == 0:
+        raise EmptyDataset("empty validation set")
     ease = ease_scores(train_ds, cfg)
     thetas = [0.0, *grid]
     # ratios >= theta depends only on how many distinct ratios lie below theta
@@ -264,36 +267,3 @@ def write_sweep_curve(result: SweepResult, path) -> None:
         writer.writerow(["theta", "accuracy"])
         for t, a in zip(result.thetas, result.accuracies):
             writer.writerow([repr(t), repr(a)])
-
-
-# side-by-side comparison ------------------------------------------------------
-
-@dataclass
-class ComparisonRow:
-    kind: str
-    baseline_accuracy: float
-    cpc_accuracy: float
-
-    @property
-    def delta(self) -> float:
-        return self.cpc_accuracy - self.baseline_accuracy
-
-
-def compare(
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    specs: list[ClassifierSpec],
-    cfg: CpcConfig,
-) -> list[ComparisonRow]:
-    """For each spec: plain accuracy vs routed accuracy with that spec as
-    both the base and expert learner, each a run_pipeline run."""
-
-    def accuracy(learner):
-        [(preds, _)] = run_pipeline([(train_ds, test_ds)], PipelineConfig(learner))
-        return float(np.mean(preds == test_ds.labels))
-
-    return [
-        ComparisonRow(spec.kind, accuracy(spec),
-                      accuracy(replace(cfg, base_spec=spec, expert_spec=spec)))
-        for spec in specs
-    ]

@@ -17,8 +17,8 @@ from cpckit.classifiers import (
     ClassifierSpec,
     KnnParams,
     SoftmaxParams,
+    _nearest_indices,
     fit,
-    neighbors,
 )
 from cpckit.cli import main
 from cpckit.cpc import (
@@ -104,8 +104,8 @@ def test_criterion_02_ease_oracle_equality():
 
         excl = compute_ease(ens, ds, mode="exclude_in_fold")
         out_of_fold = np.ones((ens.N, n), dtype=bool)
-        for j, rec in enumerate(ens.trained_on):
-            out_of_fold[j, rec.indices] = False
+        for j, rows in enumerate(ens.trained_on):
+            out_of_fold[j, rows] = False
         counts = (hits & out_of_fold).sum(axis=0)
         assert np.array_equal(excl.correct_counts, counts)
         assert np.array_equal(excl.ratios, counts / (ens.N - m))
@@ -313,7 +313,7 @@ def test_criterion_09_knn_brute_force():
         ds = LabeledDataset(feats, rng.integers(0, 2, size=n), 2)
         d2 = ((feats - x) ** 2).sum(axis=1)
         expected = sorted(range(n), key=lambda i: (d2[i], i))[:k]
-        got = neighbors(ds, x, k)
+        got = _nearest_indices(ds.features, x, k)
         assert list(got) == expected, f"instance {inst}"
 
 

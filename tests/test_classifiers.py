@@ -15,10 +15,10 @@ from cpckit.classifiers import (
     fit_many,
     forest_spec,
     knn_spec,
-    neighbors,
     softmax_spec,
     svm_spec,
     with_seed,
+    _nearest_indices,
 )
 from cpckit.dataset import LabeledDataset
 from cpckit.errors import (
@@ -128,8 +128,6 @@ class TestFitContract:
             clf.predict_many(X)
         with pytest.raises(NonFinite):
             clf.decision_scores(X)
-        with pytest.raises(NonFinite):
-            clf.predict(X[3])
 
     def test_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), class_count=2)
@@ -775,14 +773,14 @@ class TestKnn:
         X = np.array([[1.0, 0.0], [0.0, 0.0]])
         y = np.array([1, 0])
         clf = fit(knn_spec(k=2), LabeledDataset(X, y, class_count=2))
-        assert clf.predict(np.array([0.5, 0.0])) == 1
+        assert clf.predict_many([[0.5, 0.0]]).tolist() == [1]
 
     def test_vote_tie_goes_to_class_of_nearest(self):
         # two votes each; the nearest neighbor belongs to class 1
         X = np.array([[1.0, 0.0], [2.0, 0.0], [-1.5, 0.0], [-2.5, 0.0]])
         y = np.array([1, 1, 0, 0])
         clf = fit(knn_spec(k=4), LabeledDataset(X, y, class_count=2))
-        assert clf.predict(np.array([0.0, 0.0])) == 1
+        assert clf.predict_many([[0.0, 0.0]]).tolist() == [1]
 
     def test_k_one_copies_nearest_label(self):
         ds = blobs(50, 2, 3, seed=10)
@@ -793,42 +791,28 @@ class TestKnn:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         y = np.array([0, 0, 1])
         clf = fit(knn_spec(k=50), LabeledDataset(X, y, class_count=2))
-        assert clf.predict(np.array([0.0, 0.0])) == 0  # majority of all three
-
-    def test_neighbors_rejects_bad_query(self):
-        ds = blobs(20, 2, 2)
-        with pytest.raises(DimMismatch):
-            neighbors(ds, np.zeros(3), 2)
-        with pytest.raises(BadHyperparams):
-            neighbors(ds, np.zeros(2), 0)
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(NonFinite):
-                neighbors(ds, [bad, 0.0], 3)
+        assert clf.predict_many([[0.0, 0.0]]).tolist() == [0]  # majority of all three
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300, 1e307])
     def test_neighbors_survive_overflowing_squares(self, scale):
         # squared distances overflow above about 1e154; the order must not change
         X = np.random.default_rng(0).standard_normal((50, 3)) * scale
-        ds = LabeledDataset(X, np.zeros(50, dtype=int), class_count=1)
-        assert neighbors(ds, X[30], 3).tolist() == [30, 44, 26]
+        assert _nearest_indices(X, X[30], 3).tolist() == [30, 44, 26]
 
     def test_one_far_row_leaves_the_others_ordered(self):
         # an outlier whose squared distance overflows must not blur the rest
         X = np.random.default_rng(0).standard_normal((50, 3))
-        ds = LabeledDataset(X, np.zeros(50, dtype=int), class_count=1)
-        out = LabeledDataset(np.vstack([X, np.full((1, 3), 1e200)]),
-                             np.zeros(51, dtype=int), class_count=1)
+        out = np.vstack([X, np.full((1, 3), 1e200)])
         for q in X[:10]:
-            assert neighbors(out, q, 51).tolist() == neighbors(ds, q, 50).tolist() + [50]
+            assert _nearest_indices(out, q, 51).tolist() == [*_nearest_indices(X, q, 50), 50]
 
     def test_far_rows_keep_their_order(self):
         X = np.vstack([np.random.default_rng(0).standard_normal((20, 3)),
                        [[3e200, 0, 0], [-1.7e308, 0, 0], [1e200, 0, 0], [0, 2e200, 0]]])
-        ds = LabeledDataset(X, np.zeros(24, dtype=int), class_count=1)
-        assert neighbors(ds, [0.0, 0.0, 0.0], 24)[20:].tolist() == [22, 23, 20, 21]
+        assert _nearest_indices(X, np.zeros(3), 24)[20:].tolist() == [22, 23, 20, 21]
         # from a far query, near rows tie at 1e200 and keep their index order
         want = [22, *range(20), 20, 23, 21]
-        assert neighbors(ds, [1e200, 0.0, 0.0], 24).tolist() == want
+        assert _nearest_indices(X, np.array([1e200, 0.0, 0.0]), 24).tolist() == want
 
     def test_knn_predict_is_scale_free(self):
         ds = blobs(90, 3, 3, seed=11, margin=2.0)
@@ -856,8 +840,7 @@ class TestKnn:
         far = rng.random(n) < far_share
         X[far, 0] = rng.integers(1, 4, size=far.sum()) * 1e200
         q = rng.integers(-3, 4, size=2).astype(np.float64)
-        ds = LabeledDataset(X, np.zeros(n, dtype=int), class_count=1)
-        got = neighbors(ds, q, k)
+        got = _nearest_indices(X, q, k)
         d2 = np.sum((np.where(far[:, None], 0.0, X) - q) ** 2, axis=1)
         want = sorted(range(n), key=lambda i: (far[i], X[i, 0] * far[i], d2[i], i))
         assert got.tolist() == want[: min(k, n)]

@@ -17,6 +17,7 @@ from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
 from cpckit.dataset import LabeledDataset, generate_two_regime, load_dataset, write_dataset
 from cpckit.errors import ConfigError
 from cpckit.harness import PipelineConfig, PreprocessConfig, cross_validate, evaluate
+from cpckit.preprocess import fit_zca, save_transform
 
 from conftest import run_python
 
@@ -133,6 +134,21 @@ class TestPreprocess:
             == 0
         )
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--transform-out", "z.json"],
+        ["--transform-in", "t.json", "--transform-out", "z.json"],
+        ["--transform-in", "t.json", "--zca", "--epsilon", "5"],
+    ], ids=["out-without-zca", "in-and-out", "in-with-zca"])
+    def test_flags_that_would_do_nothing_are_config_errors(self, data_files, flags):
+        # each exited 0 and ignored the flags; now refused before --in is read
+        tmp, train, _ = data_files
+        save_transform(fit_zca(load_dataset(train), 1e-6), tmp / "t.json")
+        flags = [str(tmp / f) if f.endswith(".json") else f for f in flags]
+        for data in (train, tmp / "missing.csv"):
+            code = main(["preprocess", "--in", str(data), *flags, "--out", str(tmp / "o.csv")])
+            assert code == 1
+        assert not (tmp / "z.json").exists() and not (tmp / "o.csv").exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(

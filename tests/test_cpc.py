@@ -12,7 +12,6 @@ from cpckit.cpc import (
     COMPLEMENT,
     DEFAULT_DISC,
     EXCLUDE_IN_FOLD,
-    INCLUDE_ALL,
     ROUTE_DIFFICULT,
     ROUTE_EASY,
     CpcConfig,
@@ -70,14 +69,13 @@ class TestBaseEnsemble:
     def test_member_count(self):
         ds = small_ds()
         ens = train_base_ensemble(ds, 4, 3, softmax_spec(epochs=5), seed=0)
-        assert ens.N == 12 and ens.K == 4 and ens.m == 3
+        assert ens.N == len(ens.trained_on) == 12
 
     def test_single_fold_indices_partition_each_repetition(self):
         ds = small_ds(n=30)
         ens = train_base_ensemble(ds, 5, 2, knn_spec(k=1), seed=1)
         for rep in range(2):
-            recs = [r for r in ens.trained_on if r.repetition == rep]
-            joined = np.sort(np.concatenate([r.indices for r in recs]))
+            joined = np.sort(np.concatenate(ens.trained_on[rep * 5 : (rep + 1) * 5]))
             assert np.array_equal(joined, np.arange(30))
 
     def test_complement_mode_trains_on_other_folds(self):
@@ -87,9 +85,7 @@ class TestBaseEnsemble:
             ds, 4, 1, knn_spec(k=1), seed=2, fold_training=COMPLEMENT
         )
         for s, c in zip(single.trained_on, comp.trained_on):
-            assert np.array_equal(
-                np.sort(np.concatenate([s.indices, c.indices])), np.arange(20)
-            )
+            assert np.array_equal(np.sort(np.concatenate([s, c])), np.arange(20))
 
     def test_validation(self):
         ds = small_ds(n=10)
@@ -121,7 +117,7 @@ class TestComputeEase:
         flat = np.zeros(n, dtype=np.int64)
         for member in ens.members:
             for i in range(n):
-                flat[i] += int(member.predict(ds.features[i]) == ds.labels[i])
+                flat[i] += int(member.predict_many(ds.features[i : i + 1])[0] == ds.labels[i])
         assert np.array_equal(ease.correct_counts, flat)
         assert np.array_equal(ease.ratios, flat / ens.N)
 
@@ -134,18 +130,18 @@ class TestComputeEase:
         ease = compute_ease(ens, ds, mode=EXCLUDE_IN_FOLD)
         counts = np.zeros(n, dtype=np.int64)
         denoms = np.zeros(n, dtype=np.int64)
-        for member, rec in zip(ens.members, ens.trained_on):
+        for member, rows in zip(ens.members, ens.trained_on):
             in_fold = np.zeros(n, dtype=bool)
-            in_fold[rec.indices] = True
+            in_fold[rows] = True
             for i in range(n):
                 if in_fold[i]:
                     continue
                 denoms[i] += 1
-                counts[i] += int(member.predict(ds.features[i]) == ds.labels[i])
+                counts[i] += int(member.predict_many(ds.features[i : i + 1])[0] == ds.labels[i])
         assert np.array_equal(ease.correct_counts, counts)
         assert np.array_equal(ease.ratios, counts / denoms)
         # single-fold members leave each sample out of exactly N - m folds
-        assert np.all(denoms == ens.N - ens.m)
+        assert np.all(denoms == ens.N - 2)
 
     def test_in_fold_members_usually_memorize(self):
         # a 1-NN member always classifies its own training points correctly,
@@ -180,12 +176,7 @@ class TestComputeEase:
 
 def manual_ease(ratios):
     ratios = np.asarray(ratios, dtype=np.float64)
-    return EaseScores(
-        correct_counts=(ratios * 16).astype(np.int64),
-        ratios=ratios,
-        N=16,
-        exclusion_mode=INCLUDE_ALL,
-    )
+    return EaseScores(correct_counts=(ratios * 16).astype(np.int64), ratios=ratios, N=16)
 
 
 class TestPartition:
@@ -429,7 +420,7 @@ class TestCpcPredict:
             expert = (
                 model.easy_expert if r.route == ROUTE_EASY else model.difficult_expert
             )
-            assert r.label == expert.predict(q)
+            assert r.label == expert.predict_many(q[None, :])[0]
 
     @pytest.mark.parametrize("which", ["mixed_line", "clusters"])
     def test_batched_routing_matches_per_query_fits(self, which):
@@ -459,7 +450,8 @@ class TestCpcPredict:
                 disc = fit(ClassifierSpec("softmax", replace(DEFAULT_DISC, batch_size=len(idx))),
                            local)
                 s = disc.decision_scores(q[None, :])[0]
-                want_route = ROUTE_EASY if disc.predict(q) == 1 else ROUTE_DIFFICULT
+                easy = disc.predict_many(q[None, :])[0] == 1
+                want_route = ROUTE_EASY if easy else ROUTE_DIFFICULT
                 assert abs(r.discriminator_margin - (s[1] - s[0])) <= 1e-12
                 finite += 1
             expert = (
@@ -467,7 +459,7 @@ class TestCpcPredict:
                 else model.difficult_expert
             )
             assert r.route == want_route
-            assert r.label == expert.predict(q)
+            assert r.label == expert.predict_many(q[None, :])[0]
         assert finite > 0
 
     @given(
@@ -493,7 +485,7 @@ class TestCpcPredict:
         for q in range(Q):
             disc = fit(full_batch, LabeledDataset(P[q], y[q], 2))
             s = disc.decision_scores(X[q][None, :])[0]
-            assert (margins[q] > 0) == (disc.predict(X[q]) == 1)
+            assert (margins[q] > 0) == (disc.predict_many(X[q][None, :])[0] == 1)
             assert abs(margins[q] - (s[1] - s[0])) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e200, 1e250, 1e300])

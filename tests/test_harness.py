@@ -1,4 +1,4 @@
-"""Confusion algebra, reports, cross-validation, sweeps, comparisons."""
+"""Confusion algebra, reports, the pipeline, cross-validation, sweeps."""
 
 import json
 from dataclasses import replace
@@ -18,13 +18,11 @@ from cpckit.cpc import (
     train_cpc,
 )
 from cpckit.dataset import LabeledDataset, generate_two_regime, kfold, take
-from cpckit.errors import BadSpec, ConfigError, LabelOutOfRange, LengthMismatch
+from cpckit.errors import BadSpec, ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
 from cpckit.harness import (
-    ComparisonRow,
     ExtractorConfig,
     PipelineConfig,
     PreprocessConfig,
-    compare,
     confusion,
     cross_validate,
     evaluate,
@@ -215,6 +213,31 @@ class TestPipeline:
         assert len(routes) == test.n
         assert set(routes) <= {"+", "-"}
 
+    def test_modes_match_fit_and_train_cpc(self):
+        # baseline mode gives fit's answers; cpc mode, with the spec as both
+        # base and expert learner, those of train_cpc and cpc_predict_many
+        train = generate_two_regime(60, 60, 3, 4, 6.0, 0.8, seed=4)
+        test = generate_two_regime(30, 30, 3, 4, 6.0, 0.8, seed=5)
+        specs = [softmax_spec(epochs=30, seed=0), knn_spec(k=3)]
+        for theta in (0.4, 0.8):
+            cfg = CpcConfig(base_spec=specs[0], expert_spec=specs[0], theta=theta, disc_k=5,
+                            seed=0)
+            for spec in specs:
+                [(base, _)] = run_pipeline([(train, test)], PipelineConfig(spec))
+                routed_cfg = replace(cfg, base_spec=spec, expert_spec=spec)
+                [(routed, _)] = run_pipeline([(train, test)], PipelineConfig(routed_cfg))
+                got = float(np.mean(base == test.labels)), float(np.mean(routed == test.labels))
+                assert got == _ref_accuracies(train, test, spec, cfg)
+
+
+def _ref_accuracies(train, test, spec, cfg):
+    """Baseline and routed accuracies of spec, from fit, train_cpc and
+    cpc_predict_many."""
+    base = clf_mod.fit(spec, train).predict_many(test.features)
+    model = train_cpc(train, replace(cfg, base_spec=spec, expert_spec=spec))
+    routed = np.array([r.label for r in cpc_predict_many(model, test.features)])
+    return float(np.mean(base == test.labels)), float(np.mean(routed == test.labels))
+
 
 class TestCrossValidate:
     def test_mean_is_arithmetic_mean_and_samples_partition(self):
@@ -368,12 +391,11 @@ class TestThetaSweep:
         # ratios of only 0 and 1: theta 0.3 and 0.7 split the same rows, so
         # the sweep fits three row sets, all rows and the two subspaces
         import cpckit.harness as harness_mod
-        from cpckit.cpc import INCLUDE_ALL, EaseScores
+        from cpckit.cpc import EaseScores
 
         train, val, cfg = self.sweep_setup(seed=4)
         ratios = (np.arange(train.n) % 3 == 0).astype(np.float64)
-        ease = EaseScores(correct_counts=16 * ratios.astype(np.int64), ratios=ratios,
-                          N=16, exclusion_mode=INCLUDE_ALL)
+        ease = EaseScores(correct_counts=16 * ratios.astype(np.int64), ratios=ratios, N=16)
         monkeypatch.setattr(harness_mod, "ease_scores", lambda ds, c: ease)
         jobs = []
         real_fit_many = clf_mod.fit_many
@@ -445,6 +467,22 @@ class TestThetaSweep:
             theta_sweep(train, val, [0.5], replace(cfg, disc_k=0))
         assert jobs == []
 
+    def test_empty_validation_set_refused_before_any_fit(self, monkeypatch):
+        # gave accuracies [nan, nan], a nan baseline and best theta 0.2,
+        # with two numpy RuntimeWarnings
+        train, _, cfg = self.sweep_setup()
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(specs)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        with pytest.raises(EmptyDataset):
+            theta_sweep(train, take(train, []), [0.2, 0.5], cfg)
+        assert jobs == []
+
     def test_degenerate_grid_ends_match_baseline_exactly(self):
         # theta 0 rebuilds the baseline as the lone easy expert; theta above
         # 1 rebuilds it as the lone difficult expert
@@ -497,36 +535,3 @@ class TestThetaSweep:
         assert [t for t, _ in parsed] == res.thetas
         assert [a for _, a in parsed] == res.accuracies
 
-
-def _ref_compare_row(train, test, spec, cfg):
-    """compare's accuracies for spec, from fit, train_cpc and cpc_predict_many."""
-    base = clf_mod.fit(spec, train).predict_many(test.features)
-    model = train_cpc(train, replace(cfg, base_spec=spec, expert_spec=spec))
-    routed = np.array([r.label for r in cpc_predict_many(model, test.features)])
-    return float(np.mean(base == test.labels)), float(np.mean(routed == test.labels))
-
-
-class TestCompare:
-    def test_rows_and_baseline_independence(self):
-        train = generate_two_regime(60, 60, 3, 4, 6.0, 0.8, seed=4)
-        test = generate_two_regime(30, 30, 3, 4, 6.0, 0.8, seed=5)
-        specs = [softmax_spec(epochs=30, seed=0), knn_spec(k=3)]
-        cfg_a = CpcConfig(
-            base_spec=specs[0], expert_spec=specs[0], theta=0.4, disc_k=5, seed=0
-        )
-        cfg_b = CpcConfig(
-            base_spec=specs[0], expert_spec=specs[0], theta=0.8, disc_k=5, seed=0
-        )
-        rows_a = compare(train, test, specs, cfg_a)
-        rows_b = compare(train, test, specs, cfg_b)
-        assert [r.kind for r in rows_a] == ["softmax", "knn"]
-        for ra, rb in zip(rows_a, rows_b):
-            assert ra.baseline_accuracy == rb.baseline_accuracy
-        for rows, cfg in ((rows_a, cfg_a), (rows_b, cfg_b)):
-            for row, spec in zip(rows, specs):
-                want = _ref_compare_row(train, test, spec, cfg)
-                assert (row.baseline_accuracy, row.cpc_accuracy) == want
-
-    def test_delta_property(self):
-        row = ComparisonRow(kind="knn", baseline_accuracy=0.6, cpc_accuracy=0.7)
-        assert row.delta == pytest.approx(0.1)

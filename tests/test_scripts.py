@@ -22,6 +22,12 @@ def test_two_regime_study_writes_theta_curve(tmp_path):
     lines = (tmp_path / "out" / "theta_curve_seed0.csv").read_text().splitlines()
     assert lines[0] == "theta,accuracy"
     assert len(lines) > 2
+    # the head-to-head table: one row of five columns per family
+    out = done.stdout.splitlines()
+    head = next(i for i, line in enumerate(out) if line.split()[:1] == ["spec"])
+    rows = [line.split() for line in out[head + 1:]]
+    assert [row[0] for row in rows] == ["softmax", "linear_svm", "random_forest"]
+    assert all(len(row) == 5 for row in rows)
 
 
 def test_wide_route_prints_one_line_per_width(tmp_path):
