@@ -4,6 +4,8 @@ Three families, mirrored by the CLI exit codes: ConfigError for bad flags or
 hyperparameters (exit 1), DataError for malformed or mismatched data (exit 2),
 NumericalError for runaway numerics (exit 3). load_json reads the toolkit's
 JSON files, mapping whatever is wrong with one to DataError.
+Every exception pickles to an equal one, so a forked cross-validation
+worker's failure reaches the CLI as it was raised.
 """
 
 import json
@@ -95,6 +97,10 @@ class Divergence(NumericalError):
             super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
         self.epoch = epoch
         self.loss = loss
+
+    def __reduce__(self):
+        # args holds the message, not (epoch, loss); rebuild from these
+        return type(self), (self.epoch, self.loss)
 
 
 # cpc ------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,16 +185,16 @@ def cross_validate(
     ds: LabeledDataset, cfg: PipelineConfig, folds: int = 5, seed: int = 0
 ) -> dict:
     """K-fold protocol: each fold is scored once by a pipeline trained on
-    the others, all folds in one run_pipeline call, so their baseline
-    classifiers train together. Returns {"folds": one evaluate report per
-    fold, "mean_accuracy", "std_accuracy"}: the arithmetic mean of fold
-    accuracies and their population deviation."""
+    the others. The folds run on every usable CPU (see _run_shares); the
+    report is the same whatever their number. Returns {"folds": one
+    evaluate report per fold, "mean_accuracy", "std_accuracy"}: the
+    arithmetic mean of fold accuracies and their population deviation."""
     fa = kfold(ds, folds, seed=seed)
     tests = [take(ds, fa.indices_of(f)) for f in range(folds)]
-    pairs = ((take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests))
+    pairs = [(take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests)]
     reports = [
         evaluate(preds, test.labels, ds.class_count, routes=routes, config={"fold": f}, seed=seed)
-        for f, (test, (preds, routes)) in enumerate(zip(tests, run_pipeline(pairs, cfg)))
+        for f, (test, (preds, routes)) in enumerate(zip(tests, _run_shares(pairs, cfg)))
     ]
     accs = np.array([r["accuracy"] for r in reports])
     return {
@@ -200,6 +202,66 @@ def cross_validate(
         "mean_accuracy": float(accs.mean()),
         "std_accuracy": float(accs.std()),
     }
+
+
+def _run_shares(pairs: list, cfg: PipelineConfig) -> list[tuple]:
+    """run_pipeline(pairs, cfg) on w processes, w the CPUs this process may
+    use, at most len(pairs). Share i holds pairs i, i + w, ...: this
+    process runs share 0 and one forked worker each other share, each share
+    in one run_pipeline call. A fit does not depend on its group (fit_many
+    equals fit bit for bit, forest trees come out node for node), so the
+    results do not depend on w. Every worker is waited for before the
+    failure of the first failing share, in share order, is raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(len(pairs), cpus)
+    if w <= 1:
+        return run_pipeline(pairs, cfg)
+    import multiprocessing  # here, so that commands which never fork do not load it
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for i in range(1, w):
+            inbox, outbox = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_share_worker, args=(pairs[i::w], cfg, outbox))
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns when a process with threads forks, and a
+                # warning made an error would escape after the fork, leaving
+                # the worker untracked. The usual thread is numpy's BLAS pool,
+                # which multiprocessing forked on Linux by default until 3.14.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                proc.start()
+            outbox.close()
+            workers.append((proc, inbox))
+        outcomes = [_attempt(pairs[0::w], cfg)]
+        for proc, inbox in workers:
+            try:
+                outcomes.append(inbox.recv())
+            except EOFError:  # it died before sending
+                outcomes.append((False, RuntimeError("a cross-validation worker died")))
+            proc.join()
+    finally:  # reached early only when this process is interrupted
+        for proc, inbox in workers:
+            inbox.close()
+            proc.terminate()  # a no-op once joined
+            proc.join()
+    out = [None] * len(pairs)
+    for i, (ok, value) in enumerate(outcomes):
+        if not ok:
+            raise value
+        out[i::w] = value
+    return out
+
+
+def _attempt(pairs, cfg):
+    try:
+        return True, run_pipeline(pairs, cfg)
+    except Exception as e:
+        return False, e
+
+
+def _share_worker(pairs, cfg, outbox):
+    outbox.send(_attempt(pairs, cfg))
 
 
 # theta sweep ---------------------------------------------------------------

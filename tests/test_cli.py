@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -11,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpckit import harness
 from cpckit.classifiers import fit, forest_spec, softmax_spec
 from cpckit.cli import _parse_grid, main
 from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
-from cpckit.dataset import LabeledDataset, generate_two_regime, load_dataset, write_dataset
-from cpckit.errors import ConfigError
+from cpckit.dataset import (
+    LabeledDataset, generate_two_regime, kfold, load_dataset, take, write_dataset,
+)
+from cpckit.errors import ConfigError, DataError, Divergence
 from cpckit.harness import PipelineConfig, PreprocessConfig, cross_validate, evaluate
 from cpckit.preprocess import fit_zca, save_transform
 
@@ -723,6 +728,104 @@ class TestCvCommand:
         )
         want = cross_validate(load_dataset(train), cfg, folds=3, seed=4)
         assert got == json.loads(json.dumps({**want, "seed": 4}))
+
+
+def _cpus(monkeypatch, n):
+    """Let cv see n usable CPUs, so it runs its folds in min(n, folds) shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestCvAcrossCpus:
+    """cv forks a worker per usable CPU beyond the first; its report, its
+    failures and its exit codes are those of a one-CPU run."""
+
+    LEARNERS = {
+        "softmax": ["--epochs", "20"],
+        "forest-zca-arch": ["--clf", "forest", "--trees", "8", "--zca",
+                            "--arch", "in:8 concat:32 head:4", "--extractor-epochs", "4"],
+        "cpc": ["--mode", "cpc", "--theta", "0.5", "--disc-k", "5", "--epochs", "20"],
+    }
+
+    @pytest.mark.parametrize("folds", [2, 3, 5])
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_report_bytes_match_one_cpu(self, tmp_path, monkeypatch, learner, folds):
+        train, report = synth_file(tmp_path, 1.0), tmp_path / "cv.json"  # reports echo it
+        written = {}
+        for cpus in (1, 2, 3, 4):  # a CI runner has 4
+            _cpus(monkeypatch, cpus)
+            assert main(["cv", "--in", str(train), "--folds", str(folds), "--seed", "3",
+                         *self.LEARNERS[learner], "--report", str(report)]) == 0
+            written[cpus] = report.read_bytes()
+            assert not multiprocessing.active_children()
+        assert all(written[cpus] == written[1] for cpus in written)
+
+    @pytest.mark.parametrize("failing, code", [
+        pytest.param({1: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
+        pytest.param({3: DataError("fold 3 is bad")}, 2, id="data-error-in-a-worker"),
+        # share 0 (folds 0, 2, 4 or 0, 3) fails too: its failure is the one raised
+        pytest.param({1: Divergence(3, math.inf), 0: DataError("fold 0 is bad")}, 2,
+                     id="first-share-wins"),
+    ])
+    def test_failure_matches_one_cpu(self, tmp_path, monkeypatch, capsys, failing, code):
+        train = synth_file(tmp_path, 1.0)
+        ds = load_dataset(train)
+        fa = kfold(ds, 5, seed=0)
+        failing_tests = {f: take(ds, fa.indices_of(f)).features for f in failing}
+        prepare = harness._prepare
+
+        def failing_prepare(train_ds, test_ds, cfg):
+            for f, feats in failing_tests.items():
+                if np.array_equal(test_ds.features, feats):
+                    raise failing[f]
+            return prepare(train_ds, test_ds, cfg)
+
+        monkeypatch.setattr(harness, "_prepare", failing_prepare)
+        errs = {}
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            assert main(["cv", "--in", str(train), "--folds", "5", "--epochs", "5",
+                         "--report", str(tmp_path / "cv.json")]) == code
+            errs[cpus] = capsys.readouterr().err
+            assert not multiprocessing.active_children()
+        assert len(errs[1].splitlines()) == 1
+        assert errs[2] == errs[1] and errs[3] == errs[1]
+        assert not (tmp_path / "cv.json").exists()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        ds = generate_two_regime(30, 30, 4, 8, 6.0, 0.8, seed=0)
+        fold_1 = take(ds, kfold(ds, 3, seed=0).indices_of(1)).features
+        prepare, parent = harness._prepare, os.getpid()
+
+        def dying_prepare(train_ds, test_ds, cfg):
+            if os.getpid() != parent and np.array_equal(test_ds.features, fold_1):
+                os._exit(1)
+            return prepare(train_ds, test_ds, cfg)
+
+        monkeypatch.setattr(harness, "_prepare", dying_prepare)
+        _cpus(monkeypatch, 2)  # fold 1 alone in the worker's share
+        with pytest.raises(RuntimeError, match="worker died"):
+            cross_validate(ds, PipelineConfig(softmax_spec(epochs=5)), folds=3)
+        assert not multiprocessing.active_children()
+
+    def test_fork_warning_of_newer_pythons_stays_inside(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns in the parent when a process with threads
+        # (numpy's BLAS pool, say) forks; tests here make warnings errors
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cv", "--in", str(synth_file(tmp_path, 1.0)), "--folds", "3",
+                         "--epochs", "5", "--report", str(tmp_path / "cv.json")]) == 0
+        assert not multiprocessing.active_children()
 
 
 class TestTopLevel:
