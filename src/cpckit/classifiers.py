@@ -691,26 +691,31 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows by Euclidean distance, ascending.
 
     Distance ties break toward the lower index; k larger than the row count
-    clamps to all rows. Only the rows within the k-th smallest distance are
-    sorted, which is the full stable sort's first k. Rows whose squared
-    distance overflows (above about 1e154 away) come after every other row,
-    ordered by a scaled norm.
+    clamps to all rows. Only the rows within the k-th smallest squared
+    distance are sorted, which is the full stable sort's first k. Where the
+    k-th overflowed, or the nearest nonzero one is not a normal float, or a
+    zero is not a duplicate of x (squares underflowed), each row's
+    differences are scaled by the power of two of its largest one, which
+    keeps every rounding, and rows rank by the exponent, then the fraction,
+    of the scaled sum's power-of-two form: the order an unbounded exponent
+    range gives.
     """
+    k = min(k, len(features))
     with np.errstate(over="ignore"):
         dist = np.sum((features - x) ** 2, axis=1)
-    far = ~np.isfinite(dist)
-    if k < len(dist) and not far.any():
-        near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
-        return near[np.argsort(dist[near], kind="stable")[:k]]
-    order = np.argsort(dist, kind="stable")
-    if far.any():
-        # halved differences cannot overflow; m * sqrt(mean((diff / m)^2))
-        # is their norm over sqrt(d), which cannot overflow either
-        diff = features[far] / 2 - x / 2
-        m = np.abs(diff).max(axis=1, keepdims=True)
-        norm = m[:, 0] * np.sqrt(np.mean((diff / m) ** 2, axis=1))
-        order[len(order) - len(norm):] = np.flatnonzero(far)[np.argsort(norm, kind="stable")]
-    return order[: min(k, len(features))]
+    kth = np.partition(dist, k - 1)[k - 1]
+    if kth < np.inf:
+        near = np.flatnonzero(dist <= kth)
+        idx = near[np.argsort(dist[near], kind="stable")[:k]]
+        if dist[idx[0]] >= 2.0**-1022:  # the smallest normal float
+            return idx
+        z = np.count_nonzero(dist[idx] == 0)  # duplicates of x, or squares that underflowed
+        if (z == k or dist[idx[z]] >= 2.0**-1022) and (features[idx[:z]] == x).all():
+            return idx
+    half = features / 2 - x / 2  # cannot overflow
+    _, e = np.frexp(np.abs(half).max(axis=1))
+    frac, exp = np.frexp(np.sum(np.ldexp(half, -e[:, None]) ** 2, axis=1))
+    return np.lexsort((frac, 2 * e + exp, frac > 0))[:k]  # rows at zero first
 
 
 def _fit_knn(hp: KnnParams, X, y, C):

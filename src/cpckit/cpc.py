@@ -238,10 +238,11 @@ def fit_cpc_many(
     """Fit the subspace experts of every partition, all in one
     classifiers.fit_many call, and freeze each one's pooled routing points.
 
-    Each distinct row set of a training set trains once: every one-sided
-    partition of a set shares one expert, and partitions with equal easy
-    sets share both. Experts train with expert_spec exactly as given, so a
-    one-sided partition reproduces the plain baseline classifier bit for bit.
+    Each distinct row set of a training set trains once per call (a theta
+    sweep makes one call per share): every one-sided partition of a set
+    shares one expert, and partitions with equal easy sets share both.
+    Experts train with expert_spec exactly as given, so a one-sided
+    partition reproduces the plain baseline classifier bit for bit.
     """
     check_disc(disc_k)
     subspaces = [part.subspaces() for part in parts]

@@ -185,16 +185,18 @@ def cross_validate(
     ds: LabeledDataset, cfg: PipelineConfig, folds: int = 5, seed: int = 0
 ) -> dict:
     """K-fold protocol: each fold is scored once by a pipeline trained on
-    the others. The folds run on every usable CPU (see _run_shares); the
-    report is the same whatever their number. Returns {"folds": one
-    evaluate report per fold, "mean_accuracy", "std_accuracy"}: the
-    arithmetic mean of fold accuracies and their population deviation."""
+    the others. The folds run on every usable CPU (see _run_shares); a fit
+    does not depend on its group (fit_many equals fit bit for bit, forest
+    trees come out node for node), so the report does not either. Returns
+    {"folds": one evaluate report per fold, "mean_accuracy", "std_accuracy"}:
+    the mean of fold accuracies and their population deviation."""
     fa = kfold(ds, folds, seed=seed)
     tests = [take(ds, fa.indices_of(f)) for f in range(folds)]
     pairs = [(take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests)]
+    results = _run_shares(lambda share: run_pipeline(share, cfg), pairs)
     reports = [
         evaluate(preds, test.labels, ds.class_count, routes=routes, config={"fold": f}, seed=seed)
-        for f, (test, (preds, routes)) in enumerate(zip(tests, _run_shares(pairs, cfg)))
+        for f, (test, (preds, routes)) in enumerate(zip(tests, results))
     ]
     accs = np.array([r["accuracy"] for r in reports])
     return {
@@ -204,25 +206,25 @@ def cross_validate(
     }
 
 
-def _run_shares(pairs: list, cfg: PipelineConfig) -> list[tuple]:
-    """run_pipeline(pairs, cfg) on w processes, w the CPUs this process may
-    use, at most len(pairs). Share i holds pairs i, i + w, ...: this
-    process runs share 0 and one forked worker each other share, each share
-    in one run_pipeline call. A fit does not depend on its group (fit_many
-    equals fit bit for bit, forest trees come out node for node), so the
-    results do not depend on w. Every worker is waited for before the
-    failure of the first failing share, in share order, is raised."""
+def _run_shares(fn, items: list) -> list:
+    """fn(items), one result per item, computed on w processes, w the CPUs
+    this process may use, at most len(items). Share i holds items i, i + w,
+    ...: this process runs share 0 and one forked worker each other share,
+    each share in one fn call. The results come back in item order, so they
+    do not depend on w where fn's answer for an item does not depend on the
+    rest of its share. Every worker is waited for before the failure of the
+    first failing share, in share order, is raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    w = min(len(pairs), cpus)
+    w = min(len(items), cpus)
     if w <= 1:
-        return run_pipeline(pairs, cfg)
+        return fn(items)
     import multiprocessing  # here, so that commands which never fork do not load it
     ctx = multiprocessing.get_context("fork")
     workers = []
     try:
         for i in range(1, w):
             inbox, outbox = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_share_worker, args=(pairs[i::w], cfg, outbox))
+            proc = ctx.Process(target=_share_worker, args=(fn, items[i::w], outbox))
             with warnings.catch_warnings():
                 # Python >= 3.12 warns when a process with threads forks, and a
                 # warning made an error would escape after the fork, leaving
@@ -233,19 +235,19 @@ def _run_shares(pairs: list, cfg: PipelineConfig) -> list[tuple]:
                 proc.start()
             outbox.close()
             workers.append((proc, inbox))
-        outcomes = [_attempt(pairs[0::w], cfg)]
+        outcomes = [_attempt(fn, items[0::w])]
         for proc, inbox in workers:
             try:
                 outcomes.append(inbox.recv())
             except EOFError:  # it died before sending
-                outcomes.append((False, RuntimeError("a cross-validation worker died")))
+                outcomes.append((False, RuntimeError("a share worker died")))
             proc.join()
     finally:  # reached early only when this process is interrupted
         for proc, inbox in workers:
             inbox.close()
             proc.terminate()  # a no-op once joined
             proc.join()
-    out = [None] * len(pairs)
+    out = [None] * len(items)
     for i, (ok, value) in enumerate(outcomes):
         if not ok:
             raise value
@@ -253,15 +255,15 @@ def _run_shares(pairs: list, cfg: PipelineConfig) -> list[tuple]:
     return out
 
 
-def _attempt(pairs, cfg):
+def _attempt(fn, share):
     try:
-        return True, run_pipeline(pairs, cfg)
+        return True, fn(share)
     except Exception as e:
         return False, e
 
 
-def _share_worker(pairs, cfg, outbox):
-    outbox.send(_attempt(pairs, cfg))
+def _share_worker(fn, share, outbox):
+    outbox.send(_attempt(fn, share))
 
 
 # theta sweep ---------------------------------------------------------------
@@ -288,11 +290,13 @@ def theta_sweep(
     Thresholds between the same two distinct ease ratios split the same
     rows, so one model is fitted and routed per distinct easy set among
     theta 0 and the grid, and its accuracy is copied to each such point.
-    All models come from one fit_cpc_many call, so linear experts share one
-    stacked SGD run, and are routed by one cpc_predict_grid call; the
-    answers are those of fit_cpc and cpc_predict_many at each grid point.
-    The theta-0 model's lone expert is the baseline. Ties for the best
-    threshold break toward the smaller value.
+    The partitions run on every usable CPU (see _run_shares), each share's
+    fitted by one fit_cpc_many call (linear experts in one stacked SGD run)
+    and routed by one cpc_predict_grid call. A row set trains in each share
+    that holds it, as the full set of theta 0 and of an all-difficult point
+    can. The answers are those of fit_cpc and cpc_predict_many at each grid
+    point, whatever the shares. The theta-0 model's lone expert is the
+    baseline. Ties for the best threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -309,9 +313,13 @@ def theta_sweep(
     easy_sets = np.searchsorted(np.unique(ease.ratios), thetas)
     _, first, slot = np.unique(easy_sets, return_index=True, return_inverse=True)
     parts = [partition(train_ds, ease, thetas[i]) for i in first]
-    models = fit_cpc_many(parts, cfg.expert_spec, cfg.disc_k)
-    _, labels = cpc_predict_grid(models, val_ds.features)
-    model_acc = [float(np.mean(preds == val_ds.labels)) for preds in labels]
+
+    def share_accuracies(share):
+        _, labels = cpc_predict_grid(fit_cpc_many(share, cfg.expert_spec, cfg.disc_k),
+                                     val_ds.features)
+        return [float(np.mean(preds == val_ds.labels)) for preds in labels]
+
+    model_acc = _run_shares(share_accuracies, parts)
     baseline_acc, *accuracies = [model_acc[s] for s in slot]
     best = grid[int(np.argmax(accuracies))]
     return SweepResult(

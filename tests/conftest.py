@@ -32,3 +32,9 @@ def run_python(argv, timeout, cwd=None) -> subprocess.CompletedProcess:
         [sys.executable, *argv], cwd=cwd, env=_ENV, capture_output=True, text=True,
         timeout=timeout, preexec_fn=_cap_memory if resource else None,
     )
+
+
+def force_cpus(monkeypatch, n):
+    """Let cpckit see n usable CPUs, so that cv and sweep run their folds
+    and partitions in at most n shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

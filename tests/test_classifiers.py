@@ -814,6 +814,31 @@ class TestKnn:
         want = [22, *range(20), 20, 23, 21]
         assert _nearest_indices(X, np.array([1e200, 0.0, 0.0]), 24).tolist() == want
 
+    def test_duplicate_comes_before_an_underflowed_row(self):
+        # (2^-600)^2 underflows to 0, the distance of a duplicate of the query
+        X = np.array([[2.0**-600, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert _nearest_indices(X, np.zeros(2), 2).tolist() == [1, 0]
+
+    @given(
+        n=st.integers(1, 200),
+        d=st.integers(1, 4),
+        k=st.integers(1, 210),
+        s=st.integers(-1019, 1020),
+        seed=st.integers(0, 10_000),
+    )
+    @example(n=200, d=2, k=25, s=-600, seed=0)  # every square underflows
+    @example(n=200, d=2, k=25, s=1000, seed=0)  # every square overflows
+    @settings(max_examples=80, deadline=None)
+    def test_neighbors_do_not_depend_on_scale(self, n, d, k, s, seed):
+        # eighths from -3 to 3 times 2^s keep every feature, query and
+        # difference a normal float over this range of s, and in an
+        # unbounded exponent range every squared distance would scale exactly
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-24, 25, size=(n, d)) / 8
+        q = rng.integers(-24, 25, size=d) / 8
+        want = _nearest_indices(X, q, k).tolist()
+        assert _nearest_indices(np.ldexp(X, s), np.ldexp(q, s), k).tolist() == want
+
     def test_knn_predict_is_scale_free(self):
         ds = blobs(90, 3, 3, seed=11, margin=2.0)
         queries = blobs(40, 3, 3, seed=12, margin=2.0).features

@@ -24,7 +24,7 @@ from cpckit.errors import ConfigError, DataError, Divergence
 from cpckit.harness import PipelineConfig, PreprocessConfig, cross_validate, evaluate
 from cpckit.preprocess import fit_zca, save_transform
 
-from conftest import run_python
+from conftest import force_cpus, run_python
 
 
 def blobs(n=60, d=2, C=3, seed=0, margin=8.0):
@@ -509,6 +509,25 @@ class TestCpcCommand:
         assert obj["routes"]["+"] + obj["routes"]["-"] == 21
         assert obj["config"]["theta"] == 0.5
 
+    def test_tiny_features_route_as_unscaled(self, tmp_path):
+        # the README fixture times 2^-600, where every squared distance
+        # underflows to 0 and a search on raw squares ties every row. With
+        # one neighbour each route is the nearest point's side, so the whole
+        # report is the unscaled one (the discriminator is not scale-free)
+        reports = []
+        for s in (0, -600):
+            for name, seed, n in (("train", 0, 400), ("test", 1, 200)):
+                ds = generate_two_regime(n, n, 4, 8, 6.0, 0.8, seed=seed)
+                write_dataset(LabeledDataset(np.ldexp(ds.features, s), ds.labels, 4),
+                              tmp_path / f"{name}.csv")
+            assert main(["cpc", "--train", str(tmp_path / "train.csv"), "--test",
+                         str(tmp_path / "test.csv"), "--clf", "forest", "--trees", "20",
+                         "--theta", "0.5", "--disc-k", "1",
+                         "--report", str(tmp_path / "cpc.json")]) == 0
+            reports.append((tmp_path / "cpc.json").read_bytes())
+        assert json.loads(reports[0])["routes"]["+"] == 274
+        assert reports[1] == reports[0]
+
     def test_byte_identical_reruns(self, data_files):
         tmp, train, test = data_files
         r1, r2 = tmp / "r1.json", tmp / "r2.json"
@@ -730,11 +749,6 @@ class TestCvCommand:
         assert got == json.loads(json.dumps({**want, "seed": 4}))
 
 
-def _cpus(monkeypatch, n):
-    """Let cv see n usable CPUs, so it runs its folds in min(n, folds) shares."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 class TestCvAcrossCpus:
     """cv forks a worker per usable CPU beyond the first; its report, its
     failures and its exit codes are those of a one-CPU run."""
@@ -752,7 +766,7 @@ class TestCvAcrossCpus:
         train, report = synth_file(tmp_path, 1.0), tmp_path / "cv.json"  # reports echo it
         written = {}
         for cpus in (1, 2, 3, 4):  # a CI runner has 4
-            _cpus(monkeypatch, cpus)
+            force_cpus(monkeypatch, cpus)
             assert main(["cv", "--in", str(train), "--folds", str(folds), "--seed", "3",
                          *self.LEARNERS[learner], "--report", str(report)]) == 0
             written[cpus] = report.read_bytes()
@@ -782,7 +796,7 @@ class TestCvAcrossCpus:
         monkeypatch.setattr(harness, "_prepare", failing_prepare)
         errs = {}
         for cpus in (1, 2, 3):
-            _cpus(monkeypatch, cpus)
+            force_cpus(monkeypatch, cpus)
             assert main(["cv", "--in", str(train), "--folds", "5", "--epochs", "5",
                          "--report", str(tmp_path / "cv.json")]) == code
             errs[cpus] = capsys.readouterr().err
@@ -802,7 +816,7 @@ class TestCvAcrossCpus:
             return prepare(train_ds, test_ds, cfg)
 
         monkeypatch.setattr(harness, "_prepare", dying_prepare)
-        _cpus(monkeypatch, 2)  # fold 1 alone in the worker's share
+        force_cpus(monkeypatch, 2)  # fold 1 alone in the worker's share
         with pytest.raises(RuntimeError, match="worker died"):
             cross_validate(ds, PipelineConfig(softmax_spec(epochs=5)), folds=3)
         assert not multiprocessing.active_children()
@@ -820,11 +834,105 @@ class TestCvAcrossCpus:
             return pid
 
         monkeypatch.setattr(os, "fork", warning_fork)
-        _cpus(monkeypatch, 2)
+        force_cpus(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["cv", "--in", str(synth_file(tmp_path, 1.0)), "--folds", "3",
                          "--epochs", "5", "--report", str(tmp_path / "cv.json")]) == 0
+        assert not multiprocessing.active_children()
+
+
+class TestSweepAcrossCpus:
+    """sweep runs its distinct partitions in a share per usable CPU; its
+    report, its curve, its failures and its exit codes are those of a
+    one-CPU run."""
+
+    def files(self, tmp_path):
+        val = tmp_path / "val.csv"
+        write_dataset(generate_two_regime(50, 50, 4, 8, 6.0, 0.8, seed=1), val)
+        return synth_file(tmp_path, 1.0), val
+
+    def sweep(self, train, val, grid, tmp_path):
+        return main(["sweep", "--train", str(train), "--val", str(val), "--grid", grid,
+                     "--disc-k", "5", "--epochs", "20", "--seed", "3",
+                     "--curve-out", str(tmp_path / "curve.csv"),
+                     "--report", str(tmp_path / "sweep.json")])
+
+    # "0:0:1" is theta 0 alone: one distinct easy set, so no process starts
+    @pytest.mark.parametrize("grid", ["0:0:1", "0.0:1.0:0.1", "0:1:0.001"])
+    def test_outputs_match_one_cpu(self, tmp_path, monkeypatch, grid):
+        train, val = self.files(tmp_path)
+        if grid == "0:0:1":
+            monkeypatch.setattr(os, "fork", None)
+        written = {}
+        for cpus in (1, 2, 3, 4):
+            force_cpus(monkeypatch, cpus)
+            assert self.sweep(train, val, grid, tmp_path) == 0
+            written[cpus] = [(tmp_path / f).read_bytes() for f in ("sweep.json", "curve.csv")]
+            assert not multiprocessing.active_children()
+        assert all(written[cpus] == written[1] for cpus in written)
+
+    def partition_thetas(self, train, val, grid, tmp_path, monkeypatch):
+        """The theta of each distinct partition the sweep fits, in order."""
+        thetas, fit_cpc_many = [], harness.fit_cpc_many
+
+        def spy(parts, spec, disc_k):
+            thetas.extend(part.theta for part in parts)
+            return fit_cpc_many(parts, spec, disc_k)
+
+        force_cpus(monkeypatch, 1)
+        monkeypatch.setattr(harness, "fit_cpc_many", spy)
+        assert self.sweep(train, val, grid, tmp_path) == 0
+        monkeypatch.setattr(harness, "fit_cpc_many", fit_cpc_many)
+        return thetas
+
+    @pytest.mark.parametrize("failing, code", [
+        # partition 0 (theta 0) is always in share 0, partition 1 in a worker's
+        pytest.param({1: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
+        pytest.param({0: Divergence(4, math.inf)}, 3, id="divergence-in-share-0"),
+        pytest.param({1: Divergence(3, math.inf), 0: DataError("partition 0 is bad")}, 2,
+                     id="first-share-wins"),
+    ])
+    def test_failure_matches_one_cpu(self, tmp_path, monkeypatch, capsys, failing, code):
+        train, val = self.files(tmp_path)
+        thetas = self.partition_thetas(train, val, "0.0:1.0:0.1", tmp_path, monkeypatch)
+        assert len(thetas) >= 4
+        errors = {thetas[i]: e for i, e in failing.items()}
+        fit_cpc_many = harness.fit_cpc_many
+
+        def failing_fit(parts, spec, disc_k):
+            for part in parts:
+                if part.theta in errors:
+                    raise errors[part.theta]
+            return fit_cpc_many(parts, spec, disc_k)
+
+        monkeypatch.setattr(harness, "fit_cpc_many", failing_fit)
+        capsys.readouterr()
+        errs = {}
+        for cpus in (1, 2, 3, 4):
+            force_cpus(monkeypatch, cpus)
+            (tmp_path / "sweep.json").unlink(missing_ok=True)
+            assert self.sweep(train, val, "0.0:1.0:0.1", tmp_path) == code
+            errs[cpus] = capsys.readouterr().err
+            assert not multiprocessing.active_children()
+            assert not (tmp_path / "sweep.json").exists()
+        assert len(errs[1].splitlines()) == 1
+        assert all(errs[cpus] == errs[1] for cpus in errs)
+
+    def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
+        train, val = self.files(tmp_path)
+        theta_1 = self.partition_thetas(train, val, "0.0:1.0:0.1", tmp_path, monkeypatch)[1]
+        fit_cpc_many, parent = harness.fit_cpc_many, os.getpid()
+
+        def dying_fit(parts, spec, disc_k):
+            if os.getpid() != parent and any(part.theta == theta_1 for part in parts):
+                os._exit(1)
+            return fit_cpc_many(parts, spec, disc_k)
+
+        monkeypatch.setattr(harness, "fit_cpc_many", dying_fit)
+        force_cpus(monkeypatch, 2)  # partition 1 in the worker's share
+        with pytest.raises(RuntimeError, match="worker died"):
+            self.sweep(train, val, "0.0:1.0:0.1", tmp_path)
         assert not multiprocessing.active_children()
 
 

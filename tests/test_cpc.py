@@ -412,6 +412,25 @@ class TestCpcPredict:
             with pytest.raises(NonFinite):
                 cpc_predict(model, Q[1])
 
+    def test_unanimous_routes_do_not_depend_on_scale(self):
+        # the README fixture times 2^-600, where every squared distance
+        # underflows: each query whose 25 neighbours all fell on one side
+        # routes there as unscaled. A mixed one need not: the discriminator's
+        # l2 and step size are not scale-free
+        from cpckit.classifiers import forest_spec
+
+        train = generate_two_regime(400, 400, 4, 8, 6.0, 0.8, seed=0)
+        test = generate_two_regime(200, 200, 4, 8, 6.0, 0.8, seed=1).features
+        cfg = CpcConfig(base_spec=forest_spec(tree_count=20), expert_spec=forest_spec(tree_count=20))
+        margins = []
+        for s in (0, -600):
+            tiny = LabeledDataset(np.ldexp(train.features, s), train.labels, 4)
+            margins.append([r.discriminator_margin
+                            for r in cpc_predict_many(train_cpc(tiny, cfg), np.ldexp(test, s))])
+        unanimous = [(a, b) for a, b in zip(*margins) if np.isinf(a)]
+        assert len(unanimous) == 191
+        assert all(a == b for a, b in unanimous)
+
     def test_routed_label_comes_from_routed_expert(self):
         ds, model = cluster_model()
         rng = np.random.default_rng(3)

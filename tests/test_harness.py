@@ -34,6 +34,8 @@ from cpckit.harness import (
 from cpckit.mlp import TrainConfig, build_mlp, extract_features, parse_arch, train
 from cpckit.preprocess import apply_whitening, fit_zca, normalize_samples
 
+from conftest import force_cpus
+
 
 def blobs(n=100, d=2, C=4, seed=0, margin=8.0):
     rng = np.random.default_rng(seed)
@@ -393,6 +395,7 @@ class TestThetaSweep:
         import cpckit.harness as harness_mod
         from cpckit.cpc import EaseScores
 
+        force_cpus(monkeypatch, 1)  # the spy sees this process only
         train, val, cfg = self.sweep_setup(seed=4)
         ratios = (np.arange(train.n) % 3 == 0).astype(np.float64)
         ease = EaseScores(correct_counts=16 * ratios.astype(np.int64), ratios=ratios, N=16)
@@ -432,6 +435,7 @@ class TestThetaSweep:
     def test_fine_grid_routes_each_easy_set_once(self, monkeypatch):
         import cpckit.harness as harness_mod
 
+        force_cpus(monkeypatch, 1)  # the spy sees this process only
         train, val, cfg = self.sweep_setup(seed=4)
         routed = []
         real_grid = harness_mod.cpc_predict_grid
