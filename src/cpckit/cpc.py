@@ -16,11 +16,14 @@ together, each a fixed-matrix heavy-ball recursion in min(d, k) + 1 numbers.
 Models that split the same pooled points at different thresholds, as the
 grid of a theta sweep does, route a batch of queries with one neighbour
 search and solve each distinct (query, neighbour labels) problem once.
+A batch routes in shares, one per usable CPU (see _run_shares).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,27 +325,28 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     return margins
 
 
-def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
-                   k: int) -> np.ndarray:
-    """Signed margins (G, Q) toward the easy side for the queries X under G
-    splits, binaries (G, n), of the same pooled points features (n, d).
+def _route_rows(X: np.ndarray, models: list[CpcModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed margins (G, Q) toward the easy side, and labels, of the queries
+    X under G models that split the same pooled points.
 
-    Each query's k nearest pooled points are found once for all splits.
-    Unanimous neighbourhoods give +-inf. A mixed (split, query) pair's margin
+    Each query's k nearest pooled points are found once for all models.
+    Unanimous neighbourhoods give +-inf. A mixed (model, query) pair's margin
     depends only on the query and its neighbours' labels, so each distinct
     such problem is solved once, in stacks of about _SOLVE_BYTES of step matrices.
+    Each model's experts then predict the rows routed to them.
     """
-    k = min(k, len(features))
+    features = models[0].pooled_features
+    k = min(models[0].discriminator_k, len(features))
     idx = np.empty((len(X), k), dtype=np.int64)
     for i, x in enumerate(X):
         idx[i] = _nearest_indices(features, x, k)
-    nb_binary = binaries.astype(bool)[:, idx]
+    nb_binary = np.stack([m.pooled_binary for m in models]).astype(bool)[:, idx]
     easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
     mixed = np.nonzero((easy_votes > 0) & (easy_votes < k))
     queries, labels = mixed[1], nb_binary[mixed]
     first = inverse = slice(None)
-    if len(binaries) > 1:  # one split has no repeats
+    if len(models) > 1:  # one split has no repeats
         _, first, inverse = np.unique(np.column_stack([queries, labels]), axis=0,
                                       return_index=True, return_inverse=True)
     q, y = queries[first], labels[first]
@@ -353,7 +357,13 @@ def _route_margins(features: np.ndarray, binaries: np.ndarray, X: np.ndarray,
         c = slice(lo, lo + chunk)
         solved[c] = _discriminator_margins(features[idx[q[c]]], y[c], X[q[c]])
     margins[mixed] = solved[inverse].reshape(-1)  # numpy 2.0.0's inverse is 2-D
-    return margins
+    preds = np.zeros(margins.shape, dtype=np.int64)
+    for g, m in enumerate(models):
+        easy = margins[g] > 0
+        for rows, expert in ((easy, m.easy_expert), (~easy, m.difficult_expert)):
+            if rows.any():
+                preds[g, rows] = expert.predict_many(X[rows])
+    return margins, preds
 
 
 @dataclass(frozen=True)
@@ -387,29 +397,79 @@ def cpc_predict_many(model: CpcModel, X) -> list[RoutedPrediction]:
 def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]:
     """Margins and labels (G, Q) of every row of X under each of G models
     that split the same pooled points, with one neighbourhood size: the
-    grid of a theta sweep.
-
-    The queries' neighbours are searched once for all models and the
-    discriminators of every mixed (model, query) pair are solved together.
-    Each model's experts then predict its rows as cpc_predict_many does.
-    """
+    grid of a theta sweep. The rows route in contiguous shares (see
+    _run_shares), each by one _route_rows call, and a lone query in this
+    process; a row's answers do not depend on its share."""
     first = models[0]
-    if any(
-        m.pooled_features is not first.pooled_features
-        or m.discriminator_k != first.discriminator_k
-        for m in models
-    ):
+    if any(m.pooled_features is not first.pooled_features
+           or m.discriminator_k != first.discriminator_k for m in models):
         raise BadSpec("grid models must share their pooled points and disc_k")
     X = _as_queries(X, first.input_dim)
-    binaries = np.stack([m.pooled_binary for m in models])
-    margins = _route_margins(first.pooled_features, binaries, X, first.discriminator_k)
-    labels = np.zeros(margins.shape, dtype=np.int64)
-    for g, m in enumerate(models):
-        easy = margins[g] > 0
-        for rows, expert in ((easy, m.easy_expert), (~easy, m.difficult_expert)):
-            if rows.any():
-                labels[g, rows] = expert.predict_many(X[rows])
-    return margins, labels
+    if len(X) <= 1:
+        return _route_rows(X, models)
+    margins, labels = zip(*_run_shares(_route_rows, X, models))
+    return np.concatenate(margins, axis=1), np.concatenate(labels, axis=1)
+
+
+_IN_SHARE = False  # set while shares run: a share, or its forked worker, never forks again
+
+
+def _run_shares(fn, items, *args) -> list:
+    """[fn(block, *args) for each block] of items cut into w contiguous
+    blocks, w the CPUs this process may use (1 within a share), at most
+    len(items). This process runs block 0 and one forked worker each other
+    block. The joined results do not depend on w where fn's answer for an
+    item does not depend on the rest of its block. Every worker is waited
+    for before the failure of the first failing block is raised."""
+    global _IN_SHARE
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = 1 if _IN_SHARE else min(len(items), cpus)
+    if w <= 1:
+        return [fn(items, *args)]
+    import multiprocessing  # here, so that commands which never fork do not load it
+    ctx = multiprocessing.get_context("fork")
+    blocks = [items[i * len(items) // w : (i + 1) * len(items) // w] for i in range(w)]
+    workers, _IN_SHARE = [], True
+    try:
+        for block in blocks[1:]:
+            inbox, outbox = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_attempt, args=(fn, block, args, outbox))
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns when a process with threads forks, and a
+                # warning made an error would escape after the fork, leaving
+                # the worker untracked. The usual thread is numpy's BLAS pool,
+                # which multiprocessing forked on Linux by default until 3.14.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                proc.start()
+            outbox.close()
+            workers.append((proc, inbox))
+        outcomes = [_attempt(fn, blocks[0], args)]
+        for proc, inbox in workers:
+            try:
+                outcomes.append(inbox.recv())
+            except EOFError:  # it died before sending
+                outcomes.append((False, RuntimeError("a share worker died")))
+            proc.join()
+    finally:  # reached early only when this process is interrupted
+        _IN_SHARE = False
+        for proc, inbox in workers:
+            inbox.close()
+            proc.terminate()  # a no-op once joined
+            proc.join()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _attempt(fn, block, args, outbox=None):
+    """(True, fn's result) or (False, its exception); a worker sends it to outbox."""
+    try:
+        outcome = True, fn(block, *args)
+    except Exception as e:
+        outcome = False, e
+    return outbox.send(outcome) if outbox else outcome
 
 
 # end-to-end orchestration --------------------------------------------------

@@ -577,6 +577,30 @@ class TestForest:
                                  np.array([0]), np.array([2]), np.zeros((1, 1), dtype=np.int64),
                                  np.array([[1, 1]]), ranks, np.array([0, 1]))
 
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 4),
+        C=st.integers(1, 4),
+        s=st.integers(-1000, 1000),
+        seed=st.integers(0, 10_000),
+    )
+    @example(n=60, d=2, C=3, s=-1000, seed=0)
+    @example(n=60, d=2, C=3, s=1000, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_forest_does_not_depend_on_scale(self, n, d, C, s, seed):
+        # splits compare ranks, and a threshold is a midpoint: eighths from
+        # -3 to 3 times 2^s keep every feature and every midpoint sum a
+        # normal float over this range of s, where halving scales exactly
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-24, 25, size=(n, d)) / 8
+        y = rng.integers(0, C, size=n)
+        spec = forest_spec(tree_count=3, seed=seed)
+        want = fit(spec, LabeledDataset(X, y, class_count=C)).state
+        got = fit(spec, LabeledDataset(np.ldexp(X, s), y, class_count=C)).state
+        for name in ("code", "skip", "roots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.threshold.tobytes() == np.ldexp(want.threshold, s).tobytes()
+
     def test_vote_counts_sum_to_tree_count(self):
         ds = blobs(40, 2, 2, seed=9)
         clf = fit(forest_spec(tree_count=31, seed=0), ds)

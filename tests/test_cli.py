@@ -774,10 +774,11 @@ class TestCvAcrossCpus:
         assert all(written[cpus] == written[1] for cpus in written)
 
     @pytest.mark.parametrize("failing, code", [
-        pytest.param({1: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
+        # fold 4 is in the last share, a worker's, fold 3 in a worker's too
+        pytest.param({4: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
         pytest.param({3: DataError("fold 3 is bad")}, 2, id="data-error-in-a-worker"),
-        # share 0 (folds 0, 2, 4 or 0, 3) fails too: its failure is the one raised
-        pytest.param({1: Divergence(3, math.inf), 0: DataError("fold 0 is bad")}, 2,
+        # share 0 (folds 0, 1 or fold 0) fails too: its failure is the one raised
+        pytest.param({4: Divergence(3, math.inf), 0: DataError("fold 0 is bad")}, 2,
                      id="first-share-wins"),
     ])
     def test_failure_matches_one_cpu(self, tmp_path, monkeypatch, capsys, failing, code):
@@ -816,7 +817,7 @@ class TestCvAcrossCpus:
             return prepare(train_ds, test_ds, cfg)
 
         monkeypatch.setattr(harness, "_prepare", dying_prepare)
-        force_cpus(monkeypatch, 2)  # fold 1 alone in the worker's share
+        force_cpus(monkeypatch, 2)  # folds 1 and 2 in the worker's share
         with pytest.raises(RuntimeError, match="worker died"):
             cross_validate(ds, PipelineConfig(softmax_spec(epochs=5)), folds=3)
         assert not multiprocessing.active_children()
@@ -858,16 +859,18 @@ class TestSweepAcrossCpus:
                      "--curve-out", str(tmp_path / "curve.csv"),
                      "--report", str(tmp_path / "sweep.json")])
 
-    # "0:0:1" is theta 0 alone: one distinct easy set, so no process starts
+    # "0:0:1" is theta 0 alone: one distinct easy set, whose validation rows
+    # route in shares; on one CPU no process starts
     @pytest.mark.parametrize("grid", ["0:0:1", "0.0:1.0:0.1", "0:1:0.001"])
     def test_outputs_match_one_cpu(self, tmp_path, monkeypatch, grid):
         train, val = self.files(tmp_path)
-        if grid == "0:0:1":
-            monkeypatch.setattr(os, "fork", None)
         written = {}
         for cpus in (1, 2, 3, 4):
             force_cpus(monkeypatch, cpus)
-            assert self.sweep(train, val, grid, tmp_path) == 0
+            with monkeypatch.context() as mp:
+                if cpus == 1:
+                    mp.setattr(os, "fork", None)
+                assert self.sweep(train, val, grid, tmp_path) == 0
             written[cpus] = [(tmp_path / f).read_bytes() for f in ("sweep.json", "curve.csv")]
             assert not multiprocessing.active_children()
         assert all(written[cpus] == written[1] for cpus in written)
@@ -887,10 +890,10 @@ class TestSweepAcrossCpus:
         return thetas
 
     @pytest.mark.parametrize("failing, code", [
-        # partition 0 (theta 0) is always in share 0, partition 1 in a worker's
-        pytest.param({1: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
+        # partition 0 (theta 0) is always in share 0, the last in a worker's
+        pytest.param({-1: Divergence(3, math.inf)}, 3, id="divergence-in-a-worker"),
         pytest.param({0: Divergence(4, math.inf)}, 3, id="divergence-in-share-0"),
-        pytest.param({1: Divergence(3, math.inf), 0: DataError("partition 0 is bad")}, 2,
+        pytest.param({-1: Divergence(3, math.inf), 0: DataError("partition 0 is bad")}, 2,
                      id="first-share-wins"),
     ])
     def test_failure_matches_one_cpu(self, tmp_path, monkeypatch, capsys, failing, code):
@@ -921,16 +924,16 @@ class TestSweepAcrossCpus:
 
     def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
         train, val = self.files(tmp_path)
-        theta_1 = self.partition_thetas(train, val, "0.0:1.0:0.1", tmp_path, monkeypatch)[1]
+        last = self.partition_thetas(train, val, "0.0:1.0:0.1", tmp_path, monkeypatch)[-1]
         fit_cpc_many, parent = harness.fit_cpc_many, os.getpid()
 
         def dying_fit(parts, spec, disc_k):
-            if os.getpid() != parent and any(part.theta == theta_1 for part in parts):
+            if os.getpid() != parent and any(part.theta == last for part in parts):
                 os._exit(1)
             return fit_cpc_many(parts, spec, disc_k)
 
         monkeypatch.setattr(harness, "fit_cpc_many", dying_fit)
-        force_cpus(monkeypatch, 2)  # partition 1 in the worker's share
+        force_cpus(monkeypatch, 2)  # the last partition in the worker's share
         with pytest.raises(RuntimeError, match="worker died"):
             self.sweep(train, val, "0.0:1.0:0.1", tmp_path)
         assert not multiprocessing.active_children()

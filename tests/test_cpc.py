@@ -1,5 +1,7 @@
 """Ease scoring, subspace partitioning, experts, and per-query routing."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,9 @@ from cpckit.errors import (
     LengthMismatch,
     NonFinite,
 )
+from cpckit.harness import PipelineConfig, cross_validate
+
+from conftest import force_cpus
 
 
 def small_ds(n=40, d=3, C=3, seed=0):
@@ -586,6 +591,7 @@ class TestCpcPredict:
             seen.extend((int(r[0]), labels.tobytes()) for r, labels in zip(rows, y))
             return real(P, y, X)
 
+        force_cpus(monkeypatch, 1)  # the spy sees this process only
         monkeypatch.setattr(cpc_mod, "_discriminator_margins", spy)
         margins, _ = cpc_predict_grid(models, Q)
         assert sorted(seen) == sorted(want)
@@ -633,6 +639,74 @@ class TestCpcPredict:
         singles = [cpc_predict(model, q) for q in Q]
         assert [r.label for r in many] == [r.label for r in singles]
         assert [r.route for r in many] == [r.route for r in singles]
+
+
+class TestRoutingInShares:
+    """A batch of queries routes in contiguous shares, one per usable CPU;
+    its margins, labels and failures are those of a one-CPU run."""
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 40])
+    def test_answers_match_one_cpu(self, monkeypatch, Q):
+        ds = small_ds(n=60, d=2, C=3, seed=6)
+        ease = manual_ease(np.random.default_rng(6).integers(0, 17, 60) / 16)
+        models = [fit_cpc(partition(ds, ease, theta), knn_spec(k=3), disc_k=7)
+                  for theta in (0.0, 0.3, 0.55, 1.5)]
+        X = np.random.default_rng(7).standard_normal((Q, 2)) * 4.0
+        got = {}
+        for cpus in (1, 2, 3, 4):  # Q = 2 and 3 run fewer shares than CPUs
+            force_cpus(monkeypatch, cpus)
+            margins, labels = cpc_predict_grid(models, X)
+            many = cpc_predict_many(models[1], X)
+            got[cpus] = (margins.tobytes(), labels.tolist(),
+                         np.array([r.discriminator_margin for r in many]).tobytes(),
+                         [(r.route, r.label) for r in many])
+            assert not multiprocessing.active_children()
+        assert np.isfinite(margins).any()
+        assert all(got[cpus] == got[1] for cpus in got)
+
+    def test_lone_query_bypasses_the_shares(self, monkeypatch):
+        import cpckit.cpc as cpc_mod
+
+        _, model = cluster_model()
+        want = cpc_predict(model, [6.0, 0.0])
+        monkeypatch.setattr(cpc_mod, "_run_shares", None)
+        assert cpc_predict(model, [6.0, 0.0]) == want
+        assert np.isfinite(want.discriminator_margin)
+
+    def test_divergence_in_a_worker_raises_as_on_one_cpu(self, monkeypatch):
+        # unanimous queries route without a solve; the last one, in the last
+        # share, has a mixed neighbourhood whose solve overflows
+        _, model = cluster_model()
+        big = replace(model, pooled_features=model.pooled_features * 1e300)
+        X = np.array([[0.0, 0.0], [0.5, 0.5], [12.0, 0.0], [11.0, 1.0], [6.0, 0.0]]) * 1e300
+        errors = {}
+        for cpus in (1, 2, 3, 4):
+            force_cpus(monkeypatch, cpus)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(Divergence) as err:
+                    cpc_predict_many(big, X)
+            errors[cpus] = (str(err.value), err.value.epoch, err.value.loss)
+            assert not multiprocessing.active_children()
+        assert all(errors[cpus] == errors[1] for cpus in errors)
+
+    def test_a_share_never_forks_again(self, monkeypatch, tmp_path):
+        # cv in cpc mode routes each fold's test rows inside its share: on 4
+        # CPUs 5 folds run as 4 shares, and only this process starts workers
+        starts, real_start = tmp_path / "starts", multiprocessing.process.BaseProcess.start
+
+        def spy(proc):
+            with open(starts, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+        force_cpus(monkeypatch, 4)
+        spec = softmax_spec(epochs=5)
+        cfg = PipelineConfig(CpcConfig(base_spec=spec, expert_spec=spec, disc_k=5))
+        report = cross_validate(generate_two_regime(40, 40, 3, 4, 6.0, 0.8, seed=2), cfg)
+        assert all(fold["routes"] is not None for fold in report["folds"])
+        assert starts.read_text().split() == [str(os.getpid())] * 3
+        assert not multiprocessing.active_children()
 
 
 class TestTrainCpc:
