@@ -86,12 +86,8 @@ class ClassifierSpec:
         _validate(self)
 
 
-_PARAM_TYPES = {
-    SOFTMAX: SoftmaxParams,
-    LINEAR_SVM: SvmParams,
-    RANDOM_FOREST: ForestParams,
-    KNN: KnnParams,
-}
+_PARAM_TYPES = {SOFTMAX: SoftmaxParams, LINEAR_SVM: SvmParams,
+                RANDOM_FOREST: ForestParams, KNN: KnnParams}
 
 
 def softmax_spec(**kw) -> ClassifierSpec:
@@ -243,10 +239,12 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     its last batch shorter, in order or in a fresh permutation drawn from its
     rng each epoch when rngs gives one. The fits that still have a batch at
     a step are a prefix of the stack, and only their slice of each param
-    moves. grad(rows) gets one row per such fit, holding the sample indices
-    of its batch and -1 where it is shorter than the widest; it returns
-    (losses, grads) for those fits, evaluated before the update. The grads
-    are scratch arrays the loop may overwrite. A fit's trace holds its mean
+    moves. grad(rows, layout) gets one row per such fit, holding the sample
+    indices of its batch and -1 where it is shorter than the widest, and the
+    step's _Layout, which depends on ns alone (a shuffle permutes only each
+    fit's first n entries) and is built once per run. It returns (losses,
+    grads) for those fits, evaluated before the update, in scratch arrays
+    the loop may overwrite. A fit's trace holds its mean
     batch loss per epoch: the mean of its row of batch losses, which numpy
     sums pairwise as it sums any row, taken for every epoch at once when the
     run ends. lr is multiplied by lr_decay after every epoch. Raises
@@ -257,18 +255,17 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     G = len(ns)
     batch = min(batch_size, int(ns.max()))
     steps = -(-ns // batch)
-    order = np.full((G, steps[0] * batch), -1, dtype=np.int64)
-    for i, n in enumerate(ns):
-        order[i, :n] = np.arange(n)
+    cols = np.arange(steps[0] * batch)
+    order = np.where(cols < ns[:, None], cols, -1)  # -1 past each fit's n samples
     shuffled = [(i, n, rng) for i, (n, rng) in enumerate(zip(ns, rngs or [None] * G))
                 if rng is not None]
     vel = [np.zeros_like(p) for p in params]
-    plan = []  # per step: live fits, their batch rows, and the slices that move
+    plan = []  # per step: live fits, their batch rows and layout, the slices that move
     for j in range(steps[0]):
         a = int(np.count_nonzero(steps > j))
-        width = min(batch, int(ns[:a].max()) - j * batch)
+        rows = order[:a, j * batch : j * batch + min(batch, int(ns[:a].max()) - j * batch)]
         moving = [(p, v) if a == G else (p[:a], v[:a]) for p, v in zip(params, vel)]
-        plan.append((a, order[:a, j * batch : j * batch + width], moving))
+        plan.append((a, rows, _Layout(rows), moving))
     losses = np.zeros((epochs, G, len(plan)))  # a fit's steps past its last stay 0
     done = epochs
     lr = learning_rate
@@ -277,8 +274,8 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
         for epoch in range(epochs):
             for i, n, rng in shuffled:
                 order[i, :n] = rng.permutation(n)
-            for j, (a, rows, moving) in enumerate(plan):
-                losses[epoch, :a, j], grads = grad(rows)
+            for j, (a, rows, layout, moving) in enumerate(plan):
+                losses[epoch, :a, j], grads = grad(rows, layout)
                 for (p, v), g in zip(moving, grads):
                     v *= momentum
                     g *= lr
@@ -301,6 +298,21 @@ def _momentum_sgd(params, grad, ns, epochs, batch_size, learning_rate, momentum,
     return traces.T.tolist()
 
 
+class _Layout:
+    """What padding alone decides in a stacked batch (a, w): the padded
+    entries, each fit's batch size nb (floats divide as the counts do), the
+    fits with one row in a wider step, (fit, nb) of each padded fit, and
+    each entry's flat position."""
+
+    def __init__(self, rows):
+        w = rows.shape[1]
+        self.pad = rows < 0
+        self.nb = (w - np.count_nonzero(self.pad, axis=1)).astype(float)
+        self.ones = [i for i, k in enumerate(self.nb) if k == 1 and w > 1]
+        self.short = [(i, int(k)) for i, k in enumerate(self.nb) if k < w]
+        self.at = np.arange(rows.size).reshape(rows.shape)
+
+
 @dataclass
 class _LinearState:
     weights: np.ndarray  # (C', d)
@@ -318,61 +330,53 @@ def _fit_linear_group(kind, fits, C):
     one of its step adds only zeros after its own rows, so every fit gets
     the weights, bias and loss trace it gets alone. A fit whose whole set
     fits in one batch skips the shuffle: sample order cannot change a
-    whole-set gradient.
+    whole-set gradient. Each fit's rows follow a zero row of label 0, where
+    its padding (sample -1) lands.
     """
     hp = fits[0][0]
     G, d = len(fits), fits[0][1].shape[1]
     ns = [len(y) for _, _, y in fits]
     order = sorted(range(G), key=lambda i: -ns[i])  # most batches per epoch first
-    X = np.concatenate([fits[i][1] for i in order] + [np.zeros((1, d))])
-    y = np.concatenate([fits[i][2] for i in order] + [np.zeros(1, dtype=np.int64)])
-    first = np.cumsum([0] + [ns[i] for i in order[:-1]])[:, None]
+    X = np.concatenate([part for i in order for part in (np.zeros((1, d)), fits[i][1])])
+    y = np.concatenate([part for i in order for part in ([0], fits[i][2])])
+    first = np.cumsum([1] + [ns[i] + 1 for i in order[:-1]])[:, None]
     W = np.zeros((G, C, d))
     b = np.zeros((G, C))
     rngs = [np.random.default_rng(fits[i][0].seed) if hp.batch_size < ns[i] else None
             for i in order]
     step = _LINEAR_STEPS[kind]
 
-    def grad(rows):
+    def grad(rows, layout):
         a = len(rows)
-        pad = rows < 0
         idx = rows + first[:a]
-        idx[pad] = -1  # the zero row after the last fit's samples
-        nb = rows.shape[1] - np.count_nonzero(pad, axis=1)
-        loss, gW, gb = step(hp, W[:a], b[:a], np.take(X, idx, axis=0), y[idx], pad, nb)
-        return loss, (gW, gb)
+        return step(hp, W[:a], b[:a], np.take(X, idx, axis=0), y[idx], layout)
 
     traces = _momentum_sgd(
         [W, b], grad, [ns[i] for i in order], hp.epochs, hp.batch_size,
         hp.learning_rate, hp.momentum, rngs,
     )
-    states = [None] * G
-    for slot, i in enumerate(order):
-        states[i] = _LinearState(
-            weights=W[slot].copy(), bias=b[slot].copy(), loss_trace=traces[slot]
-        )
-    return states
+    return [_LinearState(W[slot].copy(), b[slot].copy(), traces[slot])
+            for slot in np.argsort(order)]
 
 
-def _batch_scores(W, X, nb):
+def _batch_scores(W, X, layout):
     """X @ W.T for each fit of a stack of batches X (a, w, d), without the
     bias, which each step adds in its own layout. A one-row batch padded
     wider is scored alone, because numpy multiplies a lone row as a vector,
     in another float order than a matrix product."""
     S = X @ W.transpose(0, 2, 1)
-    if X.shape[1] > 1:
-        for i in np.flatnonzero(nb == 1):
-            S[i, :1] = X[i, :1] @ W[i].T
+    for i in layout.ones:
+        S[i, :1] = X[i, :1] @ W[i].T
     return S
 
 
-def _batch_means(T, nb):
+def _batch_means(T, layout):
     """Mean of row i of T over its first nb[i] entries. A padded row is
     summed on its own slice, so its pairwise sum runs as in an unpadded
     batch, then divided by nb[i], as .mean() would divide it."""
-    out = T.sum(axis=1) / nb
-    for i in np.flatnonzero(nb < T.shape[1]):
-        out[i] = T[i, : nb[i]].sum() / nb[i]
+    out = T.sum(axis=1) / layout.nb
+    for i, k in layout.short:
+        out[i] = T[i, :k].sum() / k
     return out
 
 
@@ -387,18 +391,15 @@ def _sq_norms(W):
     return (W * W).reshape(len(W), -1).sum(axis=1)
 
 
-def _weight_grads(coef, X, nb, l2, W):
-    return coef.transpose(0, 2, 1) @ X / nb[:, None, None] + l2 * W
+def _grads(coef, X, layout, l2, W):
+    """Weight and bias gradients of a stack from its loss slopes coef (a, w, C)."""
+    nb = layout.nb[:, None]
+    return coef.transpose(0, 2, 1) @ X / nb[:, :, None] + l2 * W, _batch_sums(coef) / nb
 
 
-def _label_index(y, C):
-    """Flat positions of each row's label entry in an (a, w, C) array."""
-    return np.arange(y.size).reshape(y.shape) * C + y
-
-
-def _softmax_step(hp: SoftmaxParams, W, b, X, y, pad, nb):
+def _softmax_step(hp: SoftmaxParams, W, b, X, y, layout):
     """Objectives and gradients of a stack of softmax batches; rows marked
-    in pad are zero padding and weigh nothing.
+    in layout.pad are zero padding and weigh nothing.
 
     Scores are held class-major, (C, a, w), so the max, exp and class sum
     run down the leading axis. numpy sums a row of fewer than 8 values in
@@ -407,7 +408,7 @@ def _softmax_step(hp: SoftmaxParams, W, b, X, y, pad, nb):
     fit's own layout. Batch sums keep their order through _batch_sums, and
     the weight gradients get an (a, w, C) operand, the layout their
     product's bits depend on."""
-    S = np.ascontiguousarray(_batch_scores(W, X, nb).transpose(2, 0, 1))
+    S = np.ascontiguousarray(_batch_scores(W, X, layout).transpose(2, 0, 1))
     S += b.T[:, :, None]
     S -= S.max(axis=0)
     expS = np.exp(S)
@@ -415,29 +416,30 @@ def _softmax_step(hp: SoftmaxParams, W, b, X, y, pad, nb):
         z = expS.sum(axis=0)
     else:
         z = np.ascontiguousarray(expS.transpose(1, 2, 0)).sum(axis=2)
-    at = y * y.size + np.arange(y.size).reshape(y.shape)  # label entries of (C, a, w)
-    ce = _batch_means(np.log(z) - S.reshape(-1)[at], nb)
+    at = y * y.size + layout.at  # label entries of (C, a, w)
+    ce = _batch_means(np.log(z) - S.reshape(-1)[at], layout)
     loss = ce + 0.5 * hp.l2 * _sq_norms(W)
     delta = expS / z
     delta.reshape(-1)[at] -= 1.0
-    delta[:, pad] = 0.0
-    delta = np.ascontiguousarray(delta.transpose(1, 2, 0))
-    return loss, _weight_grads(delta, X, nb, hp.l2, W), _batch_sums(delta) / nb[:, None]
+    if layout.short:
+        delta[:, layout.pad] = 0.0
+    return loss, _grads(np.ascontiguousarray(delta.transpose(1, 2, 0)), X, layout, hp.l2, W)
 
 
-def _svm_step(hp: SvmParams, W, b, X, y, pad, nb):
+def _svm_step(hp: SvmParams, W, b, X, y, layout):
     """Objectives and gradients of a stack of one-vs-rest hinge batches;
-    rows marked in pad are zero padding and weigh nothing. Batch sums keep
-    numpy's order through _batch_sums."""
+    rows marked in layout.pad are zero padding and weigh nothing. Batch sums
+    keep numpy's order through _batch_sums."""
     T = np.full(y.shape + (W.shape[1],), -1.0)
-    T.reshape(-1)[_label_index(y, W.shape[1])] = 1.0
-    margins = hp.hinge_margin - T * (_batch_scores(W, X, nb) + b[:, None, :])
+    T.reshape(-1)[layout.at * W.shape[1] + y] = 1.0  # label entries of (a, w, C)
+    margins = hp.hinge_margin - T * (_batch_scores(W, X, layout) + b[:, None, :])
     hinge = np.maximum(margins, 0.0)
     coef = -((margins > 0) * T)
-    hinge[pad] = 0.0
-    coef[pad] = 0.0
-    loss = (_batch_sums(hinge) / nb[:, None]).sum(axis=1) + 0.5 * hp.l2 * _sq_norms(W)
-    return loss, _weight_grads(coef, X, nb, hp.l2, W), _batch_sums(coef) / nb[:, None]
+    if layout.short:
+        hinge[layout.pad] = 0.0
+        coef[layout.pad] = 0.0
+    loss = (_batch_sums(hinge) / layout.nb[:, None]).sum(axis=1) + 0.5 * hp.l2 * _sq_norms(W)
+    return loss, _grads(coef, X, layout, hp.l2, W)
 
 
 def _scores_linear(clf, X):
@@ -741,14 +743,7 @@ def _scores_knn(clf, X):
     return np.stack([_knn_vote(clf, x)[1] for x in X]).astype(np.float64)
 
 
-_LINEAR_STEPS = {
-    SOFTMAX: _softmax_step,
-    LINEAR_SVM: _svm_step,
-}
+_LINEAR_STEPS = {SOFTMAX: _softmax_step, LINEAR_SVM: _svm_step}
 
-_SCORERS = {
-    SOFTMAX: _scores_linear,
-    LINEAR_SVM: _scores_linear,
-    RANDOM_FOREST: _forest_votes,
-    KNN: _scores_knn,
-}
+_SCORERS = {SOFTMAX: _scores_linear, LINEAR_SVM: _scores_linear,
+            RANDOM_FOREST: _forest_votes, KNN: _scores_knn}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -245,14 +246,15 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None, out=None):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     scores, outputs, caches = _forward_batch(m, X, dropout=dropout, rng=rng)
-    n, rows = len(y), np.arange(len(y))
-    scores -= scores.max(axis=1, keepdims=True)
-    picked = scores[rows, y]
+    n, C = scores.shape
+    scores -= reduce(np.maximum, scores.T)[:, None]  # the row max, column by column
+    at = np.arange(0, n * C, C) + y  # each row's label entry in scores, flat
+    picked = scores.reshape(-1)[at]
     g = np.exp(scores, out=scores)
     rowsum = g.sum(axis=1, keepdims=True)
     loss = float((np.log(rowsum[:, 0]) - picked).sum() / n)  # np.mean's bits
     g /= rowsum
-    g[rows, y] -= 1.0
+    g.reshape(-1)[at] -= 1.0
     g /= n  # d loss / d scores
 
     out = out or [np.empty_like(p) for p in _params(m)]
@@ -301,7 +303,7 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
     model, views = _with_params(m, _views(flat, params)), _views(grads, params)
     rng = np.random.default_rng(cfg.seed)
 
-    def grad(rows):
+    def grad(rows, _):
         loss, _ = loss_and_gradients(
             model, ds.features[rows[0]], ds.labels[rows[0]], cfg.dropout, rng, out=views
         )

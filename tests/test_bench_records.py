@@ -1,5 +1,8 @@
 """Each committed benchmark record keeps what a speed claim needs: the
-machine's core count and numpy version, and the source size on both sides."""
+machine's core count and numpy version, and the source size on both sides.
+From BENCH_23 on, when workloads started to fork, a record also keeps each
+run's raw unit median on both sides, so a host-corrected gain can be read
+against raw times."""
 
 import json
 
@@ -21,3 +24,16 @@ def test_record_keeps_environment_and_source_size(path):
     assert record["environment"]["numpy"]
     assert record["src_lines"]["parent"] > 0
     assert record["src_lines"]["change"] > 0
+
+
+def _number(path):
+    return int(path.stem.split("_")[1])
+
+
+@pytest.mark.parametrize("path", [p for p in RECORDS if _number(p) >= 23], ids=lambda p: p.name)
+def test_record_keeps_raw_unit_medians_per_pair(path):
+    for name, w in json.loads(path.read_text())["workloads"].items():
+        raw = w["raw_unit_s_median_per_run"]
+        for side in ("parent", "change"):
+            assert len(raw[side]) == w["pairs"], (name, side)
+            assert all(t > 0 for t in raw[side]), (name, side)

@@ -425,12 +425,14 @@ class TestFitManyMatchesFit:
             st.tuples(st.integers(1, 60), st.integers(0, 2**16)), min_size=1, max_size=6
         ),
         batch=st.integers(1, 40),
-        C=st.integers(2, 4),
+        C=st.integers(2, 9),  # both class-sum paths
         d=st.integers(2, 4),
         kind=st.sampled_from(["softmax", "svm"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_groups_match_fit(self, jobs, batch, C, d, kind):
+        # fit is fit_many of one job, so a fault in both would pass the first
+        # check; the reference loop catches it.
         make = softmax_spec if kind == "softmax" else svm_spec
         datasets, specs = [], []
         for n, seed in jobs:
@@ -439,6 +441,7 @@ class TestFitManyMatchesFit:
             specs.append(make(epochs=3, batch_size=batch, momentum=0.6, seed=seed))
         for spec, ds, got in zip(specs, datasets, fit_many(specs, datasets)):
             assert_same_linear_fit(got, fit(spec, ds))
+            assert_linear_fit_matches_reference(got, ds, spec)
 
     def test_divergence_in_a_group_raises(self):
         specs = [softmax_spec(learning_rate=1e6, epochs=50, batch_size=8, seed=i)
