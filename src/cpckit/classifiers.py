@@ -467,12 +467,12 @@ _DRAW_BLOCK = 32  # feature subsets a tree draws at once
 def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
     """Split node i, the distinct rows buf[a[i]:a[i] + m[i]] drawn wt times
     each, with weighted class counts counts[i], at its best cut by weighted
-    Gini over the features feats[i], and partition buf and wt in place, left
-    rows first. Returns per node the slot of the best feature, whether any
-    feature has a cut, the rows (2, K) with the values either side of it, and
-    the weighted class counts and the distinct rows left of it. Ties go to the
-    first cut, then to the first feature. Nodes are searched in chunks of
-    whole nodes; a node with no cut is a leaf, so its rows may move.
+    Gini over the features feats[i], and put its rows back in that feature's
+    rank order, left rows first. Returns per node the feature, or -1 with no
+    cut (a leaf, its rows in its first feature's order), the rows (2, K)
+    either side of the cut, and the class counts left of it and where its
+    right child starts in buf, both read off the cut scan, not recounted.
+    Ties go to the first feature, then the first cut. Nodes go in chunks.
     """
     K, n_sub = feats.shape
     C, n = counts.shape[1], ranks.shape[1]
@@ -480,10 +480,10 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
     if rb + sb + (n_sub * K).bit_length() > 63:  # sort keys are segment | rank | slot
         raise DataError(f"{n} rows are too many for one forest group")
     s_mask = (1 << sb) - 1
-    best = np.full((n_sub, K), np.inf)
-    cut = np.zeros((2, n_sub, K), dtype=np.int64)
+    feature = np.full(K, -1)
+    cut = np.zeros((2, K), dtype=np.int64)
     left = np.zeros((K, C), dtype=np.int64)
-    n_left = np.zeros(K, dtype=np.int64)
+    right = np.zeros(K, dtype=np.int64)
     chunk = (np.cumsum(m) - m) * n_sub // _SPLIT_CHUNK
     bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), K]
     for k0, k1 in zip(bounds, bounds[1:]):
@@ -493,49 +493,43 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
         pos = np.arange(len(node)) - run[node]  # within the node
         idx = a[k][node] + pos
         r, w = buf[idx], wt[idx].astype(np.int64)
-        # segment slot * len(k) + node: the node's rows sorted by the slot's feature
+        # segment node * n_sub + slot: the node's rows sorted by the slot's feature
         key = ranks.reshape(-1)[(feats[k].T * n).take(node, axis=1) + r].astype(np.int64)
         key <<= sb
-        key += (node.astype(np.int64) << rb + sb) + np.arange(len(node))
-        key += (np.arange(n_sub) * len(k) << rb + sb)[:, None]
+        key += (node.astype(np.int64) * n_sub << rb + sb) + np.arange(len(node))
+        key += (np.arange(n_sub) << rb + sb)[:, None]
         key = key.reshape(-1)
         key.sort()
-        at, s, cost = _cut_costs(key, rb, sb, np.tile(mc, n_sub), counts[k], node, y[r], w)
-        if not at.size:
-            continue
-        cuts = np.bincount(s, minlength=n_sub * len(k))
+        at, s, cost, lc = _cut_costs(key, rb, sb, np.repeat(mc, n_sub), counts[k], node, y[r], w)
+        # a node's cuts run slot by slot, each slot's in rank order: the first of least cost wins
+        cuts = np.bincount(s // n_sub, minlength=len(k))
         has = np.flatnonzero(cuts)
         runs = (np.cumsum(cuts) - cuts)[has]
-        low = np.minimum.reduceat(cost, runs)
-        first = np.where(cost == np.repeat(low, cuts[has]), np.arange(len(at)), len(at))
-        i = at[np.minimum.reduceat(first, runs)]
-        best[has // len(k), k0 + has % len(k)] = low
-        cut[:, has // len(k), k0 + has % len(k)] = r[key[i] & s_mask], r[key[i + 1] & s_mask]
-        # partition the chunk's rows at each node's best cut
-        slot = best[:, k].argmin(axis=0)
-        f = feats[k, slot]
-        go_left = ranks[f[node], r] <= ranks[f, cut[0, slot, k]][node]
-        left[k] = np.bincount(node[go_left] * C + y[r[go_left]], w[go_left],
-                              minlength=len(k) * C).reshape(-1, C)
-        n_left[k] = np.bincount(node[go_left], minlength=len(k))
-        nl = np.cumsum(go_left)
-        nl -= np.concatenate(([0], nl))[run][node]  # rows left so far in the node
-        to = idx + np.where(go_left, nl - 1 - pos, n_left[k][node] - nl)
-        buf[to], wt[to] = r, w
-    slot = best.argmin(axis=0)
-    return slot, best.min(axis=0) < np.inf, cut[:, slot, np.arange(K)], left, n_left
+        low = np.repeat(np.minimum.reduceat(cost, runs), cuts[has])
+        j = np.minimum.reduceat(np.where(cost == low, np.arange(len(at)), len(at)), runs)
+        i, g = at[j], k0 + has
+        slot = np.zeros(len(k), dtype=np.int64)  # a leaf's rows go in its first feature's order
+        slot[has] = s[j] % n_sub
+        seg = run * n_sub + slot * mc  # where each node's segment for its slot starts in key
+        feature[g], cut[:, g] = feats[g, slot[has]], (r[key[i] & s_mask], r[key[i + 1] & s_mask])
+        left[g], right[g] = lc[:, j].T, a[g] + i + 1 - seg[has]
+        # partition: each node's rows in its slot's rank order, left rows first
+        e = key[seg[node] + pos] & s_mask
+        buf[idx], wt[idx] = r[e], w[e]
+    return feature, cut, left, right
 
 
 def _cut_costs(key, rb, sb, sizes, counts, node, label, wt):
-    """(at, segment, cost) of the cuts between distinct values, after key[at],
-    in the sorted segments of key of the given sizes, segment s holding rows
-    of the node with weighted class counts counts[s % len(counts)]. A key's
-    low sb bits are its entry's slot, the index of its row's node, label and
-    weight in node, label and wt; the next rb bits are its rank. What a row
-    adds to the running sums is worked out once per row and gathered per
-    entry through the slot; the sums restart at each segment and are read
-    only at the cuts. Class counts are exact integers, summed in any order,
-    so the costs match a one-node search of the drawn copies bit for bit."""
+    """(at, segment, cost, left) of the cuts between distinct values, after
+    key[at], in the sorted segments of key of the given sizes, the K nodes'
+    segments in turn, len(sizes) // K to a node. A key's low sb bits are its
+    entry's slot, the index of its row's node, label and weight in node,
+    label and wt; the next rb bits are its rank. What a row adds to the
+    running sums is worked out once per row and gathered per entry through
+    the slot; the sums restart at each segment and are read only at the cuts,
+    which gives left (C, cuts), the weighted class counts left of each cut.
+    Class counts are exact integers, summed in any order, so the costs match
+    a one-node search of the drawn copies bit for bit."""
     K, C = counts.shape
     start = np.cumsum(sizes) - sizes
     hi = key >> sb
@@ -557,17 +551,17 @@ def _cut_costs(key, rb, sb, sizes, counts, node, label, wt):
     run[:, start[1:]] -= np.add.reduceat(run, start, axis=1)[:, :-1]  # restart per segment
     np.cumsum(run, axis=1, out=run)
     run = run.take(at, axis=1)  # the sums left of each cut
-    left = run[word]  # (C, cuts): the weighted class counts left of each cut
+    left = run[word]
     left >>= shift[:, None]
     left &= (1 << w) - 1
-    k = s % K
+    k = s // (len(sizes) // K)
     sq_left = np.einsum("ca,ca->a", left, left)
     sq_right = np.einsum("kc,kc->k", counts, counts)[k] - 2 * run[-1] + sq_left
     nl = left.sum(axis=0).astype(np.float64)
-    del run, left
+    del run
     n = counts.sum(axis=1)[k].astype(np.float64)
     nr = n - nl
-    return at, s, (nl * (1.0 - sq_left / nl**2) + nr * (1.0 - sq_right / nr**2)) / n
+    return at, s, (nl * (1.0 - sq_left / nl**2) + nr * (1.0 - sq_right / nr**2)) / n, left
 
 
 def _fit_forest_group(fits, C):
@@ -634,9 +628,9 @@ def _fit_forest_group(fits, C):
                 draws[u], drawn[u] = rngs[u].permuted(deck, axis=1)[:, :n_sub], 0
             feats = draws[t, drawn[t]]
             drawn[t] += 1
-            slot, found, rows, nl, m_left = _split_nodes(buf, wt, a[c], (b - a)[c], feats,
-                                                         counts[c], ranks, y)
-            c, f, nl, rows = c[found], feats[found, slot[found]], nl[found], rows[:, found]
+            f, rows, nl, at = _split_nodes(buf, wt, a[c], (b - a)[c], feats, counts[c], ranks, y)
+            found = f >= 0
+            c, f, rows, nl, at = c[found], f[found], rows[:, found], nl[found], at[found]
             code[c], t = f, live[c]
             x = X[rows, f]  # the values either side of the cut
             with np.errstate(over="ignore"):
@@ -645,7 +639,6 @@ def _fit_forest_group(fits, C):
             threshold[c] = np.where((x[0] <= mid) & (mid < x[1]), mid, x[0])
             if len(t) and sp[t].max() + 2 > stack.shape[1]:
                 stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-            at = a[c] + m_left[found]
             stack[t, sp[t]] = np.column_stack([at, b[c], depth[c] + 1, node[c], counts[c] - nl])
             stack[t, sp[t] + 1] = np.column_stack([a[c], at, depth[c] + 1, -np.ones_like(t), nl])
             sp[t] += 2

@@ -150,11 +150,13 @@ def load_dataset(
 
 
 def write_dataset(ds: LabeledDataset, path) -> None:
-    """Write the CSV wire format, with no header; dense labels go last."""
+    """Write the CSV wire format, with no header; labels go last, as read:
+    through the inverse of label_map when the dataset has one."""
+    original = {dense: orig for orig, dense in (ds.label_map or {}).items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for x, y in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+            writer.writerow([repr(float(v)) for v in x] + [original.get(int(y), int(y))])
 
 
 # splitting -------------------------------------------------------------

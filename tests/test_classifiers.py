@@ -310,7 +310,12 @@ class TestClassSumPaths:
     match the reference bit for bit, and so do SVM fits."""
 
     @pytest.mark.parametrize("C", [2, 9])
-    @pytest.mark.parametrize("make", [softmax_spec, svm_spec], ids=["softmax", "svm"])
+    @pytest.mark.parametrize(
+        "make",
+        # at hinge margin 50 every row violates its margin, the lone last one too
+        [softmax_spec, svm_spec, lambda **kw: svm_spec(hinge_margin=50.0, **kw)],
+        ids=["softmax", "svm", "svm-margin50"],
+    )
     @pytest.mark.parametrize("batch_size", [16, 4096], ids=["minibatch", "fullbatch"])
     def test_lone_fit_bitwise(self, make, batch_size, C):
         ds = blobs(145, 3, C, seed=8)  # 145 = 9 * 16 + 1: a lone-row last batch
@@ -720,6 +725,28 @@ def conflicting_duplicates():
     return LabeledDataset(X, y, class_count=2)
 
 
+# (row, feature) pairs a split chunk holds in the small-chunk tests: at most
+# a few nodes of the 2-40 row cases each
+SMALL_CHUNK = 16
+
+INTEGER_TIES = dict(
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    C=st.integers(1, 4),
+    max_depth=st.sampled_from([None, 1, 2, 3]),
+    subsample=st.sampled_from([None, 1, 2, 4]),
+    seed=st.integers(0, 10_000),
+)
+
+
+def assert_integer_ties_match_reference(n, d, C, max_depth, subsample, seed):
+    rng = np.random.default_rng(seed)
+    ds = LabeledDataset(rng.integers(-2, 3, size=(n, d)).astype(np.float64),
+                        rng.integers(0, C, size=n), class_count=C)
+    spec = forest_spec(tree_count=3, max_depth=max_depth, feature_subsample=subsample, seed=seed)
+    assert_matches_reference(ds, spec)
+
+
 class TestForestMatchesReference:
     @pytest.mark.parametrize(
         "kw",
@@ -731,6 +758,11 @@ class TestForestMatchesReference:
 
     def test_conflicting_duplicates(self):
         assert_matches_reference(conflicting_duplicates(), forest_spec(tree_count=5, seed=0))
+
+    def test_conflicting_duplicates_in_small_chunks(self, monkeypatch):
+        # nodes without a cut, searched over several chunks
+        monkeypatch.setattr(clf_mod, "_SPLIT_CHUNK", SMALL_CHUNK)
+        self.test_conflicting_duplicates()
 
     def test_sixteen_classes(self):
         # 3 of 6 features over 400 rows: 1200-row segments, 11-bit class
@@ -748,22 +780,20 @@ class TestForestMatchesReference:
             got = [block.permuted(np.tile(np.arange(d), (B, 1)), axis=1) for _ in range(2)]
             assert np.array_equal(np.concatenate(got), want)
 
-    @given(
-        n=st.integers(2, 40),
-        d=st.integers(1, 4),
-        C=st.integers(1, 4),
-        max_depth=st.sampled_from([None, 1, 2, 3]),
-        subsample=st.sampled_from([None, 1, 2, 4]),
-        seed=st.integers(0, 10_000),
-    )
+    @given(**INTEGER_TIES)
     @settings(max_examples=60, deadline=None)
     def test_integer_features_with_ties(self, n, d, C, max_depth, subsample, seed):
-        rng = np.random.default_rng(seed)
-        ds = LabeledDataset(rng.integers(-2, 3, size=(n, d)).astype(np.float64),
-                            rng.integers(0, C, size=n), class_count=C)
-        spec = forest_spec(tree_count=3, max_depth=max_depth,
-                           feature_subsample=subsample, seed=seed)
-        assert_matches_reference(ds, spec)
+        assert_integer_ties_match_reference(n, d, C, max_depth, subsample, seed)
+
+    @given(**INTEGER_TIES)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_features_with_ties_in_small_chunks(self, n, d, C, max_depth, subsample,
+                                                        seed):
+        # small nodes share a chunk, where some have a cut and some do not
+        # and every node's rows are written back in its chosen feature's order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clf_mod, "_SPLIT_CHUNK", SMALL_CHUNK)
+            assert_integer_ties_match_reference(n, d, C, max_depth, subsample, seed)
 
 
 class TestWeightedBagsMatchReference:

@@ -493,6 +493,55 @@ class TestTestLabelsFollowTraining:
         assert main(argv) == 2
 
 
+def labels_of(path):
+    return [int(line.rsplit(",", 1)[1]) for line in path.read_text().split()]
+
+
+class TestFileCommandsKeepLabels:
+    """preprocess --transform-in and extract write each row's label as they
+    read it, so the train/test commands see a test file's labels unchanged."""
+
+    @pytest.fixture(params=["preprocess", "extract"])
+    def transform(self, request, data_files):
+        """The training file transformed, and a function that transforms
+        another file the same way and returns its path."""
+        tmp, train, _ = data_files
+        fitted, train_out = tmp / "fitted.json", tmp / "train_t.csv"
+        if request.param == "preprocess":
+            assert main(["preprocess", "--in", str(train), "--zca", "--transform-out",
+                         str(fitted), "--out", str(train_out)]) == 0
+            argv = ["preprocess", "--transform-in", str(fitted)]
+        else:
+            assert main(["train-extractor", "--in", str(train), "--arch", "in:2 concat:8 head:3",
+                         "--epochs", "20", "--dropout", "0.0", "--model-out", str(fitted)]) == 0
+            argv = ["extract", "--model", str(fitted)]
+            assert main([*argv, "--in", str(train), "--out", str(train_out)]) == 0
+
+        def run(path):
+            out = path.with_name(f"{path.stem}_t.csv")
+            assert main([*argv, "--in", str(path), "--out", str(out)]) == 0
+            return out
+
+        return train_out, run
+
+    def test_missing_class_keeps_training_labels(self, transform, tmp_path):
+        train, run = transform
+        test = without_class_zero(tmp_path)
+        out = run(test)
+        assert labels_of(out) == labels_of(test)  # classes 1 and 2, not 0 and 1
+        report = tmp_path / "r.json"
+        assert main(["baseline", "--train", str(train), "--test", str(out), "--epochs", "30",
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["accuracy"] >= 0.9
+
+    def test_unseen_label_stays_a_data_error(self, transform, tmp_path):
+        train, run = transform
+        out = run(with_unseen_label(tmp_path))
+        assert labels_of(out) == [1, 9]
+        assert main(["baseline", "--train", str(train), "--test", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 2
+
+
 class TestCpcCommand:
     def test_report_includes_routes(self, data_files):
         tmp, train, test = data_files

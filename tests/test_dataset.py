@@ -123,6 +123,29 @@ class TestLoadDataset:
         with pytest.raises(LabelOutOfRange, match=r"\[5\]"):
             load_dataset(path, label_map={0: 0, 1: 1})
 
+    @given(
+        train=st.lists(st.integers(-1000, 1000), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_written_labels_are_the_labels_read(self, tmp_path_factory, train, data):
+        # a test file read on its own is made dense by its own labels; written
+        # back (as preprocess and extract do) it must keep its original ones
+        train_map = load_dataset(self._file(tmp_path_factory, train, "train.csv")).label_map
+        held = data.draw(st.lists(st.sampled_from(train), min_size=1, max_size=12))
+        test = self._file(tmp_path_factory, held, "test.csv")
+        out = test.with_name("out.csv")
+        write_dataset(load_dataset(test), out)
+        assert [int(line.rsplit(",", 1)[1]) for line in out.read_text().split()] == held
+        back = load_dataset(out, label_map=train_map)
+        assert back.labels.tolist() == [train_map[v] for v in held]
+
+    @staticmethod
+    def _file(tmp_path_factory, labels, name):
+        path = tmp_path_factory.mktemp("labels") / name
+        path.write_text("".join(f"{i}.5,{v}\n" for i, v in enumerate(labels)))
+        return path
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.0,2.0,0\n1.0,1\n")

@@ -1,11 +1,15 @@
-"""The README's CLI sequence gives the recorded bytes.
+"""The README's CLI sequence gives the recorded bytes, and its library
+blocks print the recorded numbers.
 
 Each command runs in-process through cli.main, in order, in a fresh working
 directory and with the README's relative file names, because reports echo
 their paths. The sha256 of every file a command writes, and of its stdout,
 is compared with readme_digests.json. That record names the numpy version
 it was taken with; on any other numpy the test skips, since summation order
-and BLAS kernels may move the last bits of a float.
+and BLAS kernels may move the last bits of a float. RUNS must be the
+README's `cpckit` command lines, so the record cannot drift from the README.
+The README's Python blocks run in order in one namespace, and their stdout
+is compared with LIBRARY_STDOUT on the same numpy.
 
 After a change meant to alter an output, record the digests again with
 
@@ -18,6 +22,7 @@ import io
 import json
 import os
 import platform
+import re
 import shlex
 import sys
 import tempfile
@@ -29,6 +34,8 @@ import pytest
 from cpckit.cli import main
 
 DIGESTS = Path(__file__).with_name("readme_digests.json")
+README = Path(__file__).resolve().parent.parent / "README.md"
+LIBRARY_STDOUT = "0.665\n0.53875\n0.6075\n"
 
 RUNS = [  # (command line, files it writes)
     ("synth --n-easy 400 --n-hard 400 --classes 4 --dim 8 --easy-margin 6.0 "
@@ -70,17 +77,44 @@ def run_sequence() -> dict:
     return digests
 
 
-def test_readme_outputs_match_the_record(tmp_path, monkeypatch):
-    record = json.loads(DIGESTS.read_text())
-    if record["numpy"] != np.__version__:
-        pytest.skip(f"digests were recorded with numpy {record['numpy']}, "
+def readme_blocks(language: str) -> list[str]:
+    """The README's fenced code blocks in the given language, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def skip_unless_recorded_numpy():
+    recorded = json.loads(DIGESTS.read_text())["numpy"]
+    if recorded != np.__version__:
+        pytest.skip(f"digests were recorded with numpy {recorded}, "
                     f"this is numpy {np.__version__}")
+
+
+def test_runs_are_the_readme_commands():
+    lines = "\n".join(readme_blocks("sh")).replace("\\\n", " ").splitlines()
+    readme = [shlex.split(line)[1:] for line in lines if line.startswith("cpckit ")]
+    assert readme == [shlex.split(line) for line, _ in RUNS]
+
+
+def test_readme_outputs_match_the_record(tmp_path, monkeypatch):
+    skip_unless_recorded_numpy()
+    record = json.loads(DIGESTS.read_text())
     monkeypatch.chdir(tmp_path)
     got = run_sequence()
     want = record["outputs"]
     assert got.keys() == want.keys()
     differ = [name for name in want if got[name] != want[name]]
     assert not differ, f"outputs differ from the record: {differ}"
+
+
+def test_readme_library_blocks_print_the_record():
+    skip_unless_recorded_numpy()
+    blocks = readme_blocks("python")
+    assert len(blocks) == 2
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    assert out.getvalue() == LIBRARY_STDOUT
 
 
 if __name__ == "__main__":
