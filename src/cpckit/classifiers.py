@@ -113,19 +113,24 @@ def with_seed(spec: ClassifierSpec, seed: int) -> ClassifierSpec:
     return ClassifierSpec(spec.kind, replace(spec.hyperparams, seed=int(seed)))
 
 
+def check_sgd(hp, error) -> None:
+    """Raise error unless hp's momentum-SGD settings are in range."""
+    if not 0 < hp.learning_rate < np.inf:
+        raise error("learning_rate must be finite and positive")
+    if not 0 <= hp.momentum < 1:
+        raise error("momentum must lie in [0, 1)")
+    if hp.batch_size < 1:
+        raise error("batch_size must be at least 1")
+    if hp.epochs < 0:
+        raise error("epochs must be non-negative")
+
+
 def _validate(spec: ClassifierSpec) -> None:
     hp = spec.hyperparams
     if isinstance(hp, (SoftmaxParams, SvmParams)):
-        if not 0 < hp.learning_rate < np.inf:
-            raise BadHyperparams("learning_rate must be finite and positive")
-        if hp.epochs < 0:
-            raise BadHyperparams("epochs must be non-negative")
-        if hp.batch_size < 1:
-            raise BadHyperparams("batch_size must be at least 1")
+        check_sgd(hp, BadHyperparams)
         if not 0 <= hp.l2 < np.inf:
             raise BadHyperparams("l2 must be finite and non-negative")
-        if not 0 <= hp.momentum < 1:
-            raise BadHyperparams("momentum must lie in [0, 1)")
         if isinstance(hp, SvmParams) and hp.hinge_margin <= 0:
             raise BadHyperparams("hinge_margin must be positive")
     elif isinstance(hp, ForestParams):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -169,14 +170,6 @@ class SubspacePartition:
     easy_indices: np.ndarray
     difficult_indices: np.ndarray
 
-    def subspaces(self) -> list[np.ndarray]:
-        """The row arrays of the non-empty subspaces, easy first: one
-        expert trains on each."""
-        rows = [r for r in (self.easy_indices, self.difficult_indices) if len(r)]
-        if not rows:
-            raise EmptyPartition("no samples in either subspace")
-        return rows
-
 
 def check_theta(theta: float) -> None:
     """Refuse a threshold outside [0, 2]; above 1 means all difficult."""
@@ -210,7 +203,7 @@ class CpcModel:
     easy_expert: TrainedClassifier | None
     difficult_expert: TrainedClassifier | None
     pooled_features: np.ndarray
-    pooled_binary: np.ndarray  # 1 where the training sample fell easy, else 0
+    pooled_binary: np.ndarray  # bool, True where the training sample fell easy
     discriminator_k: int
 
     @property
@@ -241,28 +234,25 @@ def fit_cpc_many(
     """Fit the subspace experts of every partition, all in one
     classifiers.fit_many call, and freeze each one's pooled routing points.
 
-    Each distinct row set of a training set trains once per call (a theta
-    sweep makes one call per share): every one-sided partition of a set
-    shares one expert, and partitions with equal easy sets share both.
-    Experts train with expert_spec exactly as given, so a one-sided
+    Each non-empty side of each partition is one fit_many job, in order, so
+    equal partitions get equal fits; a theta sweep passes each easy set
+    once. Experts train with expert_spec exactly as given, so a one-sided
     partition reproduces the plain baseline classifier bit for bit.
     """
     check_disc(disc_k)
-    subspaces = [part.subspaces() for part in parts]
-    jobs = {}
-    for part, rows_of in zip(parts, subspaces):
-        for rows in rows_of:
-            jobs.setdefault((id(part.dataset), rows.tobytes()), take(part.dataset, rows))
-    fitted = dict(zip(jobs, clf_mod.fit_many([expert_spec] * len(jobs), list(jobs.values()))))
+    if any(len(p.easy_indices) + len(p.difficult_indices) == 0 for p in parts):
+        raise EmptyPartition("no samples in either subspace")
+    jobs = [take(p.dataset, rows) for p in parts
+            for rows in (p.easy_indices, p.difficult_indices) if len(rows)]
+    experts = iter(clf_mod.fit_many([expert_spec] * len(jobs), jobs))
     models = []
-    for part, rows_of in zip(parts, subspaces):
-        experts = [fitted[id(part.dataset), rows.tobytes()] for rows in rows_of]
-        binary = np.zeros(part.dataset.n, dtype=np.int64)
-        binary[part.easy_indices] = 1
+    for part in parts:
+        binary = np.zeros(part.dataset.n, dtype=bool)
+        binary[part.easy_indices] = True
         models.append(CpcModel(
             theta=part.theta,
-            easy_expert=experts[0] if len(part.easy_indices) else None,
-            difficult_expert=experts[-1] if len(part.difficult_indices) else None,
+            easy_expert=next(experts) if len(part.easy_indices) else None,
+            difficult_expert=next(experts) if len(part.difficult_indices) else None,
             pooled_features=part.dataset.features,
             pooled_binary=binary,
             discriminator_k=disc_k,
@@ -340,7 +330,7 @@ def _route_rows(X: np.ndarray, models: list[CpcModel]) -> tuple[np.ndarray, np.n
     idx = np.empty((len(X), k), dtype=np.int64)
     for i, x in enumerate(X):
         idx[i] = _nearest_indices(features, x, k)
-    nb_binary = np.stack([m.pooled_binary for m in models]).astype(bool)[:, idx]
+    nb_binary = np.stack([m.pooled_binary for m in models])[:, idx]
     easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
     mixed = np.nonzero((easy_votes > 0) & (easy_votes < k))
@@ -416,14 +406,15 @@ _IN_SHARE = False  # set while shares run: a share, or its forked worker, never 
 
 def _run_shares(fn, items, *args) -> list:
     """[fn(block, *args) for each block] of items cut into w contiguous
-    blocks, w the CPUs this process may use (1 within a share), at most
-    len(items). This process runs block 0 and one forked worker each other
-    block. The joined results do not depend on w where fn's answer for an
-    item does not depend on the rest of its block. Every worker is waited
+    blocks, w the CPUs this process may use (1 within a share, or while
+    another Python thread runs, which a fork could catch holding a lock), at
+    most len(items). This process runs block 0 and one forked worker each
+    other block. The joined results do not depend on w where fn's answer for
+    an item does not depend on the rest of its block. Every worker is waited
     for before the failure of the first failing block is raised."""
     global _IN_SHARE
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    w = 1 if _IN_SHARE else min(len(items), cpus)
+    w = 1 if _IN_SHARE or threading.active_count() > 1 else min(len(items), cpus)
     if w <= 1:
         return [fn(items, *args)]
     import multiprocessing  # here, so that commands which never fork do not load it
@@ -437,8 +428,8 @@ def _run_shares(fn, items, *args) -> list:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns when a process with threads forks, and a
                 # warning made an error would escape after the fork, leaving
-                # the worker untracked. The usual thread is numpy's BLAS pool,
-                # which multiprocessing forked on Linux by default until 3.14.
+                # the worker untracked. No Python thread runs here (see w), so
+                # the threads are native ones such as numpy's BLAS pool.
                 warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                         DeprecationWarning)
                 proc.start()

@@ -230,15 +230,15 @@ def theta_sweep(
     Thresholds between the same two distinct ease ratios split the same
     rows, so one model is fitted and routed per distinct easy set among
     theta 0 and the grid, and its accuracy is copied to each such point.
+    A point above every ratio shares theta 0's model: both send every
+    query to one expert fitted on every row, so their accuracies are equal.
     The partitions, in easy-set order, run in contiguous shares (see
     cpc._run_shares), so neighbouring thresholds share their discriminator
     problems. Each share's are fitted by one fit_cpc_many call (linear
     experts in one stacked SGD run) and routed by one cpc_predict_grid
-    call. A row set trains in each share that holds it, as the full set of
-    theta 0 and of an all-difficult point can. The answers are those of
-    fit_cpc and cpc_predict_many at each grid point, whatever the shares.
-    The theta-0 model's lone expert is the baseline. Ties for the best
-    threshold break toward the smaller value.
+    call. The answers are those of fit_cpc and cpc_predict_many at each
+    grid point, whatever the shares. The theta-0 model's lone expert is
+    the baseline. Ties for the best threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -251,8 +251,10 @@ def theta_sweep(
         raise EmptyDataset("empty validation set")
     ease = ease_scores(train_ds, cfg)
     thetas = [0.0, *grid]
-    # ratios >= theta depends only on how many distinct ratios lie below theta
-    easy_sets = np.searchsorted(np.unique(ease.ratios), thetas)
+    # ratios >= theta depends only on how many distinct ratios lie below theta;
+    # all of them gives the empty easy set, whose lone expert is theta 0's
+    ratios = np.unique(ease.ratios)
+    easy_sets = np.searchsorted(ratios, thetas) % len(ratios)
     _, first, slot = np.unique(easy_sets, return_index=True, return_inverse=True)
     parts = [partition(train_ds, ease, thetas[i]) for i in first]
 

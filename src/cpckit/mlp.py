@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .classifiers import _momentum_sgd
+from .classifiers import _momentum_sgd, check_sgd
 from .dataset import LabeledDataset
 from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError, load_json
 
@@ -60,16 +60,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise BadArch("learning_rate must be finite and positive")
-        if not 0 <= self.momentum < 1:
-            raise BadArch("momentum must lie in [0, 1)")
+        check_sgd(self, BadArch)
         if not 0 <= self.dropout < 1:
             raise BadArch("dropout must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise BadArch("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise BadArch("epochs must be non-negative")
 
 
 @dataclass

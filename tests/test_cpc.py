@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from cpckit.errors import (
     LengthMismatch,
     NonFinite,
 )
-from cpckit.harness import PipelineConfig, cross_validate
+from cpckit.harness import PipelineConfig, cross_validate, theta_sweep
 
 from conftest import force_cpus
 
@@ -214,8 +215,6 @@ class TestPartition:
             np.concatenate([part.easy_indices, part.difficult_indices])
         )
         assert np.array_equal(joined, np.arange(16))
-        easy, difficult = part.subspaces()
-        assert len(easy) + len(difficult) == 16
 
     def test_monotone_in_theta(self):
         ds = small_ds(n=16)
@@ -304,7 +303,7 @@ def same_expert(a, b):
 
 
 class TestFitCpcMany:
-    def test_matches_lone_fits_and_fits_each_row_set_once(self, monkeypatch):
+    def test_matches_lone_fits_with_one_job_per_side(self, monkeypatch):
         import cpckit.classifiers as clf_mod
 
         A, B = small_ds(n=40, seed=1), small_ds(n=30, seed=2)
@@ -324,12 +323,11 @@ class TestFitCpcMany:
 
         monkeypatch.setattr(clf_mod, "fit_many", spy)
         models = fit_cpc_many(parts, spec, 7)
-        assert sorted(ds.n for ds in jobs) == sorted(
-            [len(parts[0].easy_indices), len(parts[0].difficult_indices),
-             len(parts[1].easy_indices), len(parts[1].difficult_indices), 40, 30]
-        )
-        assert models[0].easy_expert is models[2].easy_expert
-        assert models[3].easy_expert is models[4].difficult_expert
+        sides = [(p.dataset, rows) for p in parts
+                 for rows in (p.easy_indices, p.difficult_indices) if len(rows)]
+        assert len(jobs) == len(sides) == 9
+        for job, (ds, rows) in zip(jobs, sides):
+            assert np.array_equal(job.features, ds.features[rows])
         Q = np.random.default_rng(3).normal(scale=4.0, size=(25, 3))
         for part, model in zip(parts, models):
             alone = fit_cpc(part, spec, disc_k=7)
@@ -688,6 +686,40 @@ class TestRoutingInShares:
             errors[cpus] = (str(err.value), err.value.epoch, err.value.loss)
             assert not multiprocessing.active_children()
         assert all(errors[cpus] == errors[1] for cpus in errors)
+
+    def test_a_threaded_caller_never_forks(self, monkeypatch):
+        # a fork copies no other thread, so one holding a lock would leave it
+        # held in the worker; with a second Python thread alive, this process
+        # runs every share itself
+        starts, real_start = [], multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda proc: starts.append(proc) or real_start(proc))
+        ds = small_ds(n=60, d=2, C=3, seed=6)
+        ease = manual_ease(np.random.default_rng(6).integers(0, 17, 60) / 16)
+        model = fit_cpc(partition(ds, ease, 0.3), knn_spec(k=3), disc_k=7)
+        X = np.random.default_rng(7).standard_normal((40, 2)) * 4.0
+        spec = softmax_spec(epochs=20)
+        cfg = CpcConfig(base_spec=spec, expert_spec=spec, disc_k=9)
+        train = generate_two_regime(60, 60, 3, 4, 6.0, 0.8, seed=4)
+        val = generate_two_regime(30, 30, 3, 4, 6.0, 0.8, seed=104)
+
+        def answers():
+            return cpc_predict_many(model, X), theta_sweep(train, val, [0.2, 0.5, 0.8], cfg)
+
+        force_cpus(monkeypatch, 1)
+        want = answers()
+        force_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = answers()
+        finally:
+            stop.set()
+            thread.join()
+        assert starts == []
+        assert got == want
+        assert np.isfinite([r.discriminator_margin for r in got[0]]).any()
 
     def test_a_share_never_forks_again(self, monkeypatch, tmp_path):
         # cv in cpc mode routes each fold's test rows inside its share: on 4

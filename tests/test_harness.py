@@ -454,6 +454,13 @@ class TestThetaSweep:
         coarse = theta_sweep(train, val, fine[::100], cfg)
         assert res.accuracies[::100] == coarse.accuracies
         assert res.baseline_accuracy == coarse.baseline_accuracy
+        # above every ratio the easy set is empty, and theta 0's full set
+        # stands for it
+        high = [i / 10 for i in range(16)]
+        res = theta_sweep(train, val, high, cfg)
+        easy_sets = {tuple(ratios >= (t if t <= ratios.max() else 0.0)) for t in high}
+        assert routed[-1] == len(easy_sets)
+        assert res.accuracies[-1] == res.baseline_accuracy
 
     def test_bad_grid_value_refused_before_any_fit(self, monkeypatch):
         train, val, cfg = self.sweep_setup()
