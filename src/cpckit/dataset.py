@@ -32,8 +32,8 @@ HARD_TAG = "hard"
 class LabeledDataset:
     """n feature vectors with dense integer labels in [0, class_count).
 
-    regime_tags is only populated by the synthetic generator; label_map
-    records the original-to-dense label mapping applied by the CSV loader.
+    regime_tags, a string array, is only populated by the synthetic
+    generator; label_map records the CSV loader's original-to-dense labels.
     Instances are treated as immutable after construction. Features must
     be finite. Loaders reject empty input; index subsets (splits, folds,
     subspaces) may be empty. Derived datasets are dataclasses.replace
@@ -43,7 +43,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    regime_tags: tuple[str, ...] | None = None
+    regime_tags: np.ndarray | None = None
     label_map: dict[int, int] | None = None
 
     def __post_init__(self):
@@ -64,10 +64,12 @@ class LabeledDataset:
             raise BadSpec("class_count must be at least 1")
         if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
             raise BadSpec("labels must lie in [0, class_count)")
-        if self.regime_tags is not None and len(self.regime_tags) != feats.shape[0]:
+        tags = None if self.regime_tags is None else np.asarray(self.regime_tags, dtype=str)
+        if tags is not None and len(tags) != feats.shape[0]:
             raise LengthMismatch("one regime tag per sample required")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "regime_tags", tags)
 
     @property
     def n(self) -> int:
@@ -79,11 +81,9 @@ class LabeledDataset:
 
 
 def take(ds: LabeledDataset, indices) -> LabeledDataset:
-    """Subset by row positions, carrying tags and the label map along."""
+    """Subset by row positions, the tag array too; the label map is kept."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    tags = None
-    if ds.regime_tags is not None:
-        tags = tuple(ds.regime_tags[i] for i in idx)
+    tags = None if ds.regime_tags is None else ds.regime_tags[idx]
     return replace(ds, features=ds.features[idx], labels=ds.labels[idx], regime_tags=tags)
 
 
@@ -256,19 +256,17 @@ class FoldAssignment:
 def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> FoldAssignment:
     """Partition samples into K stratified folds whose sizes differ by one at most.
 
-    Each class's shuffled samples are dealt onto a single round-robin
-    cursor, which balances classes across folds without ever violating the
-    global size bound.
+    Each class's samples are shuffled, and one round-robin deal over the
+    permutations joined in class order balances classes across folds
+    without ever violating the global size bound.
     """
     if not (2 <= K <= ds.n):
         raise BadK(f"K={K} outside [2, n={ds.n}]")
     rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == c))
+                            for c in range(ds.class_count)])
     fold_of = np.empty(ds.n, dtype=np.int64)
-    cursor = 0
-    for c in range(ds.class_count):
-        for i in rng.permutation(np.flatnonzero(ds.labels == c)):
-            fold_of[i] = cursor % K
-            cursor += 1
+    fold_of[order] = np.arange(ds.n) % K
     return FoldAssignment(fold_of=fold_of)
 
 
@@ -330,12 +328,9 @@ def generate_two_regime(
         [easy_centers[labels[:n_easy]], hard_centers[labels[n_easy:]]]
     )
     feats = rng.standard_normal((n_easy + n_hard, d)) + centers
-    tags = [EASY_TAG] * n_easy + [HARD_TAG] * n_hard
+    tags = np.repeat([EASY_TAG, HARD_TAG], [n_easy, n_hard])
 
     perm = rng.permutation(n_easy + n_hard)
     return LabeledDataset(
-        features=feats[perm],
-        labels=labels[perm],
-        class_count=C,
-        regime_tags=tuple(tags[i] for i in perm),
+        features=feats[perm], labels=labels[perm], class_count=C, regime_tags=tags[perm]
     )

@@ -20,12 +20,12 @@ import numpy as np
 from . import classifiers as clf_mod
 from .classifiers import ClassifierSpec
 from .cpc import (
+    ROUTE_DIFFICULT,
     ROUTE_EASY,
     CpcConfig,
     _run_shares,
     check_theta,
     cpc_predict_grid,
-    cpc_predict_many,
     ease_scores,
     fit_cpc_many,
     partition,
@@ -65,18 +65,17 @@ def evaluate(
     where a class has no true samples), confusion counts, route stats,
     config and seed.
 
-    routes, when given, is a per-sample "+"/"-" sequence and produces
-    per-route counts and accuracies (None when a route saw no samples).
+    routes, any per-sample "+"/"-" sequence (a list, tuple, str or array),
+    gives per-route counts and accuracies (None when a route saw no samples).
     """
     counts = confusion(preds, truth, class_count)
     route_stats = None
     if routes is not None:
         preds_arr = np.asarray(preds, dtype=np.int64)
         truth_arr = np.asarray(truth, dtype=np.int64)
-        routes = list(routes)
-        if len(routes) != len(preds_arr):
-            raise LengthMismatch(f"{len(routes)} routes for {len(preds_arr)} samples")
-        plus = np.array([r == ROUTE_EASY for r in routes], dtype=bool)
+        plus = np.asarray(list(routes), dtype=str) == ROUTE_EASY  # list(): a str is its characters
+        if len(plus) != len(preds_arr):
+            raise LengthMismatch(f"{len(plus)} routes for {len(preds_arr)} samples")
         hit = preds_arr == truth_arr
         n_plus, n_minus = int(plus.sum()), int((~plus).sum())
         route_stats = {
@@ -141,7 +140,7 @@ class PipelineConfig:
 
 def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
     """Fit on the training side of each (train, test) pair and predict its
-    test side. Returns one (preds, routes-or-None) per pair.
+    test side. Returns one (preds, routes array or None) per pair.
 
     Stage by stage: each pair is preprocessed and its extractor trained,
     then a ClassifierSpec learner trains on all pairs in one fit_many call;
@@ -154,12 +153,10 @@ def run_pipeline(pairs, cfg: PipelineConfig) -> list[tuple]:
         fitted = clf_mod.fit_many([c] * len(pairs), [train for train, _ in pairs])
         return [(clf.predict_many(test.features), None) for clf, (_, test) in zip(fitted, pairs)]
     parts = [partition(train, ease_scores(train, c), c.theta) for train, _ in pairs]
-    out = []
-    for model, (_, test) in zip(fit_cpc_many(parts, c.expert_spec, c.disc_k), pairs):
-        routed = cpc_predict_many(model, test.features)
-        out.append((np.array([r.label for r in routed], dtype=np.int64),
-                    [r.route for r in routed]))
-    return out
+    models = fit_cpc_many(parts, c.expert_spec, c.disc_k)
+    grids = [cpc_predict_grid([m], test.features) for m, (_, test) in zip(models, pairs)]
+    return [(labels, np.where(margins > 0, ROUTE_EASY, ROUTE_DIFFICULT))
+            for [margins], [labels] in grids]
 
 
 def _prepare(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg: PipelineConfig):

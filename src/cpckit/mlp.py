@@ -1,10 +1,10 @@
 """Fully-connected feature extractor with optional residual blocks.
 
-Blocks come in three kinds. With H(x) = relu(W x + b):
+Blocks come in three kinds, named by their arch tokens; H(x) = relu(W x + b):
 
-    plain            x -> H(x)
-    residual_add     x -> H(x) + x        (hidden width must equal input width)
-    residual_concat  x -> [H(x), x]       (widths add)
+    fc      (PLAIN)            x -> H(x)
+    add     (RESIDUAL_ADD)     x -> H(x) + x   (hidden width must equal input width)
+    concat  (RESIDUAL_CONCAT)  x -> [H(x), x]  (widths add)
 
 A linear head produces class scores; training minimizes mean cross-entropy
 with the momentum-SGD loop of the linear classifiers, per-epoch
@@ -26,12 +26,9 @@ from .classifiers import _momentum_sgd, check_sgd
 from .dataset import LabeledDataset
 from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError, load_json
 
-PLAIN = "plain"
-RESIDUAL_ADD = "residual_add"
-RESIDUAL_CONCAT = "residual_concat"
-
-_KIND_TO_TOKEN = {PLAIN: "fc", RESIDUAL_ADD: "add", RESIDUAL_CONCAT: "concat"}
-_TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
+PLAIN = "fc"
+RESIDUAL_ADD = "add"
+RESIDUAL_CONCAT = "concat"
 
 RELU = "relu"  # the one activation; model files name it
 
@@ -87,7 +84,7 @@ def block_widths(input_dim: int, blocks: list[BlockSpec]) -> list[int]:
         elif spec.kind == RESIDUAL_ADD:
             if spec.hidden_width != w:
                 raise BadArch(
-                    f"residual_add needs hidden width {w} to match its input, "
+                    f"an add block needs hidden width {w} to match its input, "
                     f"got {spec.hidden_width}"
                 )
         else:
@@ -165,18 +162,12 @@ def parse_arch(text: str) -> tuple[int, list[BlockSpec], int]:
         parsed.append((name, width))
     if parsed[0][0] != "in" or parsed[-1][0] != "head":
         raise BadArch("arch string must start with in: and end with head:")
-    blocks = []
-    for name, width in parsed[1:-1]:
-        if name not in _TOKEN_TO_KIND:
-            raise BadArch(f"unknown block token {name!r}")
-        blocks.append(BlockSpec(_TOKEN_TO_KIND[name], width))
+    blocks = [BlockSpec(name, width) for name, width in parsed[1:-1]]
     return parsed[0][1], blocks, parsed[-1][1]
 
 
 def format_arch(m: MlpModel) -> str:
-    middle = " ".join(
-        f"{_KIND_TO_TOKEN[s.kind]}:{s.hidden_width}" for s in m.block_specs
-    )
+    middle = " ".join(f"{s.kind}:{s.hidden_width}" for s in m.block_specs)
     return f"in:{m.input_dim} {middle} head:{m.class_count}"
 
 

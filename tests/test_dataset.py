@@ -69,7 +69,7 @@ class TestLabeledDataset:
         ds = generate_two_regime(6, 6, 2, 2, 4.0, 1.0, seed=0)
         sub = take(ds, [0, 2, 5])
         assert sub.n == 3
-        assert sub.regime_tags == tuple(ds.regime_tags[i] for i in (0, 2, 5))
+        assert sub.regime_tags.tolist() == [ds.regime_tags[i] for i in (0, 2, 5)]
         assert np.array_equal(sub.features, ds.features[[0, 2, 5]])
 
 
@@ -297,6 +297,33 @@ class TestKfold:
         assert sizes.max() - sizes.min() <= 1
         assert sizes.min() >= 1
 
+    @given(
+        n=st.integers(2, 60),
+        data=st.data(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_deal_matches_round_robin_reference(self, n, data, seed):
+        # class_count above the largest label, so some classes have no rows
+        labels = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        class_count = int(labels.max()) + 1 + data.draw(st.integers(0, 3))
+        k = data.draw(st.integers(2, n))
+        ds = LabeledDataset(np.zeros((n, 1)), labels, class_count=class_count)
+        assert np.array_equal(kfold(ds, k, seed=seed).fold_of, _ref_kfold(ds, k, seed))
+
+
+def _ref_kfold(ds, K, seed):
+    """The fold of every row, dealt one row at a time: each class's shuffled
+    rows, in class order, onto one round-robin cursor."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(ds.n, dtype=np.int64)
+    cursor = 0
+    for c in range(ds.class_count):
+        for i in rng.permutation(np.flatnonzero(ds.labels == c)):
+            fold_of[i] = cursor % K
+            cursor += 1
+    return fold_of
+
 
 class TestGenerateTwoRegime:
     def test_shapes_and_tags(self):
@@ -320,7 +347,7 @@ class TestGenerateTwoRegime:
         a = generate_two_regime(20, 20, 3, 4, 5.0, 1.0, seed=42)
         b = generate_two_regime(20, 20, 3, 4, 5.0, 1.0, seed=42)
         assert np.array_equal(a.features, b.features)
-        assert a.regime_tags == b.regime_tags
+        assert a.regime_tags.tolist() == b.regime_tags.tolist()
 
     def test_center_separation(self):
         easy_c, hard_c = two_regime_centers(4, 8, 6.0, 0.8)

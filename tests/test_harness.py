@@ -99,10 +99,12 @@ class TestConfusion:
 
 
 class TestEvaluate:
-    def test_route_stats(self):
+    # every form of a "+"/"-" sequence; a str must not become one 0-d array
+    @pytest.mark.parametrize("routes", [["+", "+", "-", "-", "-"], ("+", "+", "-", "-", "-"),
+                                        "++---", np.array(["+", "+", "-", "-", "-"])])
+    def test_route_stats(self, routes):
         preds = [0, 1, 1, 0, 1]
         truth = [0, 1, 0, 0, 0]
-        routes = ["+", "+", "-", "-", "-"]
         rep = evaluate(preds, truth, 2, routes=routes)
         assert rep["routes"] == {
             "+": 2,
@@ -116,9 +118,10 @@ class TestEvaluate:
         assert rep["routes"]["-"] == 0
         assert rep["routes"]["acc-"] is None
 
-    def test_routes_length_checked(self):
+    @pytest.mark.parametrize("routes", [["+"], "+"])
+    def test_routes_length_checked(self, routes):
         with pytest.raises(LengthMismatch):
-            evaluate([0, 1], [0, 1], 2, routes=["+"])
+            evaluate([0, 1], [0, 1], 2, routes=routes)
 
     def test_no_routes_no_stats(self):
         rep = evaluate([0, 1], [0, 1], 2)
@@ -376,6 +379,7 @@ class TestThetaSweep:
         train, val, cfg = self.sweep_setup(seed=4)
         grid = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5]
         accuracies, baseline_acc, _ = _ref_theta_sweep(train, val, grid, cfg)
+        force_cpus(monkeypatch, 1)  # the spy sees this process only
         jobs = []
         real_fit_many = clf_mod.fit_many
 
