@@ -50,7 +50,7 @@ def oracle_accuracy(train, test, spec) -> float:
     te_tags = np.asarray(test.regime_tags)
     preds = np.empty(test.n, dtype=np.int64)
     for tag in (EASY_TAG, HARD_TAG):
-        expert = fit(spec, take(train, np.flatnonzero(tr_tags == tag)))
+        expert = fit(spec, take(train, tr_tags == tag))
         sel = np.flatnonzero(te_tags == tag)
         preds[sel] = expert.predict_many(test.features[sel])
     return accuracy(preds, test.labels)

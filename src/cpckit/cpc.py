@@ -70,9 +70,8 @@ def _check_choice(what: str, value: str, choices) -> None:
 @dataclass
 class BaseEnsemble:
     members: list[TrainedClassifier]
-    trained_on: list[np.ndarray]  # member rep * K + fold's training rows
-    n: int  # size of the training set
-    digest: str  # of its features and labels, see _digest
+    trained_on: np.ndarray  # (N, n) bool; row rep * K + fold: that member's training rows
+    digest: str  # of the training set's features and labels, see _digest
 
     @property
     def N(self) -> int:
@@ -94,7 +93,7 @@ def train_base_ensemble(
     training sets rather than held-out sets; fold_training="complement"
     gives the conventional K-1 fold training set instead. All members train
     in one classifiers.fit_many call, so linear members share one stacked
-    SGD run. The ensemble records the training set's size and digest.
+    SGD run. The ensemble records its members' training masks and the digest.
     """
     if m < 1:
         raise BadSpec(f"m={m} must be at least 1")
@@ -104,10 +103,10 @@ def train_base_ensemble(
     for rep in range(m):
         fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))
         for fold in range(K):
-            trained_on.append(fa.indices_of(fold) if single else fa.complement_of(fold))
+            trained_on.append((fa.fold_of == fold) == single)
             specs.append(with_seed(base_spec, _derive_seed(seed, 1, rep, fold)))
     members = clf_mod.fit_many(specs, [take(train, rows) for rows in trained_on])
-    return BaseEnsemble(members=members, trained_on=trained_on, n=train.n, digest=_digest(train))
+    return BaseEnsemble(members=members, trained_on=np.array(trained_on), digest=_digest(train))
 
 
 def _digest(ds: LabeledDataset) -> str:
@@ -137,12 +136,12 @@ def compute_ease(
     ens: BaseEnsemble, train: LabeledDataset, mode: str = INCLUDE_ALL
 ) -> EaseScores:
     """Fraction of ensemble members that classify each training sample
-    correctly. Exact integer counting; ratios are counts over the mode's
-    denominator. Raises LengthMismatch unless train has the size and digest
-    of the set the ensemble was built on."""
+    correctly, counted exactly; exclude_in_fold counts only the members whose
+    trained_on row is False there. Raises LengthMismatch unless train has the
+    size and digest of the set the ensemble was built on."""
     _check_choice("ease mode", mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))
     n = train.n
-    if n != ens.n or _digest(train) != ens.digest:
+    if n != ens.trained_on.shape[1] or _digest(train) != ens.digest:
         raise LengthMismatch("ensemble was built on a different training set")
     correct = np.zeros((ens.N, n), dtype=bool)
     for j, member in enumerate(ens.members):
@@ -151,9 +150,7 @@ def compute_ease(
         counts = correct.sum(axis=0)
         denom = np.full(n, ens.N, dtype=np.int64)
     else:
-        included = np.ones((ens.N, n), dtype=bool)
-        for j, rows in enumerate(ens.trained_on):
-            included[j, rows] = False
+        included = ~ens.trained_on
         counts = (correct & included).sum(axis=0)
         denom = included.sum(axis=0)
         if np.any(denom <= 0):
@@ -163,12 +160,20 @@ def compute_ease(
 
 @dataclass
 class SubspacePartition:
-    """Threshold split of the training set: ratio >= theta goes easy."""
+    """Split of the training set: easy holds one bool per row, True where the
+    row went easy, kept as a read-only copy; other lengths and dtypes are refused."""
 
     dataset: LabeledDataset
     theta: float
-    easy_indices: np.ndarray
-    difficult_indices: np.ndarray
+    easy: np.ndarray
+
+    def __post_init__(self):
+        self.easy = np.array(self.easy)
+        if self.easy.dtype != bool:
+            raise BadSpec(f"the easy mask must be bool, not {self.easy.dtype}")
+        if self.easy.shape != (self.dataset.n,):
+            raise LengthMismatch(f"easy mask of shape {self.easy.shape} for {self.dataset.n} rows")
+        self.easy.flags.writeable = False
 
 
 def check_theta(theta: float) -> None:
@@ -180,21 +185,14 @@ def check_theta(theta: float) -> None:
 def partition(
     train: LabeledDataset, ease: EaseScores, theta: float
 ) -> SubspacePartition:
-    """Split at theta; the boundary sample (ratio == theta) lands easy.
+    """The easy mask ratio >= theta: the boundary sample (ratio == theta) lands easy.
 
     Theta above 1 is allowed to force an all-difficult partition.
     """
     if ease.n != train.n:
         raise LengthMismatch(f"{ease.n} ease scores for {train.n} samples")
     check_theta(theta)
-    easy = np.flatnonzero(ease.ratios >= theta)
-    difficult = np.flatnonzero(ease.ratios < theta)
-    return SubspacePartition(
-        dataset=train,
-        theta=float(theta),
-        easy_indices=easy,
-        difficult_indices=difficult,
-    )
+    return SubspacePartition(dataset=train, theta=float(theta), easy=ease.ratios >= theta)
 
 
 @dataclass
@@ -203,7 +201,7 @@ class CpcModel:
     easy_expert: TrainedClassifier | None
     difficult_expert: TrainedClassifier | None
     pooled_features: np.ndarray
-    pooled_binary: np.ndarray  # bool, True where the training sample fell easy
+    pooled_binary: np.ndarray  # its partition's easy mask
     discriminator_k: int
 
     @property
@@ -232,32 +230,26 @@ def fit_cpc_many(
     disc_k: int,
 ) -> list[CpcModel]:
     """Fit the subspace experts of every partition, all in one
-    classifiers.fit_many call, and freeze each one's pooled routing points.
+    classifiers.fit_many call; each model keeps its partition's easy mask.
 
-    Each non-empty side of each partition is one fit_many job, in order, so
-    equal partitions get equal fits; a theta sweep passes each easy set
-    once. Experts train with expert_spec exactly as given, so a one-sided
+    easy, then ~easy, of each partition is one fit_many job where it has
+    rows, so equal partitions get equal fits; a theta sweep passes each easy
+    set once. Experts train with expert_spec exactly as given, so a one-sided
     partition reproduces the plain baseline classifier bit for bit.
     """
     check_disc(disc_k)
-    if any(len(p.easy_indices) + len(p.difficult_indices) == 0 for p in parts):
+    if any(p.dataset.n == 0 for p in parts):
         raise EmptyPartition("no samples in either subspace")
-    jobs = [take(p.dataset, rows) for p in parts
-            for rows in (p.easy_indices, p.difficult_indices) if len(rows)]
+    jobs = [take(p.dataset, rows) for p in parts for rows in (p.easy, ~p.easy) if rows.any()]
     experts = iter(clf_mod.fit_many([expert_spec] * len(jobs), jobs))
-    models = []
-    for part in parts:
-        binary = np.zeros(part.dataset.n, dtype=bool)
-        binary[part.easy_indices] = True
-        models.append(CpcModel(
-            theta=part.theta,
-            easy_expert=next(experts) if len(part.easy_indices) else None,
-            difficult_expert=next(experts) if len(part.difficult_indices) else None,
-            pooled_features=part.dataset.features,
-            pooled_binary=binary,
-            discriminator_k=disc_k,
-        ))
-    return models
+    return [CpcModel(
+        theta=p.theta,
+        easy_expert=next(experts) if p.easy.any() else None,
+        difficult_expert=None if p.easy.all() else next(experts),
+        pooled_features=p.dataset.features,
+        pooled_binary=p.easy,
+        discriminator_k=disc_k,
+    ) for p in parts]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -81,8 +81,14 @@ class LabeledDataset:
 
 
 def take(ds: LabeledDataset, indices) -> LabeledDataset:
-    """Subset by row positions, the tag array too; the label map is kept."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """Rows at integer positions, or under a bool mask of length n, the tag
+    array too; the label map is kept. Other masks and positions are refused."""
+    idx = np.asarray(indices).reshape(-1)
+    if idx.dtype == bool and len(idx) != ds.n:
+        raise LengthMismatch(f"a mask of {len(idx)} for {ds.n} rows")
+    if idx.dtype.kind not in "biu" and idx.size:
+        raise BadSpec(f"row positions must be integers, not {idx.dtype}")
+    idx = idx if idx.size else idx.astype(np.int64)  # np.asarray([]) is float64
     tags = None if ds.regime_tags is None else ds.regime_tags[idx]
     return replace(ds, features=ds.features[idx], labels=ds.labels[idx], regime_tags=tags)
 
@@ -172,8 +178,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train, self.val, self.test)
-        if any(f < 0 for f in fracs):
-            raise BadFractions(f"negative fraction in {fracs}")
+        if not all(f >= 0 for f in fracs):  # NaN too
+            raise BadFractions(f"negative or NaN fraction in {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise BadFractions(f"fractions {fracs} sum to {sum(fracs)!r}, not 1")
 

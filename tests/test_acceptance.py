@@ -238,8 +238,8 @@ def test_criterion_07_partition_monotonicity():
         sizes = []
         for g, theta in enumerate(grid):
             part = partition(ds, ease, float(theta))
-            sizes.append(part.easy_indices.size)
-            member[g, part.easy_indices] = 1
+            sizes.append(np.flatnonzero(part.easy).size)
+            member[g, np.flatnonzero(part.easy)] = 1
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         # once a sample leaves the easy side it never comes back
         assert np.all(np.diff(member, axis=0) <= 0)

@@ -17,6 +17,7 @@ from cpckit.cpc import (
     EXCLUDE_IN_FOLD,
     ROUTE_DIFFICULT,
     ROUTE_EASY,
+    SINGLE_FOLD,
     CpcConfig,
     EaseScores,
     SubspacePartition,
@@ -63,11 +64,16 @@ def two_clusters(per=100, gap=12.0, seed=0):
     return LabeledDataset(X, y, class_count=2)
 
 
+def easy_mask(n, rows):
+    """The easy mask of n rows that puts rows easy and the rest difficult."""
+    easy = np.zeros(n, dtype=bool)
+    easy[rows] = True
+    return easy
+
+
 def cluster_model(per=100, disc_k=25, seed=0):
     ds = two_clusters(per=per, seed=seed)
-    part = SubspacePartition(
-        ds, 0.5, np.arange(per), np.arange(per, 2 * per)
-    )
+    part = SubspacePartition(ds, 0.5, easy_mask(2 * per, np.arange(per)))
     return ds, fit_cpc(part, softmax_spec(seed=0), disc_k=disc_k)
 
 
@@ -81,7 +87,8 @@ class TestBaseEnsemble:
         ds = small_ds(n=30)
         ens = train_base_ensemble(ds, 5, 2, knn_spec(k=1), seed=1)
         for rep in range(2):
-            joined = np.sort(np.concatenate(ens.trained_on[rep * 5 : (rep + 1) * 5]))
+            rows = [np.flatnonzero(r) for r in ens.trained_on[rep * 5 : (rep + 1) * 5]]
+            joined = np.sort(np.concatenate(rows))
             assert np.array_equal(joined, np.arange(30))
 
     def test_complement_mode_trains_on_other_folds(self):
@@ -91,7 +98,8 @@ class TestBaseEnsemble:
             ds, 4, 1, knn_spec(k=1), seed=2, fold_training=COMPLEMENT
         )
         for s, c in zip(single.trained_on, comp.trained_on):
-            assert np.array_equal(np.sort(np.concatenate([s, c])), np.arange(20))
+            joined = np.concatenate([np.flatnonzero(s), np.flatnonzero(c)])
+            assert np.array_equal(np.sort(joined), np.arange(20))
 
     def test_validation(self):
         ds = small_ds(n=10)
@@ -127,12 +135,14 @@ class TestComputeEase:
         assert np.array_equal(ease.correct_counts, flat)
         assert np.array_equal(ease.ratios, flat / ens.N)
 
+    @pytest.mark.parametrize("fold_training", [SINGLE_FOLD, COMPLEMENT])
     @pytest.mark.parametrize("instance", range(3))
-    def test_exclude_mode_matches_flat_recount(self, instance):
+    def test_exclude_mode_matches_flat_recount(self, instance, fold_training):
         rng = np.random.default_rng(100 + instance)
         n = int(rng.integers(12, 40))
         ds = small_ds(n=n, seed=instance)
-        ens = train_base_ensemble(ds, 3, 2, knn_spec(k=1), seed=instance)
+        ens = train_base_ensemble(ds, 3, 2, knn_spec(k=1), seed=instance,
+                                  fold_training=fold_training)
         ease = compute_ease(ens, ds, mode=EXCLUDE_IN_FOLD)
         counts = np.zeros(n, dtype=np.int64)
         denoms = np.zeros(n, dtype=np.int64)
@@ -146,8 +156,9 @@ class TestComputeEase:
                 counts[i] += int(member.predict_many(ds.features[i : i + 1])[0] == ds.labels[i])
         assert np.array_equal(ease.correct_counts, counts)
         assert np.array_equal(ease.ratios, counts / denoms)
-        # single-fold members leave each sample out of exactly N - m folds
-        assert np.all(denoms == ens.N - 2)
+        # single-fold members leave each sample out of exactly N - m folds,
+        # complement members out of exactly m
+        assert np.all(denoms == (ens.N - 2 if fold_training == SINGLE_FOLD else 2))
 
     def test_in_fold_members_usually_memorize(self):
         # a 1-NN member always classifies its own training points correctly,
@@ -192,29 +203,41 @@ class TestPartition:
         ds = small_ds(n=4)
         ease = manual_ease([0.25, 0.5, 0.75, 1.0])
         part = partition(ds, ease, 0.5)
-        assert part.easy_indices.tolist() == [1, 2, 3]
-        assert part.difficult_indices.tolist() == [0]
+        assert np.flatnonzero(part.easy).tolist() == [1, 2, 3]
+        assert np.flatnonzero(~part.easy).tolist() == [0]
 
     def test_theta_zero_takes_all(self):
         ds = small_ds(n=3)
         part = partition(ds, manual_ease([0.0, 0.5, 1.0]), 0.0)
-        assert part.easy_indices.tolist() == [0, 1, 2]
-        assert part.difficult_indices.size == 0
+        assert np.flatnonzero(part.easy).tolist() == [0, 1, 2]
+        assert np.flatnonzero(~part.easy).size == 0
 
     def test_theta_above_one_takes_none(self):
         ds = small_ds(n=3)
         part = partition(ds, manual_ease([0.0, 0.5, 1.0]), 1.01)
-        assert part.easy_indices.size == 0
-        assert part.difficult_indices.tolist() == [0, 1, 2]
+        assert np.flatnonzero(part.easy).size == 0
+        assert np.flatnonzero(~part.easy).tolist() == [0, 1, 2]
 
-    def test_subspaces_partition_everything(self):
+    def test_only_one_bool_per_row_is_a_partition(self):
+        # one mask puts every row on exactly one side, so a split that leaves
+        # a row out or puts it on both sides cannot be built
         ds = small_ds(n=16)
         ratios = np.arange(16) / 16.0
         part = partition(ds, manual_ease(ratios), 0.4375)  # 7/16
-        joined = np.sort(
-            np.concatenate([part.easy_indices, part.difficult_indices])
-        )
-        assert np.array_equal(joined, np.arange(16))
+        assert part.easy.dtype == bool
+        assert np.flatnonzero(part.easy).tolist() == list(range(7, 16))
+        given = np.ones(16, dtype=bool)
+        kept = SubspacePartition(ds, 0.5, given)
+        given[0] = False
+        assert kept.easy.all()  # the partition keeps its own copy
+        with pytest.raises(ValueError):  # which the routed model shares
+            kept.easy[0] = False
+        with pytest.raises(LengthMismatch):
+            SubspacePartition(ds, 0.5, np.ones(10, dtype=bool))
+        with pytest.raises(BadSpec):
+            SubspacePartition(ds, 0.5, np.ones(16, dtype=np.int64))
+        with pytest.raises(TypeError):  # the old easy and difficult rows
+            SubspacePartition(ds, 0.5, np.arange(10), np.arange(0))
 
     def test_monotone_in_theta(self):
         ds = small_ds(n=16)
@@ -224,10 +247,8 @@ class TestPartition:
         membership = []
         for theta in np.linspace(0.0, 1.0, 21):
             part = partition(ds, ease, float(theta))
-            sizes.append(len(part.easy_indices))
-            mask = np.zeros(16, dtype=bool)
-            mask[part.easy_indices] = True
-            membership.append(mask)
+            sizes.append(len(np.flatnonzero(part.easy)))
+            membership.append(part.easy)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         flips = sum(
             (a & ~b).astype(int) for a, b in zip(membership, membership[1:])
@@ -251,25 +272,25 @@ class TestPartition:
 class TestFitCpc:
     def test_degenerate_all_easy(self):
         ds = small_ds(n=20)
-        part = SubspacePartition(ds, 0.0, np.arange(20), np.arange(0))
+        part = SubspacePartition(ds, 0.0, easy_mask(20, np.arange(20)))
         model = fit_cpc(part, softmax_spec(seed=3))
         assert model.easy_expert is not None and model.difficult_expert is None
 
     def test_degenerate_all_difficult(self):
         ds = small_ds(n=20)
-        part = SubspacePartition(ds, 1.01, np.arange(0), np.arange(20))
+        part = SubspacePartition(ds, 1.01, easy_mask(20, np.arange(0)))
         model = fit_cpc(part, softmax_spec(seed=3))
         assert model.easy_expert is None and model.difficult_expert is not None
 
     def test_empty_partition_rejected(self):
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-        part = SubspacePartition(empty, 0.5, np.arange(0), np.arange(0))
+        part = SubspacePartition(empty, 0.5, easy_mask(0, np.arange(0)))
         with pytest.raises(EmptyPartition):
             fit_cpc(part, softmax_spec())
 
     def test_bad_disc_k(self):
         ds = small_ds(n=10)
-        part = SubspacePartition(ds, 0.5, np.arange(5), np.arange(5, 10))
+        part = SubspacePartition(ds, 0.5, easy_mask(10, np.arange(5)))
         with pytest.raises(BadSpec):
             fit_cpc(part, softmax_spec(), disc_k=0)
 
@@ -282,11 +303,8 @@ class TestFitCpc:
         ds = small_ds(n=40, seed=9)
         probe = np.random.default_rng(10).normal(scale=4.0, size=(30, 3))
         baseline = fit(softmax_spec(seed=4), ds).predict_many(probe)
-        for indices in (
-            (np.arange(40), np.arange(0)),
-            (np.arange(0), np.arange(40)),
-        ):
-            part = SubspacePartition(ds, 0.5, indices[0], indices[1])
+        for easy in (np.arange(40), np.arange(0)):
+            part = SubspacePartition(ds, 0.5, easy_mask(40, easy))
             model = fit_cpc(part, softmax_spec(seed=4))
             routed = [cpc_predict(model, x) for x in probe]
             assert np.array_equal(np.array([r.label for r in routed]), baseline)
@@ -324,7 +342,7 @@ class TestFitCpcMany:
         monkeypatch.setattr(clf_mod, "fit_many", spy)
         models = fit_cpc_many(parts, spec, 7)
         sides = [(p.dataset, rows) for p in parts
-                 for rows in (p.easy_indices, p.difficult_indices) if len(rows)]
+                 for rows in (p.easy, ~p.easy) if rows.any()]
         assert len(jobs) == len(sides) == 9
         for job, (ds, rows) in zip(jobs, sides):
             assert np.array_equal(job.features, ds.features[rows])
@@ -371,9 +389,7 @@ class TestDiscriminate:
         X = np.column_stack([np.arange(20.0), np.zeros(20), noise])
         y = np.tile([0, 1], 10)
         ds = LabeledDataset(X, y, class_count=2)
-        part = SubspacePartition(
-            ds, 0.5, np.arange(0, 20, 2), np.arange(1, 20, 2)
-        )
+        part = SubspacePartition(ds, 0.5, easy_mask(20, np.arange(0, 20, 2)))
         return fit_cpc(part, knn_spec(k=1), disc_k=k)
 
     def test_mixed_neighborhood_fits_local_softmax(self):
@@ -406,7 +422,7 @@ class TestCpcPredict:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_query(self, value):
         ds, split = cluster_model()
-        lone = fit_cpc(SubspacePartition(ds, 0.0, np.arange(ds.n), np.arange(0)), softmax_spec())
+        lone = fit_cpc(SubspacePartition(ds, 0.0, easy_mask(ds.n, np.arange(ds.n))), softmax_spec())
         Q = np.zeros((3, 2))
         Q[1, 0] = value
         for model in (split, lone):

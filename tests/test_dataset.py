@@ -72,6 +72,23 @@ class TestLabeledDataset:
         assert sub.regime_tags.tolist() == [ds.regime_tags[i] for i in (0, 2, 5)]
         assert np.array_equal(sub.features, ds.features[[0, 2, 5]])
 
+    def test_take_reads_a_bool_array_as_a_mask(self):
+        ds = generate_two_regime(3, 2, 2, 2, 4.0, 1.0, seed=0)
+        sub = take(ds, np.array([False, True, False, True, True]))
+        assert np.array_equal(sub.features, ds.features[[1, 3, 4]])
+        assert sub.regime_tags.tolist() == ds.regime_tags[[1, 3, 4]].tolist()
+        for short in (np.array([True, False]), np.ones(6, dtype=bool)):
+            with pytest.raises(LengthMismatch):
+                take(ds, short)
+
+    def test_take_refuses_positions_that_are_not_integers(self):
+        ds = generate_two_regime(3, 2, 2, 2, 4.0, 1.0, seed=0)
+        for bad in ([0.7, 2.9], np.array([1.0]), ["0"]):
+            with pytest.raises(BadSpec):
+                take(ds, bad)
+        assert take(ds, []).n == 0
+        assert take(ds, np.array([], dtype=np.int32)).n == 0
+
 
 class TestLoadDataset:
     def test_round_trip(self, tmp_path):
@@ -196,6 +213,10 @@ class TestSplit:
             SplitSpec(0.5, 0.2, 0.2)
         with pytest.raises(BadFractions):
             SplitSpec(1.2, -0.1, -0.1)
+        with pytest.raises(BadFractions):
+            SplitSpec(float("nan"), 0.5, 0.5)
+        with pytest.raises(BadFractions):
+            SplitSpec(1.0, float("nan"), 0.0)
 
     def test_stratified_prefers_class_balance(self):
         ds = blobs(10, 2, 2, seed=1)  # 5 per class
