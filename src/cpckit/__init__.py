@@ -37,7 +37,6 @@ from .cpc import (
     train_cpc,
 )
 from .dataset import (
-    FoldAssignment,
     LabeledDataset,
     SplitSpec,
     generate_two_regime,

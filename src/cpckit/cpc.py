@@ -21,7 +21,6 @@ A batch routes in shares, one per usable CPU (see _run_shares).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import warnings
@@ -69,9 +68,11 @@ def _check_choice(what: str, value: str, choices) -> None:
 
 @dataclass
 class BaseEnsemble:
+    """N members, the (N, n) mask of their training rows and the set they were fit on."""
+
     members: list[TrainedClassifier]
     trained_on: np.ndarray  # (N, n) bool; row rep * K + fold: that member's training rows
-    digest: str  # of the training set's features and labels, see _digest
+    dataset: LabeledDataset
 
     @property
     def N(self) -> int:
@@ -93,7 +94,7 @@ def train_base_ensemble(
     training sets rather than held-out sets; fold_training="complement"
     gives the conventional K-1 fold training set instead. All members train
     in one classifiers.fit_many call, so linear members share one stacked
-    SGD run. The ensemble records its members' training masks and the digest.
+    SGD run. The ensemble keeps its members' training masks and train.
     """
     if m < 1:
         raise BadSpec(f"m={m} must be at least 1")
@@ -101,18 +102,12 @@ def train_base_ensemble(
     single = fold_training == SINGLE_FOLD
     specs, trained_on = [], []
     for rep in range(m):
-        fa = kfold(train, K, seed=_derive_seed(seed, 0, rep))
+        fold_of = kfold(train, K, seed=_derive_seed(seed, 0, rep))
         for fold in range(K):
-            trained_on.append((fa.fold_of == fold) == single)
+            trained_on.append((fold_of == fold) == single)
             specs.append(with_seed(base_spec, _derive_seed(seed, 1, rep, fold)))
     members = clf_mod.fit_many(specs, [take(train, rows) for rows in trained_on])
-    return BaseEnsemble(members=members, trained_on=np.array(trained_on), digest=_digest(train))
-
-
-def _digest(ds: LabeledDataset) -> str:
-    h = hashlib.blake2b(ds.features.tobytes(), digest_size=16)
-    h.update(ds.labels.astype(np.int64).tobytes())
-    return h.hexdigest()
+    return BaseEnsemble(members=members, trained_on=np.array(trained_on), dataset=train)
 
 
 @dataclass(frozen=True)
@@ -132,17 +127,14 @@ class EaseScores:
         return len(self.ratios)
 
 
-def compute_ease(
-    ens: BaseEnsemble, train: LabeledDataset, mode: str = INCLUDE_ALL
-) -> EaseScores:
-    """Fraction of ensemble members that classify each training sample
-    correctly, counted exactly; exclude_in_fold counts only the members whose
-    trained_on row is False there. Raises LengthMismatch unless train has the
-    size and digest of the set the ensemble was built on."""
+def compute_ease(ens: BaseEnsemble, mode: str = INCLUDE_ALL) -> EaseScores:
+    """Fraction of ensemble members that classify each sample of
+    ens.dataset, the set they were fit on, correctly, counted exactly;
+    exclude_in_fold counts only the members whose trained_on row is False
+    there."""
     _check_choice("ease mode", mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))
+    train = ens.dataset
     n = train.n
-    if n != ens.trained_on.shape[1] or _digest(train) != ens.digest:
-        raise LengthMismatch("ensemble was built on a different training set")
     correct = np.zeros((ens.N, n), dtype=bool)
     for j, member in enumerate(ens.members):
         correct[j] = member.predict_many(train.features) == train.labels
@@ -381,7 +373,10 @@ def cpc_predict_grid(models: list[CpcModel], X) -> tuple[np.ndarray, np.ndarray]
     that split the same pooled points, with one neighbourhood size: the
     grid of a theta sweep. The rows route in contiguous shares (see
     _run_shares), each by one _route_rows call, and a lone query in this
-    process; a row's answers do not depend on its share."""
+    process; a row's answers do not depend on its share. An empty model
+    list is refused."""
+    if not models:
+        raise BadSpec("no models to route with")
     first = models[0]
     if any(m.pooled_features is not first.pooled_features
            or m.discriminator_k != first.discriminator_k for m in models):
@@ -493,7 +488,7 @@ def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:
         seed=cfg.seed,
         fold_training=cfg.fold_training,
     )
-    return compute_ease(ens, train, mode=cfg.ease_mode)
+    return compute_ease(ens, mode=cfg.ease_mode)
 
 
 def train_cpc(train: LabeledDataset, cfg: CpcConfig) -> CpcModel:

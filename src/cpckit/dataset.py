@@ -34,10 +34,11 @@ class LabeledDataset:
 
     regime_tags, a string array, is only populated by the synthetic
     generator; label_map records the CSV loader's original-to-dense labels.
-    Instances are treated as immutable after construction. Features must
-    be finite. Loaders reject empty input; index subsets (splits, folds,
-    subspaces) may be empty. Derived datasets are dataclasses.replace
-    copies, which carry every other field along and are checked again.
+    Instances are treated as immutable after construction. Features must be
+    finite, labels whole (see as_labels). Loaders reject empty input; index
+    subsets (splits, folds, subspaces) may be empty. Derived datasets are
+    dataclasses.replace copies, which carry every other field along and are
+    checked again.
     """
 
     features: np.ndarray
@@ -48,7 +49,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labs = as_labels(self.labels)
         if feats.ndim != 2:
             raise EmptyDataset("features must be a 2-D matrix")
         if feats.shape[1] < 1:
@@ -80,15 +81,30 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
+def as_labels(values) -> np.ndarray:
+    """Labels as a flat int64 array. Integer and bool arrays pass as they are;
+    other values must be whole numbers within int64 (not 0.5, NaN, inf)."""
+    labs = np.asarray(values).reshape(-1)
+    if labs.dtype.kind not in "biu":
+        labs = labs.astype(np.float64)
+        bad = ~((labs == np.floor(labs)) & (np.abs(labs) < 2.0**63))  # NaN fails both
+        if bad.any():
+            raise BadSpec(f"labels must be whole numbers, not {labs[bad][0]!r}")
+    return labs.astype(np.int64, copy=False)
+
+
 def take(ds: LabeledDataset, indices) -> LabeledDataset:
-    """Rows at integer positions, or under a bool mask of length n, the tag
-    array too; the label map is kept. Other masks and positions are refused."""
+    """Rows at integer positions in [0, n), or under a bool mask of length
+    n, the tag array too; the label map is kept. Other masks and positions,
+    negative ones included, are refused."""
     idx = np.asarray(indices).reshape(-1)
     if idx.dtype == bool and len(idx) != ds.n:
         raise LengthMismatch(f"a mask of {len(idx)} for {ds.n} rows")
     if idx.dtype.kind not in "biu" and idx.size:
         raise BadSpec(f"row positions must be integers, not {idx.dtype}")
     idx = idx if idx.size else idx.astype(np.int64)  # np.asarray([]) is float64
+    if idx.dtype != bool and idx.size and (idx.min() < 0 or idx.max() >= ds.n):
+        raise BadSpec(f"row positions must lie in [0, {ds.n})")
     tags = None if ds.regime_tags is None else ds.regime_tags[idx]
     return replace(ds, features=ds.features[idx], labels=ds.labels[idx], regime_tags=tags)
 
@@ -246,21 +262,9 @@ def split(
 
 # k-fold ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Maps each sample position to a fold id in [0, K)."""
-
-    fold_of: np.ndarray
-
-    def indices_of(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-    def complement_of(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
-
-def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> FoldAssignment:
-    """Partition samples into K stratified folds whose sizes differ by one at most.
+def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> np.ndarray:
+    """The int64 fold id in [0, K) of each row: K stratified folds whose
+    sizes differ by one at most.
 
     Each class's samples are shuffled, and one round-robin deal over the
     permutations joined in class order balances classes across folds
@@ -273,7 +277,7 @@ def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> FoldAssignment:
                             for c in range(ds.class_count)])
     fold_of = np.empty(ds.n, dtype=np.int64)
     fold_of[order] = np.arange(ds.n) % K
-    return FoldAssignment(fold_of=fold_of)
+    return fold_of
 
 
 # synthetic two-regime data ---------------------------------------------

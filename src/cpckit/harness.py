@@ -30,16 +30,17 @@ from .cpc import (
     fit_cpc_many,
     partition,
 )
-from .dataset import LabeledDataset, kfold, take
+from .dataset import LabeledDataset, as_labels, kfold, take
 from .errors import ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
 from .mlp import TrainConfig, check_arch, extract_features, fit_extractor, parse_arch
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
 
 def confusion(preds, truth, class_count: int) -> np.ndarray:
-    """(C, C) int64 counts: [i, j] = samples of true class i predicted as j."""
-    preds = np.asarray(preds, dtype=np.int64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.int64).reshape(-1)
+    """(C, C) int64 counts: [i, j] = samples of true class i predicted as j;
+    a value on either side that is not a whole number is refused (as_labels)."""
+    preds = as_labels(preds)
+    truth = as_labels(truth)
     if len(preds) != len(truth):
         raise LengthMismatch(f"{len(preds)} predictions for {len(truth)} labels")
     if len(preds) == 0:
@@ -71,12 +72,10 @@ def evaluate(
     counts = confusion(preds, truth, class_count)
     route_stats = None
     if routes is not None:
-        preds_arr = np.asarray(preds, dtype=np.int64)
-        truth_arr = np.asarray(truth, dtype=np.int64)
+        hit = as_labels(preds) == as_labels(truth)
         plus = np.asarray(list(routes), dtype=str) == ROUTE_EASY  # list(): a str is its characters
-        if len(plus) != len(preds_arr):
-            raise LengthMismatch(f"{len(plus)} routes for {len(preds_arr)} samples")
-        hit = preds_arr == truth_arr
+        if len(plus) != len(hit):
+            raise LengthMismatch(f"{len(plus)} routes for {len(hit)} samples")
         n_plus, n_minus = int(plus.sum()), int((~plus).sum())
         route_stats = {
             "+": n_plus,
@@ -187,9 +186,9 @@ def cross_validate(
     node), so the report does not either. Returns
     {"folds": one evaluate report per fold, "mean_accuracy", "std_accuracy"}:
     the mean of fold accuracies and their population deviation."""
-    fa = kfold(ds, folds, seed=seed)
-    tests = [take(ds, fa.indices_of(f)) for f in range(folds)]
-    pairs = [(take(ds, fa.complement_of(f)), test) for f, test in enumerate(tests)]
+    fold_of = kfold(ds, folds, seed=seed)
+    tests = [take(ds, fold_of == f) for f in range(folds)]
+    pairs = [(take(ds, fold_of != f), test) for f, test in enumerate(tests)]
     results = [r for share in _run_shares(run_pipeline, pairs, cfg) for r in share]
     reports = [
         evaluate(preds, test.labels, ds.class_count, routes=routes, config={"fold": f}, seed=seed)

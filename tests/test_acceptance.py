@@ -98,11 +98,11 @@ def test_criterion_02_ease_oracle_equality():
         for j, member in enumerate(ens.members):
             hits[j] = member.predict_many(ds.features) == ds.labels
 
-        ease = compute_ease(ens, ds, mode="include_all")
+        ease = compute_ease(ens, mode="include_all")
         assert np.array_equal(ease.correct_counts, hits.sum(axis=0))
         assert np.array_equal(ease.ratios, hits.sum(axis=0) / ens.N)
 
-        excl = compute_ease(ens, ds, mode="exclude_in_fold")
+        excl = compute_ease(ens, mode="exclude_in_fold")
         out_of_fold = np.ones((ens.N, n), dtype=bool)
         for j, rows in enumerate(ens.trained_on):
             out_of_fold[j, rows] = False
@@ -233,7 +233,7 @@ def test_criterion_07_partition_monotonicity():
         K = int(rng.choice([3, 5]))
         m = int(rng.choice([1, 2, 3]))
         ens = train_base_ensemble(ds, K, m, spec, seed=inst)
-        ease = compute_ease(ens, ds)
+        ease = compute_ease(ens)
         member = np.zeros((len(grid), n), dtype=int)
         sizes = []
         for g, theta in enumerate(grid):
@@ -340,8 +340,8 @@ def test_criterion_10_confusion_algebra():
 def test_criterion_11_five_fold_protocol():
     rng = np.random.default_rng(1111)
     ds = random_blobs(rng, 103, 3, 4)
-    fa = kfold(ds, 5, seed=7)
-    tested = np.concatenate([fa.indices_of(f) for f in range(5)])
+    fold_of = kfold(ds, 5, seed=7)
+    tested = np.concatenate([np.flatnonzero(fold_of == f) for f in range(5)])
     assert np.array_equal(np.sort(tested), np.arange(ds.n))
 
     cfg = PipelineConfig(ClassifierSpec(SOFTMAX, SoftmaxParams(epochs=30, seed=0)))

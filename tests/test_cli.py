@@ -833,8 +833,8 @@ class TestCvAcrossCpus:
     def test_failure_matches_one_cpu(self, tmp_path, monkeypatch, capsys, failing, code):
         train = synth_file(tmp_path, 1.0)
         ds = load_dataset(train)
-        fa = kfold(ds, 5, seed=0)
-        failing_tests = {f: take(ds, fa.indices_of(f)).features for f in failing}
+        fold_of = kfold(ds, 5, seed=0)
+        failing_tests = {f: take(ds, np.flatnonzero(fold_of == f)).features for f in failing}
         prepare = harness._prepare
 
         def failing_prepare(train_ds, test_ds, cfg):
@@ -857,7 +857,7 @@ class TestCvAcrossCpus:
 
     def test_worker_that_dies_is_an_error(self, monkeypatch):
         ds = generate_two_regime(30, 30, 4, 8, 6.0, 0.8, seed=0)
-        fold_1 = take(ds, kfold(ds, 3, seed=0).indices_of(1)).features
+        fold_1 = take(ds, np.flatnonzero(kfold(ds, 3, seed=0) == 1)).features
         prepare, parent = harness._prepare, os.getpid()
 
         def dying_prepare(train_ds, test_ds, cfg):

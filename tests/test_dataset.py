@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cpckit.dataset import (
     EASY_TAG,
     HARD_TAG,
-    FoldAssignment,
     LabeledDataset,
     SplitSpec,
     generate_two_regime,
@@ -88,6 +87,24 @@ class TestLabeledDataset:
                 take(ds, bad)
         assert take(ds, []).n == 0
         assert take(ds, np.array([], dtype=np.int32)).n == 0
+
+    def test_take_refuses_positions_outside_the_rows(self):
+        ds = generate_two_regime(3, 2, 2, 2, 4.0, 1.0, seed=0)
+        for bad in ([-1], [0, 5], np.array([4, -5]), np.array([7], dtype=np.uint8)):
+            with pytest.raises(BadSpec, match=r"\[0, 5\)"):
+                take(ds, bad)
+        assert np.array_equal(take(ds, [0, 4]).features, ds.features[[0, 4]])
+        assert take(ds, np.ones(5, dtype=bool)).n == 5
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf, 1e19])
+    def test_rejects_labels_that_are_not_whole_numbers(self, bad):
+        with pytest.raises(BadSpec, match="whole numbers"):
+            LabeledDataset(np.zeros((3, 2)), [0.0, bad, 1.0], 2)
+
+    def test_whole_float_labels_are_read_as_integers(self):
+        ds = LabeledDataset(np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]), 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 1]
+        assert LabeledDataset(np.zeros((2, 2)), np.array([True, False]), 2).labels.tolist() == [1, 0]
 
 
 class TestLoadDataset:
@@ -270,34 +287,36 @@ class TestKfold:
 
     def test_fold_sizes_differ_by_at_most_one(self):
         ds = blobs(23, 2, 3, seed=5)
-        fa = kfold(ds, 5, seed=1)
-        sizes = [len(fa.indices_of(f)) for f in range(5)]
+        fold_of = kfold(ds, 5, seed=1)
+        sizes = [len(np.flatnonzero(fold_of == f)) for f in range(5)]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 23
 
     def test_every_fold_nonempty(self):
         ds = blobs(5, 2, 2, seed=5)
-        fa = kfold(ds, 5, seed=1)
-        assert all(len(fa.indices_of(f)) == 1 for f in range(5))
+        fold_of = kfold(ds, 5, seed=1)
+        assert all(len(np.flatnonzero(fold_of == f)) == 1 for f in range(5))
 
     def test_stratified_spreads_classes(self):
         ds = blobs(40, 2, 4, seed=6)  # 10 per class
-        fa = kfold(ds, 5, seed=2)
+        fold_of = kfold(ds, 5, seed=2)
         for c in range(4):
             per_fold = [
-                int(np.sum(ds.labels[fa.indices_of(f)] == c)) for f in range(5)
+                int(np.sum(ds.labels[np.flatnonzero(fold_of == f)] == c)) for f in range(5)
             ]
             assert max(per_fold) - min(per_fold) <= 1
 
     def test_deterministic(self):
         ds = blobs(30, 2, 3, seed=7)
-        assert np.array_equal(kfold(ds, 4, seed=3).fold_of, kfold(ds, 4, seed=3).fold_of)
+        fold_of = kfold(ds, 4, seed=3)
+        assert fold_of.dtype == np.int64 and np.array_equal(fold_of, kfold(ds, 4, seed=3))
 
     def test_complement_of(self):
         ds = blobs(12, 2, 2, seed=8)
-        fa = kfold(ds, 3, seed=0)
+        fold_of = kfold(ds, 3, seed=0)
         for f in range(3):
-            joined = np.sort(np.concatenate([fa.indices_of(f), fa.complement_of(f)]))
+            joined = np.sort(np.concatenate([np.flatnonzero(fold_of == f),
+                                             np.flatnonzero(fold_of != f)]))
             assert np.array_equal(joined, np.arange(12))
 
     @given(
@@ -313,8 +332,7 @@ class TestKfold:
         ds = LabeledDataset(
             rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), class_count=4
         )
-        fa = kfold(ds, k, seed=seed)
-        sizes = np.bincount(fa.fold_of, minlength=k)
+        sizes = np.bincount(kfold(ds, k, seed=seed), minlength=k)
         assert sizes.max() - sizes.min() <= 1
         assert sizes.min() >= 1
 
@@ -330,7 +348,7 @@ class TestKfold:
         class_count = int(labels.max()) + 1 + data.draw(st.integers(0, 3))
         k = data.draw(st.integers(2, n))
         ds = LabeledDataset(np.zeros((n, 1)), labels, class_count=class_count)
-        assert np.array_equal(kfold(ds, k, seed=seed).fold_of, _ref_kfold(ds, k, seed))
+        assert np.array_equal(kfold(ds, k, seed=seed), _ref_kfold(ds, k, seed))
 
 
 def _ref_kfold(ds, K, seed):

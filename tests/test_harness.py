@@ -97,6 +97,12 @@ class TestConfusion:
         with pytest.raises(LabelOutOfRange):
             confusion([0, -1], [0, 1], 2)
 
+    def test_refuses_values_that_are_not_whole_numbers(self):
+        for preds, truth in (([0.5, 1.7], [0, 1]), ([0, 1], [0, np.nan]), ([np.inf, 0], [1, 0])):
+            with pytest.raises(BadSpec, match="whole numbers"):
+                confusion(preds, truth, 2)
+        assert confusion([1.0, 0.0], [1, 0], 2).tolist() == [[1, 0], [0, 1]]
+
 
 class TestEvaluate:
     # every form of a "+"/"-" sequence; a str must not become one 0-d array
@@ -274,11 +280,11 @@ class TestCrossValidate:
 def _ref_cross_validate(ds, cfg, folds, seed):
     """cross_validate as one whole pipeline per fold, preprocessing to
     prediction, kept only as a reference for the stage-by-stage run."""
-    fa = kfold(ds, folds, seed=seed)
+    fold_of = kfold(ds, folds, seed=seed)
     reports = []
     for f in range(folds):
-        train_ds = take(ds, fa.complement_of(f))
-        test_ds = take(ds, fa.indices_of(f))
+        train_ds = take(ds, np.flatnonzero(fold_of != f))
+        test_ds = take(ds, np.flatnonzero(fold_of == f))
         truth = test_ds.labels
         if cfg.preprocess.normalize:
             train_ds = normalize_samples(train_ds)
@@ -328,7 +334,7 @@ def _ref_theta_sweep(train_ds, val_ds, grid, cfg):
         train_ds, cfg.k_folds, cfg.repetitions, cfg.base_spec,
         seed=cfg.seed, fold_training=cfg.fold_training,
     )
-    ease = compute_ease(ens, train_ds, mode=cfg.ease_mode)
+    ease = compute_ease(ens, mode=cfg.ease_mode)
     baseline = clf_mod.fit(cfg.expert_spec, train_ds)
     baseline_acc = float(np.mean(baseline.predict_many(val_ds.features) == val_ds.labels))
     accuracies = []
@@ -453,7 +459,7 @@ class TestThetaSweep:
         res = theta_sweep(train, val, fine, cfg)
         ratios = compute_ease(
             train_base_ensemble(train, cfg.k_folds, cfg.repetitions, cfg.base_spec,
-                                seed=cfg.seed), train).ratios
+                                seed=cfg.seed)).ratios
         assert routed[-1] == len({tuple(ratios >= t) for t in fine})
         coarse = theta_sweep(train, val, fine[::100], cfg)
         assert res.accuracies[::100] == coarse.accuracies
