@@ -23,7 +23,7 @@ from .cpc import (
     check_theta,
 )
 from .dataset import generate_two_regime, load_dataset, write_dataset
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, load_json, save_json
 from .harness import (
     ExtractorConfig,
     PipelineConfig,
@@ -35,14 +35,14 @@ from .harness import (
     write_report,
     write_sweep_curve,
 )
-from .mlp import (TrainConfig, check_arch, extract_features, fit_extractor, load_mlp,
-                  parse_arch, save_mlp)
+from .mlp import (TrainConfig, check_arch, extract_features, fit_extractor, mlp_from_json,
+                  mlp_to_json, parse_arch)
 from .preprocess import (
     apply_whitening,
     fit_zca,
-    load_transform,
     normalize_samples,
-    save_transform,
+    transform_from_json,
+    transform_to_json,
 )
 
 
@@ -179,10 +179,11 @@ def _cmd_preprocess(args) -> int:
     if args.normalize:
         ds = normalize_samples(ds, args.eps_norm)
     if args.transform_in or args.zca:
-        t = load_transform(args.transform_in) if args.transform_in else fit_zca(ds, args.epsilon)
+        t = (load_json(args.transform_in, transform_from_json) if args.transform_in
+             else fit_zca(ds, args.epsilon))
         ds = apply_whitening(t, ds)
     if args.transform_out:
-        save_transform(t, args.transform_out)
+        save_json(transform_to_json(t), args.transform_out)
     write_dataset(ds, args.out)
     return 0
 
@@ -199,14 +200,14 @@ def _cmd_train_extractor(args) -> int:
     check_arch(*parse_arch(args.arch), feature_tap=args.feature_tap)  # before the data
     ds = load_dataset(args.input, has_header=args.has_header)
     model, trace = fit_extractor(ds, args.arch, cfg, feature_tap=args.feature_tap)
-    save_mlp(model, args.model_out)
+    save_json(mlp_to_json(model), args.model_out)
     if trace:
         print(f"final epoch loss {trace[-1]:.6f}")
     return 0
 
 
 def _cmd_extract(args) -> int:
-    model = load_mlp(args.model)
+    model = load_json(args.model, mlp_from_json)
     ds = load_dataset(args.input, has_header=args.has_header)
     write_dataset(extract_features(model, ds), args.out)
     return 0

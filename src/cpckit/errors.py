@@ -2,8 +2,9 @@
 
 Three families, mirrored by the CLI exit codes: ConfigError for bad flags or
 hyperparameters (exit 1), DataError for malformed or mismatched data (exit 2),
-NumericalError for runaway numerics (exit 3). load_json reads the toolkit's
-JSON files, mapping whatever is wrong with one to DataError.
+NumericalError for runaway numerics (exit 3). save_json writes the toolkit's
+JSON files (reports, models, transforms) and load_json reads them back,
+mapping whatever is wrong with one to DataError.
 Every exception pickles to an equal one, so a forked cross-validation
 worker's failure reaches the CLI as it was raised.
 """
@@ -32,6 +33,13 @@ def load_json(path, decode):
             return decode(json.load(fh))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: malformed file: {e!r}") from None
+
+
+def save_json(obj, path, **dump_kw) -> None:
+    """json.dump(obj, **dump_kw) into path, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, **dump_kw)
+        fh.write("\n")
 
 
 # dataset --------------------------------------------------------------

@@ -12,7 +12,6 @@ timestamps, so identical configurations and seeds give identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .cpc import (
     partition,
 )
 from .dataset import LabeledDataset, as_labels, kfold, take
-from .errors import ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
+from .errors import ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch, save_json
 from .mlp import TrainConfig, check_arch, extract_features, fit_extractor, parse_arch
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
@@ -95,9 +94,7 @@ def evaluate(
 
 
 def write_report(report_dict: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_dict, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(report_dict, path, sort_keys=True, indent=2)
 
 
 # pipeline --------------------------------------------------------------

@@ -16,7 +16,6 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .classifiers import _momentum_sgd, check_sgd
 from .dataset import LabeledDataset
-from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError, load_json
+from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError
 
 PLAIN = "fc"
 RESIDUAL_ADD = "add"
@@ -361,14 +360,3 @@ def mlp_from_json(obj: dict) -> MlpModel:
     if [a.shape for a in arrays] != [p.shape for p in _params(m)]:
         raise DimMismatch(f"model arrays do not fit arch {obj['arch']!r}")
     return _with_params(m, arrays)
-
-
-def save_mlp(m: MlpModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mlp_to_json(m), fh)
-        fh.write("\n")
-
-
-def load_mlp(path) -> MlpModel:
-    """Raises DataError unless path holds a model of save_mlp's form."""
-    return load_json(path, mlp_from_json)

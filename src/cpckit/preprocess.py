@@ -1,20 +1,20 @@
 """Per-sample normalization and ZCA whitening.
 
 The whitening transform is fit on training data only and applied unchanged
-to validation and test sets; it serializes to JSON for reuse across CLI
-invocations.
+to validation and test sets. transform_to_json and transform_from_json
+give its JSON form, which errors.save_json writes and errors.load_json
+reads, for reuse across CLI invocations.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ConfigError, DimMismatch, NonFinite, NumericalError, TooFewSamples, load_json
+from .errors import ConfigError, DimMismatch, NonFinite, NumericalError, TooFewSamples
 
 
 def normalize_samples(ds: LabeledDataset, eps_norm: float = 1e-8) -> LabeledDataset:
@@ -115,14 +115,3 @@ def transform_to_json(t: WhiteningTransform) -> dict:
 
 def transform_from_json(obj: dict) -> WhiteningTransform:
     return WhiteningTransform(obj["mean"], obj["rotation"], float(obj["epsilon"]))
-
-
-def save_transform(t: WhiteningTransform, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(transform_to_json(t), fh)
-        fh.write("\n")
-
-
-def load_transform(path) -> WhiteningTransform:
-    """Raises DataError unless path holds a transform of save_transform's form."""
-    return load_json(path, transform_from_json)

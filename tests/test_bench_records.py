@@ -2,7 +2,8 @@
 machine's core count and numpy version, and the source size on both sides.
 From BENCH_23 on, when workloads started to fork, a record also keeps each
 run's raw unit median on both sides, so a host-corrected gain can be read
-against raw times."""
+against raw times. From BENCH_28 on, when CI began to count code lines, it
+also keeps the code-line count on both sides."""
 
 import json
 
@@ -37,3 +38,10 @@ def test_record_keeps_raw_unit_medians_per_pair(path):
         for side in ("parent", "change"):
             assert len(raw[side]) == w["pairs"], (name, side)
             assert all(t > 0 for t in raw[side]), (name, side)
+
+
+@pytest.mark.parametrize("path", [p for p in RECORDS if _number(p) >= 28], ids=lambda p: p.name)
+def test_record_keeps_code_lines(path):
+    record = json.loads(path.read_text())
+    assert record["code_lines"]["parent"] > 0
+    assert record["code_lines"]["change"] > 0

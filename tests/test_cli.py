@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import warnings
 
 import numpy as np
@@ -20,9 +21,10 @@ from cpckit.cpc import CpcConfig, cpc_predict_many, train_cpc
 from cpckit.dataset import (
     LabeledDataset, generate_two_regime, kfold, load_dataset, take, write_dataset,
 )
-from cpckit.errors import ConfigError, DataError, Divergence
+from cpckit.errors import ConfigError, DataError, Divergence, save_json
 from cpckit.harness import PipelineConfig, PreprocessConfig, cross_validate, evaluate
-from cpckit.preprocess import fit_zca, save_transform
+from cpckit.mlp import build_mlp, mlp_to_json, parse_arch
+from cpckit.preprocess import fit_zca, transform_to_json
 
 from conftest import force_cpus, run_python
 
@@ -148,7 +150,7 @@ class TestPreprocess:
     def test_flags_that_would_do_nothing_are_config_errors(self, data_files, flags):
         # each exited 0 and ignored the flags; now refused before --in is read
         tmp, train, _ = data_files
-        save_transform(fit_zca(load_dataset(train), 1e-6), tmp / "t.json")
+        save_json(transform_to_json(fit_zca(load_dataset(train), 1e-6)), tmp / "t.json")
         flags = [str(tmp / f) if f.endswith(".json") else f for f in flags]
         for data in (train, tmp / "missing.csv"):
             code = main(["preprocess", "--in", str(data), *flags, "--out", str(tmp / "o.csv")])
@@ -1006,6 +1008,37 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+# every file a command writes, each into a directory that does not exist;
+# {out} is that path, {train} and {test} are data_files' CSVs and {model}
+# an extractor for them
+OUTPUT_PATHS = {
+    "preprocess-transform-out": "preprocess --in {train} --zca --transform-out {out} "
+                                "--out {test}.white",
+    "preprocess-out": "preprocess --in {train} --out {out}",
+    "train-extractor-model-out": "train-extractor --in {train} --arch 'in:2 fc:4 head:3' "
+                                 "--epochs 1 --model-out {out}",
+    "extract-out": "extract --model {model} --in {train} --out {out}",
+    "baseline-report": "baseline --train {train} --test {test} --epochs 2 --report {out}",
+    "cpc-report": "cpc --train {train} --test {test} --epochs 2 --theta 0.5 --report {out}",
+    "cv-report": "cv --in {train} --folds 2 --epochs 2 --report {out}",
+    "sweep-report": "sweep --train {train} --val {test} --epochs 2 --grid 0.5:0.5:0.1 "
+                    "--report {out}",
+    "sweep-curve-out": "sweep --train {train} --val {test} --epochs 2 --grid 0.5:0.5:0.1 "
+                       "--curve-out {out}",
+    "synth-out": "synth --n-easy 5 --n-hard 5 --out {out}",
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_PATHS.values(), ids=OUTPUT_PATHS.keys())
+def test_output_into_a_missing_directory_is_data_error(data_files, argv, capsys):
+    tmp, train, test = data_files
+    model, out = tmp / "model.json", tmp / "missing" / "out"
+    save_json(mlp_to_json(build_mlp(*parse_arch("in:2 fc:4 head:3"))), model)
+    words = [w.format(train=train, test=test, model=model, out=out) for w in shlex.split(argv)]
+    assert main(words) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 # The exit-code contract as a property: each command, on small awkward

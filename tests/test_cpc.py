@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -547,6 +548,28 @@ class TestCpcPredict:
         with pytest.raises(Divergence) as err:
             _discriminator_margins(P, y, rng.standard_normal((Q, 40)))
         assert err.value.loss is None
+
+    @pytest.mark.parametrize("Q, d", [(1, 784), (24, 784), (1, 8000)])
+    def test_wide_solve_memory_stays_near_its_input(self, Q, d):
+        # d > k = 25: the state is the k + 1 span coefficients, so the step
+        # matrices are (k + 1) wide and the solve's peak stays near its
+        # input; dense (d + 1)-wide step matrices would break this bound
+        # more than a hundredfold. numpy reports its allocations to
+        # tracemalloc, so the peak is exact where a timing is not.
+        from cpckit.cpc import _discriminator_margins
+
+        rng = np.random.default_rng(0)
+        P = rng.standard_normal((Q, 25, d))
+        y = rng.permuted(np.tile(np.arange(25) % 2, (Q, 1)), axis=1)
+        X = rng.standard_normal((Q, d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _discriminator_margins(P, y, X)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (P.nbytes + y.nbytes + X.nbytes)
 
     def test_diverging_one_query_raises(self):
         # weight state (d <= k), one query through cpc_predict

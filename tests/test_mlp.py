@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpckit.dataset import LabeledDataset
-from cpckit.errors import BadArch, DimMismatch, Divergence, EmptyDataset
+from cpckit.errors import BadArch, DimMismatch, Divergence, EmptyDataset, load_json, save_json
 from cpckit.mlp import (
     LR_DECAY_PER_EPOCH,
     PLAIN,
@@ -21,12 +21,10 @@ from cpckit.mlp import (
     build_mlp,
     extract_features,
     format_arch,
-    load_mlp,
     loss_and_gradients,
     mlp_from_json,
     mlp_to_json,
     parse_arch,
-    save_mlp,
     train,
 )
 
@@ -456,7 +454,7 @@ class TestSerialization:
         assert back.feature_tap == m.feature_tap
 
         path = tmp_path / "model.json"
-        save_mlp(m, path)
-        loaded = load_mlp(path)
+        save_json(mlp_to_json(m), path)
+        loaded = load_json(path, mlp_from_json)
         s3, _, _ = _forward_batch(loaded, X[:1])
         assert np.array_equal(s1, s3)

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpckit.dataset import LabeledDataset
-from cpckit.errors import DimMismatch, TooFewSamples
+from cpckit.errors import DimMismatch, TooFewSamples, load_json, save_json
 from cpckit.preprocess import (
     apply_whitening,
     fit_zca,
-    load_transform,
     normalize_samples,
-    save_transform,
     transform_from_json,
     transform_to_json,
 )
@@ -134,8 +132,8 @@ class TestZca:
         assert back.epsilon == t.epsilon
 
         path = tmp_path / "transform.json"
-        save_transform(t, path)
-        loaded = load_transform(path)
+        save_json(transform_to_json(t), path)
+        loaded = load_json(path, transform_from_json)
         assert np.array_equal(loaded.rotation, t.rotation)
 
     def test_train_only_fit_transfers(self):

@@ -1,4 +1,5 @@
-"""The study scripts run end to end on small inputs."""
+"""The scripts run end to end: the studies on small inputs, the source-size
+gate on the package as it stands."""
 
 from conftest import ROOT, run_python
 
@@ -30,11 +31,7 @@ def test_two_regime_study_writes_theta_curve(tmp_path):
     assert all(len(row) == 5 for row in rows)
 
 
-def test_wide_route_prints_one_line_per_width(tmp_path):
-    # d=40 > disc_k=25: mixed queries route with the neighbours' span as state
-    done = run_script("wide_route.py", "--dims", "8", "40", "--queries", "5",
-                      "--repeats", "1", cwd=tmp_path)
+def test_source_size_is_within_its_bounds(tmp_path):
+    done = run_script("source_size.py", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [["d=8", "queries=10"], ["d=40", "queries=10"]]
-    assert int(lines[1].split()[2].removeprefix("mixed=")) > 0
+    assert done.stdout.splitlines()[-1].endswith("src/cpckit: physical, code lines")
