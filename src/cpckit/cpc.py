@@ -468,8 +468,8 @@ class CpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise BadK(f"k_folds={self.k_folds} must be at least 2")
+        if not isinstance(self.k_folds, (int, np.integer)) or self.k_folds < 2:
+            raise BadK(f"k_folds={self.k_folds} must be an integer of at least 2")
         if self.repetitions < 1:
             raise BadSpec(f"repetitions={self.repetitions} must be at least 1")
         check_theta(self.theta)

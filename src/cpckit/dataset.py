@@ -116,59 +116,45 @@ def load_dataset(
 ) -> LabeledDataset:
     """Read a dataset CSV. Labels are densified to 0..C-1, mapping recorded.
 
-    Pass the training set's label_map when loading its test or validation
-    file: labels then map through it, and a label it lacks is an error.
+    Rows are checked in file order and the first bad one is reported: a
+    row whose width is not the first row's, a cell that is not a number,
+    or a label that is not an integer that fits int64. Pass the training
+    set's label_map when loading its test or validation file: labels then
+    map through it, and a label it lacks is an error.
     """
-    rows = []
-    width = None
+    feats, raw = [], []
+    width = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not cells or (len(cells) == 1 and cells[0].strip() == ""):
-                continue  # blank line
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise RaggedRow(
-                        f"line {lineno}: need at least one feature column and a label"
-                    )
-            elif len(cells) != width:
-                raise RaggedRow(
-                    f"line {lineno}: expected {width} columns, got {len(cells)}"
-                )
-            rows.append((lineno, cells))
-    if not rows:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            if (has_header and lineno == 1) or (len(cells) < 2 and not "".join(cells).strip()):
+                continue  # the header, or a blank line: no cell or one blank one
+            width = width or len(cells)
+            if width < 2:
+                raise RaggedRow(f"line {lineno}: need at least one feature column and a label")
+            if len(cells) != width:
+                raise RaggedRow(f"line {lineno}: expected {width} columns, got {len(cells)}")
+            for c, cell in enumerate(cells[:-1]):
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise NonNumeric(f"line {lineno}, column {c}: {cell!r}") from None
+            try:
+                raw.append(int(cells[-1]))
+                if not -(2**63) <= raw[-1] < 2**63:
+                    raise ValueError  # beyond int64
+            except ValueError:
+                raise NonNumeric(f"line {lineno}, label column: {cells[-1]!r}") from None
+    if not raw:
         raise EmptyDataset(f"{path}: no data rows")
 
-    feats = np.empty((len(rows), width - 1), dtype=np.float64)
-    raw_labels = np.empty(len(rows), dtype=np.int64)
-    for r, (lineno, cells) in enumerate(rows):
-        for c, cell in enumerate(cells[:-1]):
-            try:
-                feats[r, c] = float(cell)
-            except ValueError:
-                raise NonNumeric(f"line {lineno}, column {c}: {cell!r}") from None
-        try:
-            raw_labels[r] = int(cells[-1])
-        except ValueError:
-            raise NonNumeric(
-                f"line {lineno}, label column: {cells[-1]!r}"
-            ) from None
-
     if label_map is None:
-        label_map = {int(orig): dense for dense, orig in enumerate(np.unique(raw_labels))}
-    unseen = sorted(set(raw_labels.tolist()) - label_map.keys())
+        label_map = {orig: dense for dense, orig in enumerate(sorted(set(raw)))}
+    unseen = sorted(set(raw) - label_map.keys())
     if unseen:
         raise LabelOutOfRange(f"{path}: labels {unseen} are not in the training labels")
-    dense = np.array([label_map[int(v)] for v in raw_labels], dtype=np.int64)
-    return LabeledDataset(
-        features=feats,
-        labels=dense,
-        class_count=len(label_map),
-        label_map=label_map,
-    )
+    feats = np.array(feats, dtype=np.float64).reshape(len(raw), width - 1)
+    labels = np.array([label_map[v] for v in raw], dtype=np.int64)
+    return LabeledDataset(feats, labels, len(label_map), label_map=label_map)
 
 
 def write_dataset(ds: LabeledDataset, path) -> None:
@@ -183,9 +169,17 @@ def write_dataset(ds: LabeledDataset, path) -> None:
 
 # splitting -------------------------------------------------------------
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that numpy's default_rng cannot take: a negative one or
+    one that is not an integer (bools and numpy integers are integers)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadSpec(f"seed={seed!r} must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Three-way split fractions. Fractions must sum to 1 within 1e-9."""
+    """Three-way split fractions, which must sum to 1 within 1e-9, and the
+    seed of the shuffle, a non-negative integer."""
 
     train: float
     val: float
@@ -193,6 +187,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         fracs = (self.train, self.val, self.test)
         if not all(f >= 0 for f in fracs):  # NaN too
             raise BadFractions(f"negative or NaN fraction in {fracs}")
@@ -230,48 +225,42 @@ def split(
     """Deterministic stratified train/val/test split.
 
     Validation and test sizes are rounded to nearest; train receives the
-    residue. Per-class proportions are preserved up to rounding.
+    residue. Per-class proportions are preserved up to rounding. Each row
+    gets one part, 0 for train, 1 for val and 2 for test: a class's shuffled
+    rows go to val, then test, then train, and each part keeps row order.
     """
     if ds.n == 0:
         raise EmptyDataset("cannot split an empty dataset")
-    n = ds.n
-    n_val = _round_half_up(n * spec.val)
-    n_test = _round_half_up(n * spec.test)
-    n_train = n - n_val - n_test
-    if n_train < 0:
+    n_val = _round_half_up(ds.n * spec.val)
+    n_test = _round_half_up(ds.n * spec.test)
+    if n_val + n_test > ds.n:
         raise BadFractions("rounded val and test sizes exceed the dataset")
     rng = np.random.default_rng(spec.seed)
-    class_ids = np.arange(ds.class_count)
-    members = [np.flatnonzero(ds.labels == c) for c in class_ids]
-    sizes = np.array([len(ix) for ix in members], dtype=np.int64)
+    sizes = np.bincount(ds.labels, minlength=ds.class_count)
     val_c = _apportion(sizes * spec.val, n_val, sizes)
     test_c = _apportion(sizes * spec.test, n_test, sizes - val_c)
-
-    tr_parts, va_parts, te_parts = [], [], []
-    for c in class_ids:
-        shuffled = rng.permutation(members[c])
-        v, t = int(val_c[c]), int(test_c[c])
-        va_parts.append(shuffled[:v])
-        te_parts.append(shuffled[v : v + t])
-        tr_parts.append(shuffled[v + t :])
-    tr = np.concatenate(tr_parts)
-    va = np.concatenate(va_parts)
-    te = np.concatenate(te_parts)
-    return take(ds, np.sort(tr)), take(ds, np.sort(va)), take(ds, np.sort(te))
+    part = np.zeros(ds.n, dtype=np.int64)
+    for c, (v, t) in enumerate(zip(val_c, test_c)):
+        shuffled = rng.permutation(np.flatnonzero(ds.labels == c))
+        part[shuffled[:v]] = 1
+        part[shuffled[v : v + t]] = 2
+    return take(ds, part == 0), take(ds, part == 1), take(ds, part == 2)
 
 
 # k-fold ---------------------------------------------------------------
 
 def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> np.ndarray:
     """The int64 fold id in [0, K) of each row: K stratified folds whose
-    sizes differ by one at most.
+    sizes differ by one at most. K is an integer in [2, n] and seed a
+    non-negative integer (numpy integers count).
 
     Each class's samples are shuffled, and one round-robin deal over the
     permutations joined in class order balances classes across folds
     without ever violating the global size bound.
     """
-    if not (2 <= K <= ds.n):
-        raise BadK(f"K={K} outside [2, n={ds.n}]")
+    if not isinstance(K, (int, np.integer)) or not (2 <= K <= ds.n):
+        raise BadK(f"K={K} must be an integer in [2, n={ds.n}]")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == c))
                             for c in range(ds.class_count)])

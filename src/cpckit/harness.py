@@ -30,7 +30,7 @@ from .cpc import (
     partition,
 )
 from .dataset import LabeledDataset, as_labels, kfold, take
-from .errors import ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch, save_json
+from .errors import BadSpec, ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch, save_json
 from .mlp import TrainConfig, check_arch, extract_features, fit_extractor, parse_arch
 from .preprocess import apply_whitening, fit_zca, normalize_samples
 
@@ -66,15 +66,20 @@ def evaluate(
     config and seed.
 
     routes, any per-sample "+"/"-" sequence (a list, tuple, str or array),
-    gives per-route counts and accuracies (None when a route saw no samples).
+    gives per-route counts and accuracies (None when a route saw no samples);
+    any other route value is refused.
     """
     counts = confusion(preds, truth, class_count)
     route_stats = None
     if routes is not None:
         hit = as_labels(preds) == as_labels(truth)
-        plus = np.asarray(list(routes), dtype=str) == ROUTE_EASY  # list(): a str is its characters
-        if len(plus) != len(hit):
-            raise LengthMismatch(f"{len(plus)} routes for {len(hit)} samples")
+        routes = np.asarray(list(routes), dtype=str)  # list(): a str is its characters
+        if len(routes) != len(hit):
+            raise LengthMismatch(f"{len(routes)} routes for {len(hit)} samples")
+        bad = ~np.isin(routes, (ROUTE_EASY, ROUTE_DIFFICULT))
+        if bad.any():
+            raise BadSpec(f"a route must be '+' or '-', not {str(routes[bad][0])!r}")
+        plus = routes == ROUTE_EASY
         n_plus, n_minus = int(plus.sum()), int((~plus).sum())
         route_stats = {
             "+": n_plus,

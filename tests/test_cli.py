@@ -767,6 +767,15 @@ class TestCvCommand:
         obj = json.loads(report.read_text())
         assert all(f["routes"] is not None for f in obj["folds"])
 
+    def test_label_beyond_int64_is_data_error(self, tmp_path, capsys):
+        # an OverflowError traceback, exit 1
+        path = tmp_path / "big_label.csv"
+        path.write_text("1.0,0\n2.0,99999999999999999999\n3.0,1\n4.0,0\n")
+        report = tmp_path / "cv.json"
+        assert main(["cv", "--in", str(path), "--folds", "2", "--report", str(report)]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("bad", [
         pytest.param(["--theta", "3"], id="theta"),
         pytest.param(["--k-folds", "1"], id="k-folds"),

@@ -10,6 +10,8 @@ from cpckit.dataset import (
     HARD_TAG,
     LabeledDataset,
     SplitSpec,
+    _apportion,
+    _round_half_up,
     generate_two_regime,
     kfold,
     load_dataset,
@@ -198,6 +200,27 @@ class TestLoadDataset:
         with pytest.raises(NonNumeric):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", str(2**63), str(-(2**63) - 1)])
+    def test_label_beyond_int64_is_non_numeric(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0,0\n2.0,{label}\n")
+        with pytest.raises(NonNumeric, match=f"line 2, label column: '{label}'"):
+            load_dataset(path)
+
+    def test_int64_label_limits_load(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0,{2**63 - 1}\n2.0,{-(2**63)}\n")
+        ds = load_dataset(path)
+        assert ds.label_map == {-(2**63): 0, 2**63 - 1: 1}
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # a bad cell on line 2 comes before a ragged row on line 4
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\nx,2.0,1\n3.0,4.0,0\n1.0,1\n")
+        with pytest.raises(NonNumeric, match="line 2"):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")
@@ -224,6 +247,18 @@ class TestSplit:
         ds = LabeledDataset(np.zeros((35887, 1)), labels, class_count=7)
         tr, va, te = split(ds, SplitSpec(0.8, 0.1, 0.1))
         assert (tr.n, va.n, te.n) == (28709, 3589, 3589)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, np.float64(2.0)])
+    def test_seed_numpy_cannot_take_is_refused(self, seed):
+        with pytest.raises(BadSpec, match="seed"):
+            SplitSpec(0.8, 0.1, 0.1, seed=seed)
+
+    def test_integer_seeds_are_taken(self):
+        ds = blobs(20, 2, 2, seed=1)
+        for seed in (np.int64(3), np.uint8(3), True, False):
+            got = split(ds, SplitSpec(0.6, 0.2, 0.2, seed=seed))[0]
+            want = split(ds, SplitSpec(0.6, 0.2, 0.2, seed=int(seed)))[0]
+            assert np.array_equal(got.features, want.features)
 
     def test_bad_fractions(self):
         with pytest.raises(BadFractions):
@@ -276,14 +311,70 @@ class TestSplit:
         ids = np.concatenate([p.features[:, 0] for p in (tr, va, te)])
         assert sorted(ids.tolist()) == list(range(n))
 
+    @given(
+        n=st.integers(1, 60),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+        parts=st.tuples(st.integers(0, 10), st.integers(0, 5), st.integers(0, 5)).filter(any),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_parts_match_per_class_reference(self, n, data, seed, parts):
+        # class_count above the largest label, so some classes have no rows;
+        # a zero part gives a fraction of 0.0, the test fraction included
+        labels = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        class_count = int(labels.max()) + 1 + data.draw(st.integers(0, 3))
+        feats = np.column_stack([np.arange(n), np.random.default_rng(seed).normal(size=n)])
+        ds = LabeledDataset(feats, labels, class_count=class_count, regime_tags=labels.astype(str))
+        s = sum(parts)
+        spec = SplitSpec(parts[0] / s, parts[1] / s, parts[2] / s, seed=seed)
+        try:
+            want = _ref_split(ds, spec)
+        except BadFractions:
+            with pytest.raises(BadFractions):
+                split(ds, spec)
+            return
+        for got, rows in zip(split(ds, spec), want):
+            assert got.features.tobytes() == ds.features[rows].tobytes()
+            assert got.labels.tobytes() == ds.labels[rows].tobytes()
+            assert got.regime_tags.tolist() == ds.regime_tags[rows].tolist()
+
+
+def _ref_split(ds, spec):
+    """The sorted rows of train, val and test, gathered class by class: each
+    class's shuffled rows go to val, then test, then train."""
+    n_val = _round_half_up(ds.n * spec.val)
+    n_test = _round_half_up(ds.n * spec.test)
+    if n_val + n_test > ds.n:
+        raise BadFractions("rounded val and test sizes exceed the dataset")
+    rng = np.random.default_rng(spec.seed)
+    members = [np.flatnonzero(ds.labels == c) for c in range(ds.class_count)]
+    sizes = np.array([len(ix) for ix in members], dtype=np.int64)
+    val_c = _apportion(sizes * spec.val, n_val, sizes)
+    test_c = _apportion(sizes * spec.test, n_test, sizes - val_c)
+    tr, va, te = [], [], []
+    for c in range(ds.class_count):
+        shuffled = rng.permutation(members[c])
+        v, t = int(val_c[c]), int(test_c[c])
+        va.append(shuffled[:v])
+        te.append(shuffled[v : v + t])
+        tr.append(shuffled[v + t :])
+    return [np.sort(np.concatenate(rows)) for rows in (tr, va, te)]
+
 
 class TestKfold:
     def test_bad_k(self):
         ds = blobs(10, 2, 2)
-        with pytest.raises(BadK):
-            kfold(ds, 1)
-        with pytest.raises(BadK):
-            kfold(ds, 11)
+        for bad in (1, 11, 2.5, 2.0, "3"):
+            with pytest.raises(BadK):
+                kfold(ds, bad)
+        assert np.array_equal(kfold(ds, np.int32(3)), kfold(ds, 3))
+
+    def test_bad_seed(self):
+        ds = blobs(10, 2, 2)
+        for bad in (-1, 1.5, None):
+            with pytest.raises(BadSpec, match="seed"):
+                kfold(ds, 2, seed=bad)
+        assert np.array_equal(kfold(ds, 2, seed=np.uint16(4)), kfold(ds, 2, seed=4))
 
     def test_fold_sizes_differ_by_at_most_one(self):
         ds = blobs(23, 2, 3, seed=5)

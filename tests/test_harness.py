@@ -18,7 +18,7 @@ from cpckit.cpc import (
     train_cpc,
 )
 from cpckit.dataset import LabeledDataset, generate_two_regime, kfold, take
-from cpckit.errors import BadSpec, ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
+from cpckit.errors import BadK, BadSpec, ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
 from cpckit.harness import (
     ExtractorConfig,
     PipelineConfig,
@@ -127,6 +127,15 @@ class TestEvaluate:
     @pytest.mark.parametrize("routes", [["+"], "+"])
     def test_routes_length_checked(self, routes):
         with pytest.raises(LengthMismatch):
+            evaluate([0, 1], [0, 1], 2, routes=routes)
+
+    # each was counted as "-" where it was not "+"
+    @pytest.mark.parametrize("routes, first", [(np.array([True, False]), "True"),
+                                               (["+", "x"], "x"),
+                                               (["easy", "difficult"], "easy"),
+                                               ("+ ", " ")])
+    def test_routes_other_than_plus_and_minus_are_refused(self, routes, first):
+        with pytest.raises(BadSpec, match=f"not '{first}'"):
             evaluate([0, 1], [0, 1], 2, routes=routes)
 
     def test_no_routes_no_stats(self):
@@ -260,6 +269,15 @@ class TestCrossValidate:
         assert abs(res["std_accuracy"] - float(np.std(accs))) <= 1e-12
         tested = sum(int(np.sum(r["confusion"])) for r in res["folds"])
         assert tested == ds.n
+
+    def test_fold_count_must_be_an_integer(self):
+        # cross_validate raised a bare TypeError, and CpcConfig built
+        ds = blobs(n=20, seed=9)
+        with pytest.raises(BadK):
+            cross_validate(ds, PipelineConfig(knn_spec(k=1)), folds=2.5)
+        with pytest.raises(BadK):
+            CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), k_folds=2.5)
+        assert CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), k_folds=np.int64(3))
 
     def test_fold_config_recorded(self):
         ds = blobs(n=40, seed=9)
