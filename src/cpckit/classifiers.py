@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_seed
 from .errors import (
     BadHyperparams,
     BadSpec,
@@ -114,7 +114,8 @@ def with_seed(spec: ClassifierSpec, seed: int) -> ClassifierSpec:
 
 
 def check_sgd(hp, error) -> None:
-    """Raise error unless hp's momentum-SGD settings are in range."""
+    """Raise error unless hp's momentum-SGD settings and seed are in range."""
+    check_seed(hp.seed, error)
     if not 0 < hp.learning_rate < np.inf:
         raise error("learning_rate must be finite and positive")
     if not 0 <= hp.momentum < 1:
@@ -134,6 +135,7 @@ def _validate(spec: ClassifierSpec) -> None:
         if isinstance(hp, SvmParams) and hp.hinge_margin <= 0:
             raise BadHyperparams("hinge_margin must be positive")
     elif isinstance(hp, ForestParams):
+        check_seed(hp.seed, BadHyperparams)
         if hp.tree_count < 1:
             raise BadHyperparams("tree_count must be at least 1")
         if hp.max_depth is not None and hp.max_depth < 1:
@@ -702,7 +704,7 @@ def _nearest_indices(features: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """
     k = min(k, len(features))
     with np.errstate(over="ignore"):
-        dist = np.sum((features - x) ** 2, axis=1)
+        dist = ((features - x) ** 2).sum(axis=1)
     kth = np.partition(dist, k - 1)[k - 1]
     if kth < np.inf:
         near = np.flatnonzero(dist <= kth)

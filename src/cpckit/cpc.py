@@ -25,6 +25,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .classifiers import (
     _nearest_indices,
     with_seed,
 )
-from .dataset import LabeledDataset, kfold, take
+from .dataset import LabeledDataset, check_seed, kfold, take
 from .errors import BadK, BadSpec, Divergence, EmptyPartition, LengthMismatch
 
 INCLUDE_ALL = "include_all"
@@ -262,14 +263,18 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     O(k min(d, k)) per query. It is linear in z = [v, v-, t, 1], t = tanh(half
     margins), so a step matrix M per slot of z that holds v makes an epoch
     three numpy calls, the step written to scratch, not into the z it reads.
-    A lone query runs them as 2-D np.dot calls, bit for bit a stacked row.
+    Each pass of the loop runs two epochs, v_a to v_b and back, on views and
+    products bound once. A lone query calls the bound ndarray.dot methods of
+    its 2-D views, which skip np.dot's dispatch, bit for bit a stacked row;
+    a stack calls np.matmul. An odd epoch count ends after its first half.
     Returns each query's margin u.x = s1 - s0 toward the easy side; raises
     Divergence when one is not finite (overflow on the way).
     """
     Q, k, d = P.shape
     lr, mu, l2 = DEFAULT_DISC.learning_rate, DEFAULT_DISC.momentum, DEFAULT_DISC.l2
-    P1 = np.concatenate([P, np.ones((Q, k, 1))], axis=2)  # (Q, k, d + 1)
-    X1 = np.concatenate([X, np.ones((Q, 1))], axis=1)[:, :, None]
+    P1, X1 = np.ones((Q, k, d + 1)), np.ones((Q, d + 1))  # the bias's constant-one feature
+    P1[..., :d], X1[:, :d] = P, X
+    X1 = X1[:, :, None]
     H, grad, read, coef = P1, P1.transpose(0, 2, 1), X1, k < d
     if coef:  # neighbour margins P1 u = K a + b, the query's (P1 x1).a + b
         H = np.concatenate([P1 @ grad, np.ones((Q, k, 1))], axis=2)
@@ -277,23 +282,32 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     half, r = 0.5 * H, H.shape[2]  # exact: half margins come out bit for bit
     z = np.zeros((Q, 2 * r + k + 1, 1))  # per query [v_a, v_b, t, 1]
     z[:, -1] = 1.0
-    keep = np.diag(np.full(r, 1.0 + mu - lr * l2))
+    eye = np.eye(r)
+    keep = eye * (1.0 + mu - lr * l2)
     keep[-1, :-1], keep[-1, -1] = lr * l2 * coef, 1.0 + mu  # the bias is exempt from l2
     M = np.empty((2, Q, r, z.shape[1]))  # one step matrix per slot holding v
     M[0, :, :, :r] = M[1, :, :, r : 2 * r] = keep
-    M[0, :, :, r : 2 * r] = M[1, :, :, :r] = -mu * np.eye(r)
+    M[0, :, :, r : 2 * r] = M[1, :, :, :r] = eye * -mu
     M[:, :, :, 2 * r : -1] = grad * (-lr / k)
     M[:, :, :, -1] = (M[0, :, :, 2 * r : -1] @ (1.0 - 2.0 * y)[:, :, None])[:, :, 0]
-    # a lone query runs on 2-D views, where np.dot skips matmul's gufunc dispatch
-    h, S, w, prod = (half[0], M[:, 0], z[0], np.dot) if Q == 1 else (half, M, z, np.matmul)
-    v, t = (w[..., :r, :], w[..., r : 2 * r, :]), w[..., 2 * r : -1, :]
-    step = np.empty(v[0].shape)
-    for p in (np.arange(DEFAULT_DISC.epochs) % 2).tolist():
-        prod(h, v[p], out=t)
-        np.tanh(t, out=t)
-        prod(S[p], w, out=step)
-        v[1 - p][...] = step
-    margins = (read.transpose(0, 2, 1) @ v[DEFAULT_DISC.epochs % 2])[:, 0, 0]
+    if Q == 1:  # 2-D views, whose bound dot methods skip np.dot's dispatch
+        w, hdot, adot, bdot = z[0], half[0].dot, M[0, 0].dot, M[1, 0].dot
+    else:
+        w, hdot, adot, bdot = z, *(partial(np.matmul, a) for a in (half, M[0], M[1]))
+    va, vb, t = w[..., :r, :], w[..., r : 2 * r, :], w[..., 2 * r : -1, :]
+    step, tanh = np.empty(va.shape), np.tanh
+    for left in range(DEFAULT_DISC.epochs, 0, -2):  # two epochs a pass: va -> vb -> va
+        hdot(va, t)
+        tanh(t, t)
+        adot(w, step)
+        vb[...] = step
+        if left == 1:
+            break
+        hdot(vb, t)
+        tanh(t, t)
+        bdot(w, step)
+        va[...] = step
+    margins = (read.transpose(0, 2, 1) @ (vb if DEFAULT_DISC.epochs % 2 else va))[:, 0, 0]
     if not np.isfinite(margins).all():  # as is each from a non-finite state
         raise Divergence(DEFAULT_DISC.epochs - 1)
     return margins
@@ -314,10 +328,10 @@ def _route_rows(X: np.ndarray, models: list[CpcModel]) -> tuple[np.ndarray, np.n
     idx = np.empty((len(X), k), dtype=np.int64)
     for i, x in enumerate(X):
         idx[i] = _nearest_indices(features, x, k)
-    nb_binary = np.stack([m.pooled_binary for m in models])[:, idx]
+    nb_binary = np.array([m.pooled_binary for m in models])[:, idx]
     easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
-    mixed = np.nonzero((easy_votes > 0) & (easy_votes < k))
+    mixed = ((easy_votes > 0) & (easy_votes < k)).nonzero()
     queries, labels = mixed[1], nb_binary[mixed]
     first = inverse = slice(None)
     if len(models) > 1:  # one split has no repeats
@@ -454,8 +468,9 @@ def _attempt(fn, block, args, outbox=None):
 
 @dataclass(frozen=True)
 class CpcConfig:
-    """The routed pipeline's settings, checked when built; k_folds above
-    the training set's size is refused when the ensemble trains."""
+    """The routed pipeline's settings, checked when built (the seed a
+    non-negative integer); k_folds above the training set's size is refused
+    when the ensemble trains."""
 
     base_spec: ClassifierSpec
     expert_spec: ClassifierSpec
@@ -476,6 +491,7 @@ class CpcConfig:
         check_disc(self.disc_k)
         _check_choice("ease mode", self.ease_mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))
         _check_choice("fold_training", self.fold_training, (SINGLE_FOLD, COMPLEMENT))
+        check_seed(self.seed)
 
 
 def ease_scores(train: LabeledDataset, cfg: CpcConfig) -> EaseScores:

@@ -98,12 +98,15 @@ def take(ds: LabeledDataset, indices) -> LabeledDataset:
     n, the tag array too; the label map is kept. Other masks and positions,
     negative ones included, are refused."""
     idx = np.asarray(indices).reshape(-1)
-    if idx.dtype == bool and len(idx) != ds.n:
-        raise LengthMismatch(f"a mask of {len(idx)} for {ds.n} rows")
-    if idx.dtype.kind not in "biu" and idx.size:
+    if idx.dtype == bool:
+        if len(idx) != ds.n:
+            raise LengthMismatch(f"a mask of {len(idx)} for {ds.n} rows")
+        idx = idx.nonzero()[0]  # once, not once per array taken
+    elif not idx.size:
+        idx = idx.astype(np.int64)  # np.asarray([]) is float64
+    elif idx.dtype.kind not in "iu":
         raise BadSpec(f"row positions must be integers, not {idx.dtype}")
-    idx = idx if idx.size else idx.astype(np.int64)  # np.asarray([]) is float64
-    if idx.dtype != bool and idx.size and (idx.min() < 0 or idx.max() >= ds.n):
+    elif idx.min() < 0 or idx.max() >= ds.n:
         raise BadSpec(f"row positions must lie in [0, {ds.n})")
     tags = None if ds.regime_tags is None else ds.regime_tags[idx]
     return replace(ds, features=ds.features[idx], labels=ds.labels[idx], regime_tags=tags)
@@ -169,11 +172,11 @@ def write_dataset(ds: LabeledDataset, path) -> None:
 
 # splitting -------------------------------------------------------------
 
-def _check_seed(seed) -> None:
-    """Refuse a seed that numpy's default_rng cannot take: a negative one or
-    one that is not an integer (bools and numpy integers are integers)."""
+def check_seed(seed, error=BadSpec) -> None:
+    """Raise error for a seed that numpy's default_rng cannot take: a negative
+    one or one that is not an integer (bools and numpy integers are integers)."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise BadSpec(f"seed={seed!r} must be a non-negative integer")
+        raise error(f"seed={seed!r} must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        check_seed(self.seed)
         fracs = (self.train, self.val, self.test)
         if not all(f >= 0 for f in fracs):  # NaN too
             raise BadFractions(f"negative or NaN fraction in {fracs}")
@@ -260,7 +263,7 @@ def kfold(ds: LabeledDataset, K: int, seed: int = 0) -> np.ndarray:
     """
     if not isinstance(K, (int, np.integer)) or not (2 <= K <= ds.n):
         raise BadK(f"K={K} must be an integer in [2, n={ds.n}]")
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == c))
                             for c in range(ds.class_count)])

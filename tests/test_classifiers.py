@@ -76,9 +76,18 @@ class TestSpecValidation:
             (forest_spec, {"tree_count": 0}),
             (forest_spec, {"max_depth": 0}),
             (knn_spec, {"k": 0}),
+            # seeds numpy's default_rng cannot take, refused before any fit
+            (softmax_spec, {"seed": -1}),
+            (softmax_spec, {"seed": 1.5}),
+            (svm_spec, {"seed": -1}),
+            (forest_spec, {"seed": -1}),
+            (forest_spec, {"seed": "0"}),
         ):
             with pytest.raises(BadHyperparams):
                 make(**kw)
+        for seed in (np.int64(3), np.uint32(2**32 - 1), True, 0):
+            for make in (softmax_spec, svm_spec, forest_spec):
+                assert make(seed=seed).hyperparams.seed is seed
 
     def test_with_seed(self):
         assert with_seed(softmax_spec(seed=0), 7).hyperparams.seed == 7

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpckit.classifiers import ClassifierSpec, fit, knn_spec, softmax_spec
@@ -498,20 +498,29 @@ class TestCpcPredict:
         k=st.integers(2, 30),
         d=st.one_of(st.integers(1, 9), st.integers(10, 60)),
         scale=st.floats(0.1, 5.0),
+        epochs=st.sampled_from([DEFAULT_DISC.epochs, 7]),
     )
+    @example(seed=0, Q=1, k=9, d=4, scale=1.0, epochs=7)  # a lone query's 2-D products
+    @example(seed=1, Q=3, k=9, d=4, scale=1.0, epochs=7)
+    @example(seed=2, Q=1, k=6, d=20, scale=1.0, epochs=7)  # the span state
+    @example(seed=3, Q=3, k=6, d=20, scale=1.0, epochs=7)
     @settings(max_examples=60, deadline=None)
-    def test_stacked_margins_match_per_query_softmax(self, seed, Q, k, d, scale):
+    def test_stacked_margins_match_per_query_softmax(self, seed, Q, k, d, scale, epochs):
         # random mixed neighbourhoods, each refitted alone as a binary
         # softmax through the classifier API; d > k solves in the k + 1
-        # neighbour coefficients instead of the d + 1 weights
-        from cpckit.cpc import _discriminator_margins
+        # neighbour coefficients instead of the d + 1 weights. The solve
+        # runs two epochs a pass, so an odd count must end on one more
+        import cpckit.cpc as cpc_mod
 
         rng = np.random.default_rng(seed)
         P = rng.standard_normal((Q, k, d)) * scale
         y = rng.permuted(np.tile(np.arange(k) % 2, (Q, 1)), axis=1)
         X = rng.standard_normal((Q, d)) * scale
-        margins = _discriminator_margins(P, y, X)
-        full_batch = ClassifierSpec("softmax", replace(DEFAULT_DISC, batch_size=k))
+        params = replace(DEFAULT_DISC, epochs=epochs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cpc_mod, "DEFAULT_DISC", params)
+            margins = cpc_mod._discriminator_margins(P, y, X)
+        full_batch = ClassifierSpec("softmax", replace(params, batch_size=k))
         for q in range(Q):
             disc = fit(full_batch, LabeledDataset(P[q], y[q], 2))
             s = disc.decision_scores(X[q][None, :])[0]
@@ -593,6 +602,20 @@ class TestCpcPredict:
         assert np.isfinite([r.discriminator_margin for r in whole]).all()
         monkeypatch.setattr(cpc_mod, "_SOLVE_BYTES", 1)  # one problem per solve
         assert cpc_predict_many(model, Q) == whole
+
+    @pytest.mark.parametrize("d", [2, 12], ids=["weights", "span"])
+    def test_chunked_discriminator_solve_is_exact_at_an_odd_epoch_count(self, monkeypatch, d):
+        # two epochs a pass: the lone and the stacked loops end on the same
+        # trailing epoch, and differ from the even count's margins
+        import cpckit.cpc as cpc_mod
+
+        model = TestDiscriminate().mixed_line_model(d=d)
+        Q = np.column_stack([np.linspace(-1.0, 20.0, 30), np.zeros((30, d - 1))])
+        even = cpc_predict_many(model, Q)
+        monkeypatch.setattr(cpc_mod, "DEFAULT_DISC", replace(DEFAULT_DISC, epochs=7))
+        odd = [r.discriminator_margin for r in cpc_predict_many(model, Q)]
+        assert odd != [r.discriminator_margin for r in even]
+        self.test_chunked_discriminator_solve_is_exact(monkeypatch, d)
 
     def test_grid_solves_each_distinct_problem_once(self, monkeypatch):
         # splits at nearby thresholds give many queries the same neighbour
@@ -816,6 +839,16 @@ class TestTrainCpc:
         with pytest.raises(BadSpec, match="unknown"):
             train_cpc(train, build())
         assert fits == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None], ids=["negative", "fraction", "str", "none"])
+    def test_bad_seed_refused_when_built(self, seed):
+        # it built, and train_cpc raised numpy's bare ValueError or TypeError
+        with pytest.raises(BadSpec, match="non-negative integer"):
+            CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), seed=seed)
+
+    def test_integer_seeds_are_taken(self):
+        for seed in (np.int64(3), np.uint32(2**32 - 1), True, 0):
+            assert CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), seed=seed).seed is seed
 
     def test_ease_scores_separate_the_regimes(self):
         train = generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=3)

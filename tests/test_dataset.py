@@ -98,6 +98,28 @@ class TestLabeledDataset:
         assert np.array_equal(take(ds, [0, 4]).features, ds.features[[0, 4]])
         assert take(ds, np.ones(5, dtype=bool)).n == 5
 
+    @given(n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1), tagged=st.booleans(),
+           fill=st.sampled_from(["random", "empty", "full"]))
+    @settings(max_examples=80, deadline=None)
+    def test_a_mask_take_is_the_take_of_its_positions(self, n, seed, tagged, fill):
+        rng = np.random.default_rng(seed)
+        ds = LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, 4, n), 4,
+                            regime_tags=rng.choice([EASY_TAG, HARD_TAG], n) if tagged else None,
+                            label_map={7: 0, 8: 1, 9: 2, 10: 3})
+        mask = {"random": rng.random(n) < 0.5, "empty": np.zeros(n, dtype=bool),
+                "full": np.ones(n, dtype=bool)}[fill]
+        by_mask, by_rows = take(ds, mask), take(ds, np.flatnonzero(mask))
+        for got, want in ((by_mask.features, by_rows.features), (by_mask.labels, by_rows.labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if tagged:
+            assert by_mask.regime_tags.tolist() == by_rows.regime_tags.tolist()
+            assert by_mask.regime_tags.dtype == by_rows.regime_tags.dtype
+        else:
+            assert by_mask.regime_tags is None and by_rows.regime_tags is None
+        assert by_mask.label_map == by_rows.label_map and by_mask.class_count == 4
+        assert by_mask.n == int(mask.sum())
+
     @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf, 1e19])
     def test_rejects_labels_that_are_not_whole_numbers(self, bad):
         with pytest.raises(BadSpec, match="whole numbers"):

@@ -295,6 +295,19 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             train(m, empty, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("bad", [
+        {"learning_rate": 0.0}, {"momentum": 1.0}, {"dropout": 1.0}, {"batch_size": 0},
+        {"epochs": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": "0"},
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_bad_config_refused_when_built(self, bad):
+        # the seed cases built before, and train raised numpy's bare ValueError or TypeError
+        with pytest.raises(BadArch):
+            TrainConfig(**bad)
+
+    def test_integer_seeds_are_taken(self):
+        for seed in (np.int64(3), np.uint32(2**32 - 1), True, 0):
+            assert TrainConfig(seed=seed).seed is seed
+
 
 # mlp.train's own momentum-SGD loop, before it moved onto the shared loop,
 # and the forward and backward passes before the parameters became views of
