@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_seed
+from .dataset import LabeledDataset, check_count, check_seed
 from .errors import (
     BadHyperparams,
     BadSpec,
@@ -114,16 +114,15 @@ def with_seed(spec: ClassifierSpec, seed: int) -> ClassifierSpec:
 
 
 def check_sgd(hp, error) -> None:
-    """Raise error unless hp's momentum-SGD settings and seed are in range."""
+    """Raise error unless hp's momentum-SGD settings and seed are in range,
+    its counts integers."""
     check_seed(hp.seed, error)
     if not 0 < hp.learning_rate < np.inf:
         raise error("learning_rate must be finite and positive")
     if not 0 <= hp.momentum < 1:
         raise error("momentum must lie in [0, 1)")
-    if hp.batch_size < 1:
-        raise error("batch_size must be at least 1")
-    if hp.epochs < 0:
-        raise error("epochs must be non-negative")
+    check_count("batch_size", hp.batch_size, 1, error)
+    check_count("epochs", hp.epochs, 0, error)
 
 
 def _validate(spec: ClassifierSpec) -> None:
@@ -132,19 +131,16 @@ def _validate(spec: ClassifierSpec) -> None:
         check_sgd(hp, BadHyperparams)
         if not 0 <= hp.l2 < np.inf:
             raise BadHyperparams("l2 must be finite and non-negative")
-        if isinstance(hp, SvmParams) and hp.hinge_margin <= 0:
-            raise BadHyperparams("hinge_margin must be positive")
+        if isinstance(hp, SvmParams) and not 0 < hp.hinge_margin < np.inf:
+            raise BadHyperparams("hinge_margin must be finite and positive")
     elif isinstance(hp, ForestParams):
         check_seed(hp.seed, BadHyperparams)
-        if hp.tree_count < 1:
-            raise BadHyperparams("tree_count must be at least 1")
-        if hp.max_depth is not None and hp.max_depth < 1:
-            raise BadHyperparams("max_depth must be at least 1")
-        if hp.feature_subsample is not None and hp.feature_subsample < 1:
-            raise BadHyperparams("feature_subsample must be at least 1")
+        check_count("tree_count", hp.tree_count, 1, BadHyperparams)
+        for name in ("max_depth", "feature_subsample"):  # None is allowed
+            if getattr(hp, name) is not None:
+                check_count(name, getattr(hp, name), 1, BadHyperparams)
     elif isinstance(hp, KnnParams):
-        if hp.k < 1:
-            raise BadHyperparams("k must be at least 1")
+        check_count("k", hp.k, 1, BadHyperparams)
 
 
 @dataclass
@@ -368,10 +364,13 @@ def _fit_linear_group(kind, fits, C):
 
 def _batch_scores(W, X, layout):
     """X @ W.T for each fit of a stack of batches X (a, w, d), without the
-    bias, which each step adds in its own layout. A one-row batch padded
-    wider is scored alone, because numpy multiplies a lone row as a vector,
-    in another float order than a matrix product."""
-    S = X @ W.transpose(0, 2, 1)
+    bias, which each step adds in its own layout. Batches wider than one row
+    multiply a contiguous copy of W.T, which is faster and keeps the bits; a
+    one-row stack keeps the strided view, whose bits the copy would change.
+    A one-row batch padded wider is scored alone, because numpy multiplies a
+    lone row as a vector, in another float order than a matrix product."""
+    Wt = W.transpose(0, 2, 1)
+    S = X @ (np.ascontiguousarray(Wt) if X.shape[1] > 1 else Wt)
     for i in layout.ones:
         S[i, :1] = X[i, :1] @ W[i].T
     return S
@@ -390,7 +389,8 @@ def _batch_means(T, layout):
 def _batch_sums(T):
     """T.sum(axis=1) of an (a, w, C) stack, bit for bit: numpy adds the w
     rows in order there, as it does down the leading axis of a (w, a, C)
-    copy, where one add covers every fit and class."""
+    copy, where one add covers every fit and class; T that views such a
+    copy is not copied again."""
     return np.ascontiguousarray(T.transpose(1, 0, 2)).sum(axis=0)
 
 
@@ -412,9 +412,9 @@ def _softmax_step(hp: SoftmaxParams, W, b, X, y, layout):
     run down the leading axis. numpy sums a row of fewer than 8 values in
     order, as it sums a leading axis; a longer row it sums pairwise, so from
     C = 8 on the class sum runs along the rows of an (a, w, C) copy, a lone
-    fit's own layout. Batch sums keep their order through _batch_sums, and
-    the weight gradients get an (a, w, C) operand, the layout their
-    product's bits depend on."""
+    fit's own layout. The loss slopes are copied once, to (w, a, C): the
+    weight gradients read it as an (a, w, C) view, and _batch_sums adds its
+    rows in order without a second copy."""
     S = np.ascontiguousarray(_batch_scores(W, X, layout).transpose(2, 0, 1))
     S += b.T[:, :, None]
     S -= S.max(axis=0)
@@ -430,7 +430,8 @@ def _softmax_step(hp: SoftmaxParams, W, b, X, y, layout):
     delta.reshape(-1)[at] -= 1.0
     if layout.short:
         delta[:, layout.pad] = 0.0
-    return loss, _grads(np.ascontiguousarray(delta.transpose(1, 2, 0)), X, layout, hp.l2, W)
+    coef = np.ascontiguousarray(delta.transpose(2, 1, 0)).transpose(1, 0, 2)
+    return loss, _grads(coef, X, layout, hp.l2, W)
 
 
 def _svm_step(hp: SvmParams, W, b, X, y, layout):

@@ -38,7 +38,7 @@ from .classifiers import (
     _nearest_indices,
     with_seed,
 )
-from .dataset import LabeledDataset, check_seed, kfold, take
+from .dataset import LabeledDataset, check_count, check_seed, kfold, take
 from .errors import BadK, BadSpec, Divergence, EmptyPartition, LengthMismatch
 
 INCLUDE_ALL = "include_all"
@@ -97,8 +97,7 @@ def train_base_ensemble(
     in one classifiers.fit_many call, so linear members share one stacked
     SGD run. The ensemble keeps its members' training masks and train.
     """
-    if m < 1:
-        raise BadSpec(f"m={m} must be at least 1")
+    check_count("m", m, 1)
     _check_choice("fold_training", fold_training, (SINGLE_FOLD, COMPLEMENT))
     single = fold_training == SINGLE_FOLD
     specs, trained_on = [], []
@@ -203,9 +202,9 @@ class CpcModel:
 
 
 def check_disc(disc_k: int) -> None:
-    """Refuse a neighbourhood size below one; routing clamps it to n."""
-    if disc_k < 1:
-        raise BadSpec(f"disc_k={disc_k} must be at least 1")
+    """Refuse a neighbourhood size that is not an integer of at least one;
+    routing clamps it to n."""
+    check_count("disc_k", disc_k, 1)
 
 
 def fit_cpc(
@@ -313,15 +312,19 @@ def _discriminator_margins(P: np.ndarray, y: np.ndarray, X: np.ndarray) -> np.nd
     return margins
 
 
-def _route_rows(X: np.ndarray, models: list[CpcModel]) -> tuple[np.ndarray, np.ndarray]:
+def _route_rows(X: np.ndarray, models: list[CpcModel], y=None):
     """Signed margins (G, Q) toward the easy side, and labels, of the queries
-    X under G models that split the same pooled points.
+    X under G models that split the same pooled points; with the true labels
+    y, each model's count of right answers instead.
 
     Each query's k nearest pooled points are found once for all models.
     Unanimous neighbourhoods give +-inf. A mixed (model, query) pair's margin
     depends only on the query and its neighbours' labels, so each distinct
     such problem is solved once, in stacks of about _SOLVE_BYTES of step matrices.
-    Each model's experts then predict the rows routed to them.
+    Each model's experts then predict the rows routed to them. To score,
+    both experts predict a mixed pair's row first, and only the pairs where
+    exactly one is right are solved, since the route changes no other
+    pair's answer; Divergence comes only from a problem that is solved.
     """
     features = models[0].pooled_features
     k = min(models[0].discriminator_k, len(features))
@@ -331,20 +334,31 @@ def _route_rows(X: np.ndarray, models: list[CpcModel]) -> tuple[np.ndarray, np.n
     nb_binary = np.array([m.pooled_binary for m in models])[:, idx]
     easy_votes = nb_binary.sum(axis=2)
     margins = np.where(easy_votes == k, np.inf, -np.inf)
-    mixed = ((easy_votes > 0) & (easy_votes < k)).nonzero()
+    undecided = (easy_votes > 0) & (easy_votes < k)
+    if y is not None:  # each expert labels every row it may answer
+        easy, hard = np.full((2,) + margins.shape, -1)
+        for g, m in enumerate(models):
+            for rows, expert, out in ((easy_votes[g] > 0, m.easy_expert, easy),
+                                      (easy_votes[g] < k, m.difficult_expert, hard)):
+                if rows.any():
+                    out[g, rows] = expert.predict_many(X[rows])
+        undecided &= (easy == y) != (hard == y)
+    mixed = undecided.nonzero()
     queries, labels = mixed[1], nb_binary[mixed]
     first = inverse = slice(None)
     if len(models) > 1:  # one split has no repeats
         _, first, inverse = np.unique(np.column_stack([queries, labels]), axis=0,
                                       return_index=True, return_inverse=True)
-    q, y = queries[first], labels[first]
+    q, nb = queries[first], labels[first]
     solved = np.empty(len(q))
     r = min(k, features.shape[1]) + 1  # _discriminator_margins' state size
     chunk = max(1, _SOLVE_BYTES // (16 * r * (2 * r + k + 1)))
     for lo in range(0, len(q), chunk):
         c = slice(lo, lo + chunk)
-        solved[c] = _discriminator_margins(features[idx[q[c]]], y[c], X[q[c]])
+        solved[c] = _discriminator_margins(features[idx[q[c]]], nb[c], X[q[c]])
     margins[mixed] = solved[inverse].reshape(-1)  # numpy 2.0.0's inverse is 2-D
+    if y is not None:  # an unsolved mixed pair kept -inf: both experts right, or both wrong
+        return (np.where(margins > 0, easy, hard) == y).sum(axis=1)
     preds = np.zeros(margins.shape, dtype=np.int64)
     for g, m in enumerate(models):
         easy = margins[g] > 0
@@ -469,8 +483,8 @@ def _attempt(fn, block, args, outbox=None):
 @dataclass(frozen=True)
 class CpcConfig:
     """The routed pipeline's settings, checked when built (the seed a
-    non-negative integer); k_folds above the training set's size is refused
-    when the ensemble trains."""
+    non-negative integer, the counts integers); k_folds above the training
+    set's size is refused when the ensemble trains."""
 
     base_spec: ClassifierSpec
     expert_spec: ClassifierSpec
@@ -483,10 +497,8 @@ class CpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k_folds, (int, np.integer)) or self.k_folds < 2:
-            raise BadK(f"k_folds={self.k_folds} must be an integer of at least 2")
-        if self.repetitions < 1:
-            raise BadSpec(f"repetitions={self.repetitions} must be at least 1")
+        check_count("k_folds", self.k_folds, 2, BadK)
+        check_count("repetitions", self.repetitions, 1)
         check_theta(self.theta)
         check_disc(self.disc_k)
         _check_choice("ease mode", self.ease_mode, (INCLUDE_ALL, EXCLUDE_IN_FOLD))

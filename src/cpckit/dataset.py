@@ -179,6 +179,13 @@ def check_seed(seed, error=BadSpec) -> None:
         raise error(f"seed={seed!r} must be a non-negative integer")
 
 
+def check_count(name: str, value, least: int, error=BadSpec) -> None:
+    """Raise error unless value is an integer no smaller than least (a bool
+    or a numpy integer counts as one)."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name}={value!r} must be an integer of at least {least}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Three-way split fractions, which must sum to 1 within 1e-9, and the

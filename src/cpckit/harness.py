@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifiers as clf_mod
-from .classifiers import ClassifierSpec
+from .classifiers import ClassifierSpec, _as_queries
 from .cpc import (
     ROUTE_DIFFICULT,
     ROUTE_EASY,
     CpcConfig,
+    _route_rows,
     _run_shares,
     check_theta,
     cpc_predict_grid,
@@ -223,8 +224,8 @@ def theta_sweep(
     """Validation accuracy across thresholds.
 
     The base ensemble and ease scores are computed once and shared by every
-    grid point; the grid is checked and an empty validation set refused
-    before anything trains, cfg when built.
+    grid point; the grid is checked and an empty validation set, or one of
+    another width, refused before anything trains, cfg when built.
     Thresholds between the same two distinct ease ratios split the same
     rows, so one model is fitted and routed per distinct easy set among
     theta 0 and the grid, and its accuracy is copied to each such point.
@@ -233,10 +234,14 @@ def theta_sweep(
     The partitions, in easy-set order, run in contiguous shares (see
     cpc._run_shares), so neighbouring thresholds share their discriminator
     problems. Each share's are fitted by one fit_cpc_many call (linear
-    experts in one stacked SGD run) and routed by one cpc_predict_grid
-    call. The answers are those of fit_cpc and cpc_predict_many at each
-    grid point, whatever the shares. The theta-0 model's lone expert is
-    the baseline. Ties for the best threshold break toward the smaller value.
+    experts in one stacked SGD run) and scored by one cpc._route_rows
+    call, which solves only the distinct discriminator problems of mixed
+    (model, query) pairs where exactly one of the two experts is right:
+    every other pair's answer is right or wrong whichever way it routes.
+    So a sweep raises Divergence only for a problem it solves. The
+    accuracies are those of fit_cpc and cpc_predict_many at each grid point,
+    whatever the shares. The theta-0 model's lone expert is the baseline.
+    Ties for the best threshold break toward the smaller value.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -247,6 +252,7 @@ def theta_sweep(
         check_theta(theta)
     if val_ds.n == 0:
         raise EmptyDataset("empty validation set")
+    _as_queries(val_ds.features, train_ds.d)
     ease = ease_scores(train_ds, cfg)
     thetas = [0.0, *grid]
     # ratios >= theta depends only on how many distinct ratios lie below theta;
@@ -257,9 +263,8 @@ def theta_sweep(
     parts = [partition(train_ds, ease, thetas[i]) for i in first]
 
     def share_accuracies(share):
-        _, labels = cpc_predict_grid(fit_cpc_many(share, cfg.expert_spec, cfg.disc_k),
-                                     val_ds.features)
-        return [float(np.mean(preds == val_ds.labels)) for preds in labels]
+        models = fit_cpc_many(share, cfg.expert_spec, cfg.disc_k)
+        return (_route_rows(val_ds.features, models, val_ds.labels) / val_ds.n).tolist()
 
     model_acc = [a for share in _run_shares(share_accuracies, parts) for a in share]
     baseline_acc, *accuracies = [model_acc[s] for s in slot]

@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .classifiers import _momentum_sgd, check_sgd
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_count
 from .errors import BadArch, DimMismatch, EmptyDataset, NumericalError
 
 PLAIN = "fc"
@@ -42,8 +42,7 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in (PLAIN, RESIDUAL_ADD, RESIDUAL_CONCAT):
             raise BadArch(f"unknown block kind {self.kind!r}")
-        if self.hidden_width < 1:
-            raise BadArch("hidden_width must be at least 1")
+        check_count("hidden_width", self.hidden_width, 1, BadArch)
 
 
 @dataclass(frozen=True)

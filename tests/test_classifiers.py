@@ -89,6 +89,31 @@ class TestSpecValidation:
             for make in (softmax_spec, svm_spec, forest_spec):
                 assert make(seed=seed).hyperparams.seed is seed
 
+    COUNTS = [(softmax_spec, "epochs"), (softmax_spec, "batch_size"), (svm_spec, "epochs"),
+              (svm_spec, "batch_size"), (forest_spec, "tree_count"), (forest_spec, "max_depth"),
+              (forest_spec, "feature_subsample"), (knn_spec, "k")]
+
+    @pytest.mark.parametrize("make, field", COUNTS, ids=lambda v: getattr(v, "__name__", v))
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+    def test_non_integer_counts_refused_when_built(self, make, field, value):
+        # they built, then fit raised a bare TypeError, or max_depth=2.5
+        # grew the depth-3 forest
+        with pytest.raises(BadHyperparams, match=f"{field}=.* must be an integer"):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("make, field", COUNTS, ids=lambda v: getattr(v, "__name__", v))
+    def test_integer_counts_are_taken(self, make, field):
+        for value in (np.int64(3), np.uint8(2), 3):
+            assert getattr(make(**{field: value}).hyperparams, field) is value
+        if field in ("max_depth", "feature_subsample"):
+            assert getattr(make(**{field: None}).hyperparams, field) is None
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hinge_margin_refused_when_built(self, margin):
+        # nan and inf built, then every fit raised Divergence at epoch 0
+        with pytest.raises(BadHyperparams, match="hinge_margin"):
+            svm_spec(hinge_margin=margin)
+
     def test_with_seed(self):
         assert with_seed(softmax_spec(seed=0), 7).hyperparams.seed == 7
         base = knn_spec(k=3)

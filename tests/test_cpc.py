@@ -687,6 +687,38 @@ class TestCpcPredict:
         with pytest.raises(BadSpec, match="no models"):
             cpc_predict_grid([], np.zeros((3, 2)))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        Q=st.integers(1, 12),
+        disc_k=st.integers(1, 40),
+        thetas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]),
+                        min_size=1, max_size=4, unique=True),
+        duplicates=st.booleans(),
+        expert=st.sampled_from(["knn", "softmax"]),
+    )
+    @example(seed=0, n=12, Q=8, disc_k=40, thetas=[0.0, 0.5, 1.5], duplicates=True,
+             expert="knn")  # one-sided partitions, k above n, repeated rows
+    @settings(max_examples=40, deadline=None)
+    def test_scored_hits_match_grid_labels(self, seed, n, Q, disc_k, thetas, duplicates, expert):
+        # scoring solves only the mixed pairs where exactly one expert is
+        # right; every model's count of right answers is still the grid's
+        from cpckit.cpc import _route_rows
+
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 2)) * 3.0
+        queries = rng.standard_normal((Q, 2)) * 3.0
+        if duplicates:  # repeated training rows, and queries on training rows
+            X[n // 2 :] = X[: n - n // 2]
+            queries[: Q // 2] = X[rng.integers(0, n, Q // 2)]
+        ds = LabeledDataset(X, rng.permutation(np.arange(n) % 2), 2)
+        ease = manual_ease(rng.integers(0, 5, n) / 4)
+        spec = knn_spec(k=3) if expert == "knn" else softmax_spec(epochs=5, seed=1)
+        models = fit_cpc_many([partition(ds, ease, t) for t in thetas], spec, disc_k)
+        y = rng.integers(0, 2, Q)
+        hits = _route_rows(queries, models, y)
+        assert hits.tolist() == (cpc_predict_grid(models, queries)[1] == y).sum(axis=1).tolist()
+
     def test_predict_many_matches_scalar(self):
         _, model = cluster_model()
         Q = np.random.default_rng(4).standard_normal((10, 2)) * 5.0
@@ -849,6 +881,27 @@ class TestTrainCpc:
     def test_integer_seeds_are_taken(self):
         for seed in (np.int64(3), np.uint32(2**32 - 1), True, 0):
             assert CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), seed=seed).seed is seed
+
+    @pytest.mark.parametrize("field", ["repetitions", "disc_k"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3"])
+    def test_non_integer_counts_refused_when_built(self, field, value):
+        # they built, then training or routing raised a bare TypeError
+        with pytest.raises(BadSpec, match=f"{field}=.* must be an integer"):
+            CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["repetitions", "disc_k"])
+    def test_integer_counts_are_taken(self, field):
+        for value in (np.int64(3), np.uint8(2), 3):
+            cfg = CpcConfig(base_spec=knn_spec(), expert_spec=knn_spec(), **{field: value})
+            assert getattr(cfg, field) is value
+
+    def test_non_integer_counts_refused_by_the_stages(self):
+        ds = small_ds()
+        with pytest.raises(BadSpec, match="m=1.5"):
+            train_base_ensemble(ds, 5, 1.5, knn_spec())
+        part = SubspacePartition(ds, 0.5, easy_mask(ds.n, np.arange(10)))
+        with pytest.raises(BadSpec, match="disc_k=2.5"):
+            fit_cpc(part, knn_spec(), disc_k=2.5)
 
     def test_ease_scores_separate_the_regimes(self):
         train = generate_two_regime(100, 100, 4, 8, 6.0, 0.8, seed=3)

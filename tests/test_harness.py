@@ -18,7 +18,15 @@ from cpckit.cpc import (
     train_cpc,
 )
 from cpckit.dataset import LabeledDataset, generate_two_regime, kfold, take
-from cpckit.errors import BadK, BadSpec, ConfigError, EmptyDataset, LabelOutOfRange, LengthMismatch
+from cpckit.errors import (
+    BadK,
+    BadSpec,
+    ConfigError,
+    DimMismatch,
+    EmptyDataset,
+    LabelOutOfRange,
+    LengthMismatch,
+)
 from cpckit.harness import (
     ExtractorConfig,
     PipelineConfig,
@@ -460,19 +468,62 @@ class TestThetaSweep:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("experts", ["softmax", "knn"])
+    def test_solves_only_pairs_one_expert_gets_right(self, monkeypatch, experts):
+        # a mixed pair whose experts are both right, or both wrong, scores
+        # the same whichever way it routes, so only the others are solved,
+        # each distinct (query, neighbour labels) problem once
+        import cpckit.cpc as cpc_mod
+        from cpckit.classifiers import _nearest_indices
+        from cpckit.cpc import ease_scores
+
+        train, val, cfg = self.sweep_setup(seed=4)
+        if experts == "knn":
+            cfg = CpcConfig(base_spec=knn_spec(k=1), expert_spec=knn_spec(k=3), disc_k=7)
+        grid = [0.2, 0.4, 0.5, 0.6, 0.8]
+        ease = ease_scores(train, cfg)
+        want, mixed = set(), set()
+        for theta in grid:
+            m = fit_cpc(partition(train, ease, theta), cfg.expert_spec, cfg.disc_k)
+            if not 0 < m.pooled_binary.sum() < train.n:  # one-sided: nothing is mixed
+                continue
+            easy = m.easy_expert.predict_many(val.features) == val.labels
+            hard = m.difficult_expert.predict_many(val.features) == val.labels
+            for i, x in enumerate(val.features):
+                nb = m.pooled_binary[_nearest_indices(train.features, x, cfg.disc_k)]
+                if nb.min() != nb.max():
+                    mixed.add((i, nb.tobytes()))
+                    if easy[i] != hard[i]:
+                        want.add((i, nb.tobytes()))
+        seen = []
+        real = cpc_mod._discriminator_margins
+
+        def spy(P, y, X):
+            rows = [np.flatnonzero((val.features == x).all(axis=1)) for x in X]
+            seen.extend((int(r[0]), labels.tobytes()) for r, labels in zip(rows, y))
+            return real(P, y, X)
+
+        force_cpus(monkeypatch, 1)  # the spy sees this process only
+        monkeypatch.setattr(cpc_mod, "_discriminator_margins", spy)
+        res = theta_sweep(train, val, grid, cfg)
+        assert len(seen) == len(want)
+        assert set(seen) == want
+        assert 0 < len(want) < len(mixed)  # some mixed problems are skipped
+        assert res.accuracies == _ref_theta_sweep(train, val, grid, cfg)[0]
+
     def test_fine_grid_routes_each_easy_set_once(self, monkeypatch):
         import cpckit.harness as harness_mod
 
         force_cpus(monkeypatch, 1)  # the spy sees this process only
         train, val, cfg = self.sweep_setup(seed=4)
         routed = []
-        real_grid = harness_mod.cpc_predict_grid
+        real_route = harness_mod._route_rows
 
-        def grid_spy(models, X):
+        def route_spy(X, models, y):
             routed.append(len(models))
-            return real_grid(models, X)
+            return real_route(X, models, y)
 
-        monkeypatch.setattr(harness_mod, "cpc_predict_grid", grid_spy)
+        monkeypatch.setattr(harness_mod, "_route_rows", route_spy)
         fine = [i / 1000 for i in range(1001)]
         res = theta_sweep(train, val, fine, cfg)
         ratios = compute_ease(
@@ -520,6 +571,22 @@ class TestThetaSweep:
         monkeypatch.setattr(clf_mod, "fit_many", spy)
         with pytest.raises(EmptyDataset):
             theta_sweep(train, take(train, []), [0.2, 0.5], cfg)
+        assert jobs == []
+
+    def test_validation_set_of_another_width_refused_before_any_fit(self, monkeypatch):
+        # it was refused only when the first share routed, after every fit
+        train, val, cfg = self.sweep_setup()
+        jobs = []
+        real_fit_many = clf_mod.fit_many
+
+        def spy(specs, datasets):
+            jobs.extend(specs)
+            return real_fit_many(specs, datasets)
+
+        monkeypatch.setattr(clf_mod, "fit_many", spy)
+        narrow = LabeledDataset(val.features[:, :3], val.labels, val.class_count)
+        with pytest.raises(DimMismatch):
+            theta_sweep(train, narrow, [0.2, 0.5], cfg)
         assert jobs == []
 
     def test_degenerate_grid_ends_match_baseline_exactly(self):

@@ -70,6 +70,16 @@ class TestWidthAlgebra:
         with pytest.raises(BadArch):
             BlockSpec(PLAIN, 0)
 
+    @pytest.mark.parametrize("width", [2.5, 8.0, "8"])
+    def test_non_integer_width_refused_when_built(self, width):
+        # it built, then build_mlp raised a bare TypeError
+        with pytest.raises(BadArch, match="hidden_width=.* must be an integer"):
+            BlockSpec(PLAIN, width)
+
+    def test_integer_widths_are_taken(self):
+        for width in (np.int64(3), np.uint8(2), 3):
+            assert BlockSpec(PLAIN, width).hidden_width is width
+
 
 class TestArchStrings:
     def test_parse(self):
@@ -298,6 +308,8 @@ class TestTrain:
     @pytest.mark.parametrize("bad", [
         {"learning_rate": 0.0}, {"momentum": 1.0}, {"dropout": 1.0}, {"batch_size": 0},
         {"epochs": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": "0"},
+        # counts that are not integers: they built, then train raised a bare TypeError
+        {"epochs": 1.5}, {"epochs": 2.0}, {"batch_size": 2.5}, {"batch_size": "8"},
     ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
     def test_bad_config_refused_when_built(self, bad):
         # the seed cases built before, and train raised numpy's bare ValueError or TypeError
@@ -307,6 +319,10 @@ class TestTrain:
     def test_integer_seeds_are_taken(self):
         for seed in (np.int64(3), np.uint32(2**32 - 1), True, 0):
             assert TrainConfig(seed=seed).seed is seed
+
+    def test_integer_counts_are_taken(self):
+        for value in (np.int64(3), np.uint8(2), 3):
+            assert TrainConfig(epochs=value, batch_size=value).epochs is value
 
 
 # mlp.train's own momentum-SGD loop, before it moved onto the shared loop,
