@@ -485,7 +485,8 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
     K, n_sub = feats.shape
     C, n = counts.shape[1], ranks.shape[1]
     rb, sb = n.bit_length(), (n + _SPLIT_CHUNK).bit_length()  # a rank; an entry's slot
-    if rb + sb + (n_sub * K).bit_length() > 63:  # sort keys are segment | rank | slot
+    q = (n_sub - 1).bit_length()  # a segment is node << q | the feature's place in feats
+    if rb + sb + q + K.bit_length() > 63:  # sort keys are segment | rank | slot
         raise DataError(f"{n} rows are too many for one forest group")
     s_mask = (1 << sb) - 1
     feature = np.full(K, -1)
@@ -501,23 +502,24 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
         pos = np.arange(len(node)) - run[node]  # within the node
         idx = a[k][node] + pos
         r, w = buf[idx], wt[idx].astype(np.int64)
-        # segment node * n_sub + slot: the node's rows sorted by the slot's feature
+        # segment node << q | f: the node's rows sorted by its f-th feature
         key = ranks.reshape(-1)[(feats[k].T * n).take(node, axis=1) + r].astype(np.int64)
         key <<= sb
-        key += (node.astype(np.int64) * n_sub << rb + sb) + np.arange(len(node))
+        key += (node.astype(np.int64) << q + rb + sb) + np.arange(len(node))
         key += (np.arange(n_sub) << rb + sb)[:, None]
         key = key.reshape(-1)
         key.sort()
-        at, s, cost, lc = _cut_costs(key, rb, sb, np.repeat(mc, n_sub), counts[k], node, y[r], w)
+        at, s, cost, lc = _cut_costs(key, rb, sb, q, np.repeat(mc, n_sub), counts[k], node,
+                                     y[r], w)
         # a node's cuts run slot by slot, each slot's in rank order: the first of least cost wins
-        cuts = np.bincount(s // n_sub, minlength=len(k))
+        cuts = np.bincount(s >> q, minlength=len(k))
         has = np.flatnonzero(cuts)
         runs = (np.cumsum(cuts) - cuts)[has]
         low = np.repeat(np.minimum.reduceat(cost, runs), cuts[has])
         j = np.minimum.reduceat(np.where(cost == low, np.arange(len(at)), len(at)), runs)
         i, g = at[j], k0 + has
         slot = np.zeros(len(k), dtype=np.int64)  # a leaf's rows go in its first feature's order
-        slot[has] = s[j] % n_sub
+        slot[has] = s[j] & (1 << q) - 1
         seg = run * n_sub + slot * mc  # where each node's segment for its slot starts in key
         feature[g], cut[:, g] = feats[g, slot[has]], (r[key[i] & s_mask], r[key[i + 1] & s_mask])
         left[g], right[g] = lc[:, j].T, a[g] + i + 1 - seg[has]
@@ -527,17 +529,19 @@ def _split_nodes(buf, wt, a, m, feats, counts, ranks, y):
     return feature, cut, left, right
 
 
-def _cut_costs(key, rb, sb, sizes, counts, node, label, wt):
+def _cut_costs(key, rb, sb, q, sizes, counts, node, label, wt):
     """(at, segment, cost, left) of the cuts between distinct values, after
     key[at], in the sorted segments of key of the given sizes, the K nodes'
-    segments in turn, len(sizes) // K to a node. A key's low sb bits are its
+    segments in turn, segment node << q | f. A key's low sb bits are its
     entry's slot, the index of its row's node, label and weight in node,
     label and wt; the next rb bits are its rank. What a row adds to the
     running sums is worked out once per row and gathered per entry through
-    the slot; the sums restart at each segment and are read only at the cuts,
-    which gives left (C, cuts), the weighted class counts left of each cut.
-    Class counts are exact integers, summed in any order, so the costs match
-    a one-node search of the drawn copies bit for bit."""
+    the slot; the sums restart at each segment, less the totals of the one
+    before, which are its node's class counts, and are read only at the
+    cuts, which gives left (C, cuts), the weighted class counts left of
+    each cut. Class counts are exact integers, summed in any order, so the
+    costs match a one-node search of the drawn copies bit for bit."""
+    counts = counts.astype(np.int64)
     K, C = counts.shape
     start = np.cumsum(sizes) - sizes
     hi = key >> sb
@@ -556,15 +560,17 @@ def _cut_costs(key, rb, sb, sizes, counts, node, label, wt):
     per_row[word[label], np.arange(len(label))] = wt << shift[label]
     per_row[-1] = counts[node, label] * wt
     run = per_row.take(key & (1 << sb) - 1, axis=1)  # .take: far faster than [:, idx]
-    run[:, start[1:]] -= np.add.reduceat(run, start, axis=1)[:, :-1]  # restart per segment
+    sq = np.einsum("kc,kc->k", counts, counts)
+    total = np.vstack([np.add.reduceat(counts << shift, np.arange(0, C, 63 // w), axis=1).T, sq])
+    run[:, start[1:]] -= np.repeat(total, len(sizes) // K, axis=1)[:, :-1]  # restart per segment
     np.cumsum(run, axis=1, out=run)
     run = run.take(at, axis=1)  # the sums left of each cut
     left = run[word]
     left >>= shift[:, None]
     left &= (1 << w) - 1
-    k = s // (len(sizes) // K)
+    k = s >> q
     sq_left = np.einsum("ca,ca->a", left, left)
-    sq_right = np.einsum("kc,kc->k", counts, counts)[k] - 2 * run[-1] + sq_left
+    sq_right = sq[k] - 2 * run[-1] + sq_left
     nl = left.sum(axis=0).astype(np.float64)
     del run
     n = counts.sum(axis=1)[k].astype(np.float64)
@@ -577,14 +583,20 @@ def _fit_forest_group(fits, C):
     share their hyperparameters but for the seed, d and the class count C.
 
     Tree i of job j draws from its own SeedSequence([seed_j, i]) generator
-    its bag, then one feature subset per split node in DFS preorder, left
-    subtree first, and keeps its own DFS stack, so it comes out node for
-    node as grown alone. It grows on the bag's distinct rows, each weighted
-    by its draw count, which gives the splits of the drawn copies. Each step
-    pops one node from every tree that still has one and splits them
-    together. Each job's node table is a view of the group's.
+    its bag, then one feature subset per node that may split (impure and
+    above max_depth) in DFS preorder, left subtree first, and keeps its own
+    DFS stack, so it comes out node for node as grown alone. It grows on the
+    bag's distinct rows, each weighted by its draw count, which gives the
+    splits of the drawn copies. Each step pops one node from every tree that
+    still has one and splits them together; a child that cannot split is
+    written as a leaf when its parent splits and is never pushed, so a group
+    takes as many steps as its tree with the most nodes that draw. Nodes are
+    recorded with their parent in the order they are made, and each tree's
+    preorder table is laid out from the parent links at the end. Each job's
+    node table is a view of the group's.
     """
     hp, T0 = fits[0][0], fits[0][0].tree_count
+    max_depth = hp.max_depth or np.inf
     d = fits[0][1].shape[1]
     n_sub = min(hp.feature_subsample or int(np.ceil(np.sqrt(d))), d)
     X = np.concatenate([Xj for _, Xj, _ in fits])  # one row table; buf holds its row ids
@@ -605,63 +617,88 @@ def _fit_forest_group(fits, C):
     # buf[a:b], drawn wt[a:b] times
     buf = np.empty(sizes.sum(), dtype=np.min_scalar_type(len(y)))
     wt = np.empty_like(buf)
-    # stack entries: a, b, depth, parent if a right child else -1, class counts
-    stack = np.zeros((len(sizes), 16, 4 + C), dtype=np.int32)
+    # stack entries: a, b, depth, parent, 1 if a right child, class counts
+    stack = np.zeros((len(sizes), 16, 5 + C), dtype=np.int32)
     for t, mt in enumerate(mult):
         rows, bag = np.flatnonzero(mt), slice(start[t], start[t] + sizes[t])
         buf[bag], wt[bag] = rows + row0[t // T0], mt[rows]
-        stack[t, 0] = [bag.start, bag.stop, 0, -1, *np.bincount(y[buf[bag]], wt[bag], minlength=C)]
+        stack[t, 0, :5] = bag.start, bag.stop, 0, -1, 0
+        stack[t, 0, 5:] = np.bincount(y[buf[bag]], wt[bag], minlength=C)
     del mult
+    # batches of nodes in the order they are made, a node's id its place: per
+    # node its tree, feature or ~class, threshold, depth, parent id and 1 if
+    # a right child
+    made, n_made = [], 0
+
+    def record(tree, code, threshold, entries):  # returns the batch's ids
+        nonlocal n_made
+        # a copy: views would keep every step's entries alive
+        made.append((tree, code, threshold, *entries[:, 2:5].T.copy()))
+        n_made += len(tree)
+        return np.arange(n_made - len(tree), n_made)
+
+    def leaves(entries, tree):  # records the entries that cannot split; returns the rest
+        counts = entries[:, 5:]
+        leaf = (counts.max(axis=1) == counts.sum(axis=1)) | (entries[:, 2] >= max_depth)
+        record(tree[leaf], ~counts[leaf].argmax(axis=1).astype(np.int32),
+               np.zeros(np.count_nonzero(leaf)), entries[leaf])
+        return ~leaf
+
+    sp = leaves(stack[:, 0], np.arange(len(sizes))).astype(np.int64)  # a pure root is a leaf
     # each tree's next feature subsets, drawn _DRAW_BLOCK at a time: the rows of
     # rng.permuted(deck, axis=1) are the permutations rng.permutation(d) would give
     deck = np.tile(np.arange(d), (_DRAW_BLOCK, 1))
     draws = np.empty((len(rngs), _DRAW_BLOCK, n_sub), dtype=np.int64)
     drawn = np.full(len(rngs), _DRAW_BLOCK)  # subsets of the block used so far
-    sp = np.ones(len(rngs), dtype=np.int64)
-    grown = np.zeros(len(rngs), dtype=np.int32)
-    steps = []  # per step: trees popped, their feature or ~class, parent, threshold
     while (live := np.flatnonzero(sp)).size:
         sp[live] -= 1
         top = stack[live, sp[live]]
-        (a, b, depth, parent), counts = top[:, :4].T, top[:, 4:]
-        node = grown[live]
-        grown[live] += 1
-        code = ~counts.argmax(axis=1)  # a leaf's class; ties fall to the lower id
-        c = np.flatnonzero((counts[np.arange(len(live)), ~code] < counts.sum(axis=1))
-                           & (depth < (hp.max_depth or np.inf)))
+        (a, b, depth), counts = top[:, :3].T, top[:, 5:]
+        for u in live[drawn[live] == _DRAW_BLOCK]:
+            draws[u], drawn[u] = rngs[u].permuted(deck, axis=1)[:, :n_sub], 0
+        feats = draws[live, drawn[live]]
+        drawn[live] += 1
+        f, rows, nl, at = _split_nodes(buf, wt, a, b - a, feats, counts, ranks, y)
+        c = np.flatnonzero(f >= 0)
+        code = ~counts.argmax(axis=1).astype(np.int32)  # a leaf's class; ties fall to the lower id
+        code[c] = f[c]
+        x = X[rows[:, c], f[c]]  # the values either side of the cut
+        with np.errstate(over="ignore"):
+            mid = (x[0] + x[1]) / 2.0
         threshold = np.zeros(len(live))
-        if c.size:
-            t = live[c]
-            for u in t[drawn[t] == _DRAW_BLOCK]:
-                draws[u], drawn[u] = rngs[u].permuted(deck, axis=1)[:, :n_sub], 0
-            feats = draws[t, drawn[t]]
-            drawn[t] += 1
-            f, rows, nl, at = _split_nodes(buf, wt, a[c], (b - a)[c], feats, counts[c], ranks, y)
-            found = f >= 0
-            c, f, rows, nl, at = c[found], f[found], rows[:, found], nl[found], at[found]
-            code[c], t = f, live[c]
-            x = X[rows, f]  # the values either side of the cut
-            with np.errstate(over="ignore"):
-                mid = (x[0] + x[1]) / 2.0
-            # a midpoint rounded up to the upper value, or inf, would send every row left
-            threshold[c] = np.where((x[0] <= mid) & (mid < x[1]), mid, x[0])
-            if len(t) and sp[t].max() + 2 > stack.shape[1]:
-                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-            stack[t, sp[t]] = np.column_stack([at, b[c], depth[c] + 1, node[c], counts[c] - nl])
-            stack[t, sp[t] + 1] = np.column_stack([a[c], at, depth[c] + 1, -np.ones_like(t), nl])
-            sp[t] += 2
-        steps.append((live.astype(np.min_scalar_type(len(sp))), code.astype(np.int32),
-                      parent.copy(), threshold))
+        # a midpoint rounded up to the upper value, or inf, would send every row left
+        threshold[c] = np.where((x[0] <= mid) & (mid < x[1]), mid, x[0])
+        up, t, deeper = record(live, code, threshold, top)[c], live[c], depth[c] + 1
+        if len(t) and sp[t].max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        sides = (np.column_stack([at[c], b[c], deeper, up, np.ones_like(up), counts[c] - nl[c]]),
+                 np.column_stack([a[c], at[c], deeper, up, np.zeros_like(up), nl[c]]))
+        for kids in sides:  # the right children go first, so the left ones pop first
+            push = leaves(kids, t)
+            stack[t[push], sp[t[push]]] = kids[push]
+            sp[t[push]] += 1
     del X, buf, wt, stack, ranks, rngs, draws
-    tree, code, parent, threshold = (np.concatenate(col) for col in zip(*steps))
-    order = np.argsort(tree, kind="stable")  # each tree's nodes were popped in preorder
-    code, parent, threshold = code[order], parent[order], threshold[order]
-    del tree, order
-    roots = np.cumsum(grown, dtype=np.int32) - grown
-    up = np.repeat(roots, grown) + parent  # a right child's parent in the table
-    child = parent >= 0
+    tree, code, threshold, depth, parent, right = (np.concatenate(col) for col in zip(*made))
+    del made
+    # lay each tree out in preorder from the parent links: a left child sits
+    # right after its parent, a right child skip = 1 + the left child's
+    # subtree size after it
+    levels = np.argsort(depth, kind="stable")
+    levels = np.split(levels, np.flatnonzero(np.diff(depth[levels])) + 1)[1:]  # below the roots
+    size = np.ones(len(code), dtype=np.int32)
+    for lv in reversed(levels):  # subtree sizes, deepest first
+        np.add.at(size, parent[lv], size[lv])
+    left = np.flatnonzero((parent >= 0) & (right == 0))
     skip = np.zeros(len(code), dtype=np.int32)
-    skip[up[child]] = (np.arange(len(code), dtype=np.int32) - up)[child]
+    skip[parent[left]] = 1 + size[left]
+    grown = np.bincount(tree, minlength=len(sizes))
+    roots = (np.cumsum(grown) - grown).astype(np.int32)
+    place = roots[tree].astype(np.int64)  # in the group's table
+    for lv in levels:
+        place[lv] = place[parent[lv]] + np.where(right[lv] == 1, skip[parent[lv]], 1)
+    order = np.empty_like(place)
+    order[place] = np.arange(len(place))
+    code, threshold, skip = code[order], threshold[order], skip[order]
     bounds = [*roots[::T0], len(code)]
     return [_ForestState(code[lo:hi], threshold[lo:hi], skip[lo:hi], r - lo)
             for lo, hi, r in zip(bounds, bounds[1:], roots.reshape(-1, T0))]

@@ -172,30 +172,34 @@ def format_arch(m: MlpModel) -> str:
 # forward / backward ------------------------------------------------------
 
 def _forward_batch(m, X, dropout=0.0, rng=None):
-    """Returns (scores, block_outputs, caches). A positive dropout with an
-    rng is training and draws masks; scaling is inverted so evaluation
-    needs no correction."""
+    """Returns (scores, block_outputs, caches), a cache per block holding
+    (x, z, mask): its input, pre-activation and dropout mask, or None. A
+    positive dropout with an rng is training and draws masks; scaling is
+    inverted so evaluation needs no correction. ReLU and dropout run on the
+    block's own contiguous array, which a concat block then copies into its
+    output; the mask is (u >= dropout) as floats times 1 / (1 - dropout),
+    which holds the bits of (u >= dropout) / (1 - dropout), since 1.0 c = c."""
     caches = []
     outputs = []
     x = X
     for spec, W, b in zip(m.block_specs, m.weights, m.biases):
-        z = x @ W.T
+        z = x.dot(W.T)
         z += b
-        h = z.shape[1]
-        out = np.empty((len(x), h + x.shape[1]) if spec.kind == RESIDUAL_CONCAT else z.shape)
-        a = np.maximum(z, 0.0, out=out[:, :h])
+        out = np.maximum(z, 0.0)
         mask = None
         if dropout > 0.0 and rng is not None:
-            mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
-            a *= mask
+            mask = rng.random(out.shape)
+            np.greater_equal(mask, dropout, out=mask)
+            mask *= 1.0 / (1.0 - dropout)
+            out *= mask
         if spec.kind == RESIDUAL_ADD:
             out += x
         elif spec.kind == RESIDUAL_CONCAT:
-            out[:, h:] = x
-        caches.append({"x": x, "z": z, "mask": mask})
+            out = np.concatenate((out, x), axis=1)
+        caches.append((x, z, mask))
         outputs.append(out)
         x = out
-    scores = x @ m.head_w.T
+    scores = x.dot(m.head_w.T)
     scores += m.head_b
     return scores, outputs, caches
 
@@ -224,7 +228,11 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None, out=None):
     a list in the order of _params(m): out, written in place, when given
     (train passes views of its flat gradient vector), else fresh arrays.
     Either way every product and sum runs on the same operands in the same
-    order, so they hold the same bits."""
+    order, so they hold the same bits. The backward pass overwrites each
+    block's cached z and mask: z becomes the ReLU derivative, z > 0 as
+    floats, and the gradient of z is that times (the output gradient times
+    the mask), products by exact ones and zeros in the order of the plain
+    formula."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     scores, outputs, caches = _forward_batch(m, X, dropout=dropout, rng=rng)
@@ -233,8 +241,8 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None, out=None):
     at = np.arange(0, n * C, C) + y  # each row's label entry in scores, flat
     picked = scores.reshape(-1)[at]
     g = np.exp(scores, out=scores)
-    rowsum = g.sum(axis=1, keepdims=True)
-    loss = float((np.log(rowsum[:, 0]) - picked).sum() / n)  # np.mean's bits
+    rowsum = np.add.reduce(g, axis=1, keepdims=True)
+    loss = float(np.add.reduce(np.log(rowsum[:, 0]) - picked) / n)  # np.mean's bits
     g /= rowsum
     g.reshape(-1)[at] -= 1.0
     g /= n  # d loss / d scores
@@ -242,25 +250,27 @@ def loss_and_gradients(m, X, y, dropout=0.0, rng=None, out=None):
     out = out or [np.empty_like(p) for p in _params(m)]
     L = len(caches)
     np.matmul(g.T, outputs[-1], out=out[-2])
-    g.sum(axis=0, out=out[-1])
-    g_x = g @ m.head_w
+    np.add.reduce(g, axis=0, out=out[-1])
+    g_x = g.dot(m.head_w)
     for i in range(L - 1, -1, -1):
-        spec = m.block_specs[i]
-        x_in, z, mask = caches[i]["x"], caches[i]["z"], caches[i]["mask"]
-        h = z.shape[1]
-        if spec.kind == PLAIN:
+        x_in, g_z, mask = caches[i]
+        h = g_z.shape[1]
+        kind = m.block_specs[i].kind
+        if kind == PLAIN:
             g_a, g_skip = g_x, 0.0
-        elif spec.kind == RESIDUAL_ADD:
+        elif kind == RESIDUAL_ADD:
             g_a, g_skip = g_x, g_x
         else:
             g_a, g_skip = g_x[:, :h], g_x[:, h:]
+        np.greater(g_z, 0.0, out=g_z)  # z is read no more
         if mask is not None:
-            g_a = g_a * mask
-        g_z = g_a * (z > 0)
+            g_a = np.multiply(g_a, mask, out=mask)
+        g_z *= g_a
         np.matmul(g_z.T, x_in, out=out[i])
-        g_z.sum(axis=0, out=out[L + i])
+        np.add.reduce(g_z, axis=0, out=out[L + i])
         if i:  # nothing reads the gradient of the network's input
-            g_x = g_z @ m.weights[i] + g_skip
+            g_x = g_z.dot(m.weights[i])
+            g_x += g_skip
     return loss, out
 
 
@@ -286,9 +296,8 @@ def train(m: MlpModel, ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, 
     rng = np.random.default_rng(cfg.seed)
 
     def grad(rows, _):
-        loss, _ = loss_and_gradients(
-            model, ds.features[rows[0]], ds.labels[rows[0]], cfg.dropout, rng, out=views
-        )
+        loss, _ = loss_and_gradients(model, ds.features.take(rows[0], axis=0),
+                                     ds.labels.take(rows[0]), cfg.dropout, rng, out=views)
         return loss, [grads]
 
     [trace] = _momentum_sgd(

@@ -858,6 +858,99 @@ class TestWeightedBagsMatchReference:
             assert np.array_equal(got.decision_scores(ds.features), want_votes)
 
 
+def forest_group(datasets, seed, **kw):
+    """The specs of one forest group, job i seeded seed + i, and its fits."""
+    specs = [forest_spec(seed=seed + i, **kw) for i in range(len(datasets))]
+    return specs, fit_many(specs, datasets)
+
+
+def assert_group_matches_reference(datasets, specs, many):
+    """Each job of a group must match the reference and its lone fit node
+    for node."""
+    for ds, spec, got in zip(datasets, specs, many):
+        want_table, want_votes = _ref_forest(ds, spec.hyperparams)
+        for name, want in want_table.items():
+            assert getattr(got.state, name).tolist() == want
+        assert np.array_equal(got.decision_scores(ds.features), want_votes)
+        assert_same_trees(got, fit(spec, ds))
+
+
+def spy_on_splits(monkeypatch):
+    """Record the features _split_nodes returns at each lockstep step."""
+    steps = []
+    real = clf_mod._split_nodes
+
+    def spy(*args):
+        out = real(*args)
+        steps.append(out[0])
+        return out
+
+    monkeypatch.setattr(clf_mod, "_split_nodes", spy)
+    return steps
+
+
+def trees(clf):
+    """The code array of each tree of a fitted forest."""
+    return np.split(clf.state.code, clf.state.roots[1:])
+
+
+class TestLeavesTakeNoStep:
+    """A child that cannot split, being pure or at max_depth, is written as
+    a leaf when its parent splits and never pushed, and a pure root when the
+    bags are built; only nodes that draw a feature subset are popped."""
+
+    def test_steps_equal_the_most_inner_nodes_of_a_tree(self, monkeypatch):
+        # distinct values in every feature: every impure node finds a cut, so
+        # every popped node splits
+        steps = spy_on_splits(monkeypatch)
+        datasets = [blobs(n, 4, 3, seed=n, margin=1.0) for n in (120, 90, 61)]
+        specs, many = forest_group(datasets, tree_count=5, seed=50)
+        inner = max(np.count_nonzero(code >= 0) for clf in many for code in trees(clf))
+        nodes = max(len(code) for clf in many for code in trees(clf))
+        assert len(steps) == inner
+        assert all((f >= 0).all() for f in steps)
+        assert nodes == 2 * inner + 1  # a step per node would take about twice as many
+        assert_group_matches_reference(datasets, specs, many)
+
+    def test_one_class_jobs_take_no_step(self, monkeypatch):
+        steps = spy_on_splits(monkeypatch)
+        rng = np.random.default_rng(3)
+        datasets = [labelled(rng.standard_normal((n, 3)), np.full(n, 2), 3) for n in (1, 5, 12)]
+        specs, many = forest_group(datasets, tree_count=4, seed=60)
+        assert steps == []
+        assert_group_matches_reference(datasets, specs, many)
+        for clf in many:
+            assert clf.state.code.tolist() == [~0] * 4
+            assert clf.state.roots.tolist() == [0, 1, 2, 3]
+
+    def test_pure_roots_beside_trees_that_split(self):
+        # a bag of the two-row set draws one row twice in about half its trees
+        datasets = [labelled(np.array([[0.0], [1.0]]), [0, 1], 2), blobs(40, 1, 2, seed=5)]
+        specs, many = forest_group(datasets, tree_count=8, seed=70)
+        assert_group_matches_reference(datasets, specs, many)
+        sizes = [len(code) for code in trees(many[0])]
+        assert 1 in sizes and 3 in sizes
+
+    @pytest.mark.parametrize("max_depth", [1, 2])
+    def test_children_at_max_depth(self, max_depth):
+        datasets = [blobs(n, 3, 3, seed=n, margin=1.0) for n in (80, 41, 7)]
+        specs, many = forest_group(datasets, tree_count=6, max_depth=max_depth, seed=80)
+        assert_group_matches_reference(datasets, specs, many)
+        assert max(tree_depth(clf.state) for clf in many) == max_depth
+
+    def test_node_without_a_cut_still_draws(self, monkeypatch):
+        # identical rows of both labels: a node of only those finds no cut,
+        # yet draws a subset, and the draws after it must stay in step
+        steps = spy_on_splits(monkeypatch)
+        base = blobs(30, 2, 2, seed=3, margin=1.0)
+        X = np.vstack([base.features, np.zeros((6, 2))])
+        y = np.concatenate([base.labels, [0, 1] * 3])
+        datasets = [labelled(X, y, 2), conflicting_duplicates(), blobs(25, 2, 2, seed=4)]
+        specs, many = forest_group(datasets, tree_count=6, seed=90)
+        assert any((f < 0).any() for f in steps)
+        assert_group_matches_reference(datasets, specs, many)
+
+
 class TestKnn:
     def test_distance_tie_breaks_to_lower_index(self):
         # query equidistant from both points; index 0 must win the tie

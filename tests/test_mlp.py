@@ -416,7 +416,8 @@ def _ref_train(m, ds, cfg):
 
 
 class TestTrainMatchesReference:
-    @pytest.mark.parametrize("batch_size", [16, 45, 4096], ids=["minibatch", "ragged", "fullbatch"])
+    @pytest.mark.parametrize("batch_size", [16, 45, 149, 150, 4096],
+                             ids=["minibatch", "ragged", "one_row_tail", "one_batch", "fullbatch"])
     def test_parameters_and_trace_bitwise(self, batch_size):
         ds = blobs(150, 4, 3, seed=6)
         blocks = [BlockSpec(RESIDUAL_CONCAT, 6), BlockSpec(RESIDUAL_ADD, 10), BlockSpec(PLAIN, 5)]
